@@ -14,20 +14,17 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Tuple
-
-import yaml
 
 from .core import BallDomain
 from .estimate import estimate_lipschitz_K, estimate_lipschitz_M, with_safety
 from .greens import GridFunction, IntegralTrace, run_integral_iteration
 from .majorant import (MajorantError, NoValidMajorantError, certify as run_certificate,
                        majorant_from_constants, precheck, tail_bound)
-from .problems import (CATALOG, CertRequest, ProblemError, ResolvedProblem,
-                       constants_for, override_param, resolve_config)
-from .schemes import IterationTrace, SchemeKind, StepFailure, run_outer
+from .problems import (CATALOG, CertRequest, ProblemError, ResolvedProblem, constants_for,
+                       load_config, override_param, resolve_config)
+from .schemes import IterationTrace, StepFailure, run_outer
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -44,28 +41,10 @@ class CliError(ValueError):
     pass
 
 
-def _load_cfg(source: str) -> dict:
-    if source in CATALOG:
-        return {"catalog": source}
-    try:
-        with open(source, "r") as fh:
-            cfg = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ProblemError("%r is neither a catalog problem nor a readable file" % source)
-    except yaml.YAMLError as exc:
-        raise ProblemError("cannot parse %s: %s" % (source, exc))
-    if not isinstance(cfg, dict):
-        raise ProblemError("problem file %s must contain a mapping" % source)
-    return cfg
-
-
-def _resolve(source: str, seed: Optional[int]) -> ResolvedProblem:
-    cfg = _load_cfg(source)
-    if seed is not None:
-        pert = dict(cfg.get("perturbation") or {})
-        pert["seed"] = seed
-        cfg["perturbation"] = pert
-    return resolve_config(cfg)
+def _load(source: str, seed: Optional[int]) -> dict:
+    """The problem config of a catalog name or YAML file, with --seed applied."""
+    cfg = load_config(source)
+    return cfg if seed is None else override_param(cfg, "seed", seed)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +182,7 @@ def _execute_integral(resolved: ResolvedProblem, out_dir: Path) -> Tuple[int, di
 
 
 def cmd_run(args) -> int:
-    resolved = _resolve(args.problem, args.seed)
+    resolved = resolve_config(_load(args.problem, args.seed))
     out_dir = Path(args.out) if args.out else Path("fpcert-out") / resolved.name
     code, summary = _execute_run(resolved, out_dir, args.inner_tol)
     if "error" in summary:
@@ -243,7 +222,7 @@ def _problem_constants(resolved: ResolvedProblem):
 
 
 def cmd_certify(args) -> int:
-    resolved = _resolve(args.problem, args.seed)
+    resolved = resolve_config(_load(args.problem, args.seed))
     if resolved.kind == "integral":
         print("error: certificates apply to fixed_point/root runs; integral runs "
               "are checked by bound propagation", file=sys.stderr)
@@ -357,11 +336,7 @@ def _value_label(param: str, value: float) -> str:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_cfg(args.problem)
-    if args.seed is not None:
-        pert = dict(cfg.get("perturbation") or {})
-        pert["seed"] = args.seed
-        cfg["perturbation"] = pert
+    cfg = _load(args.problem, args.seed)
     values = _parse_values(args.values)
     if not values:
         print("error: sweep needs a nonempty values list", file=sys.stderr)
@@ -373,13 +348,9 @@ def cmd_sweep(args) -> int:
         jobs.append((v, resolved))
     out_root = Path(args.out) if args.out else Path("fpcert-out") / ("sweep-" + jobs[0][1].name)
     out_root.mkdir(parents=True, exist_ok=True)
-
-    def work(job):
-        v, resolved = job
-        return _execute_run(resolved, out_root / _value_label(args.param, v), args.inner_tol)
-
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        results = list(pool.map(work, jobs))
+    # one after another: the runs hold the GIL, so threads only added switching
+    results = [_execute_run(resolved, out_root / _value_label(args.param, v), args.inner_tol)
+               for v, resolved in jobs]
 
     with open(out_root / "summary.csv", "w", newline="") as fh:
         fh.write("param,value,steps,stop_reason,final_residual,final_r,exit\n")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .schemes import SchemeKind
 from .sequences import ScalarSequence, SequenceError
@@ -102,18 +103,17 @@ class MajorantParams:
     lam: ScalarSequence
     rho: ScalarSequence
     r0: float
+    # horizons built so far, by N.  They live on the instance, never in a cache
+    # keyed by equality: sequences from raw callables compare equal regardless
+    # of their values.
+    _horizons: Dict[int, "_Horizon"] = field(default_factory=dict, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.eta) or self.eta < 0:
             raise PreconditionError("eta must be finite and >= 0, got %r" % self.eta)
         if not math.isfinite(self.r0) or self.r0 < 0:
             raise PreconditionError("r0 must be finite and >= 0, got %r" % self.r0)
-
-    def lam_values(self, N: int) -> List[float]:
-        return self.lam.values(0, N)
-
-    def rho_values(self, N: int) -> List[float]:
-        return self.rho.values(0, N)
 
 
 def recurrence_step(r_prev: float, eta: float, lam: float, rho: float) -> float:
@@ -146,6 +146,29 @@ def simulate_capped(p: MajorantParams, N: int) -> Tuple[List[float], Optional[in
         vals = list(exc.partial)
         vals.extend([math.inf] * (N + 1 - len(vals)))
         return vals, exc.index
+
+
+class _Horizon(NamedTuple):
+    """What every certificate reads over a horizon N, whatever its witnesses.
+
+    lam and rho hold indices 0..N+1 (ratio premises look one index ahead);
+    sim is simulate_capped(p, N) and diverged its first overflow index.
+    """
+
+    lam: Tuple[float, ...]
+    rho: Tuple[float, ...]
+    sim: Tuple[float, ...]
+    diverged: Optional[int]
+
+
+def _horizon(p: MajorantParams, N: int) -> _Horizon:
+    h = p._horizons.get(N)
+    if h is None:
+        lam, rho = p.lam.values(0, N + 1), p.rho.values(0, N + 1)
+        sim, diverged = simulate_capped(p, N)
+        # tuples: every certificate of p reads the same horizon
+        h = p._horizons[N] = _Horizon(tuple(lam), tuple(rho), tuple(sim), diverged)
+    return h
 
 
 def majorant_from_constants(c: ProblemConstants, scheme: SchemeKind, r0: float,
@@ -217,7 +240,7 @@ class Certificate:
     detail: List[str] = field(default_factory=list)
 
 
-def _verify_bounds(sim: List[float], lower: List[float], upper: List[float],
+def _verify_bounds(sim: Sequence[float], lower: List[float], upper: List[float],
                    first: int = 1) -> Tuple[bool, float]:
     ok = True
     margin = math.inf
@@ -231,6 +254,24 @@ def _verify_bounds(sim: List[float], lower: List[float], upper: List[float],
         else:
             margin = -math.inf
     return ok, margin
+
+
+def _finish(regime: str, h: _Horizon, witnesses: Dict[str, float], premises: bool,
+            detail: List[str], lower: List[float], upper: List[float], first: int = 1,
+            held: str = "", broke: str = "") -> Certificate:
+    """Verify the asserted bounds (only if the premises held) and build the report.
+
+    held/broke is the regime's closing detail line when the bounds held/failed.
+    """
+    bounds_ok, margin = False, -math.inf
+    if premises:
+        bounds_ok, margin = _verify_bounds(h.sim, lower, upper, first)
+        bounds_ok = bounds_ok and h.diverged is None
+        closing = held if bounds_ok else broke
+        if closing:
+            detail.append(closing)
+    return Certificate(regime, witnesses, len(h.sim) - 1, premises and bounds_ok, premises,
+                       bounds_ok, lower, upper, margin, detail)
 
 
 def _lambda_blanket(lam_vals: Sequence[float], detail: List[str]) -> bool:
@@ -263,8 +304,8 @@ def _roots(eta: float, lam: float, rho: float) -> Tuple[float, float, float]:
 
 def cert_bounded(p: MajorantParams, N: int) -> Certificate:
     """Uniform cap: r_n <= C with C between every lower root and every upper root."""
-    lam = p.lam_values(N)
-    rho = p.rho_values(N)
+    h = _horizon(p, N)
+    lam, rho = h.lam[:N + 1], h.rho[:N + 1]
     detail: List[str] = []
     premises = _lambda_blanket(lam, detail)
     sup_low, inf_up = 0.0, math.inf
@@ -282,18 +323,8 @@ def cert_bounded(p: MajorantParams, N: int) -> Certificate:
     if premises and not _le(C, inf_up):
         detail.append("no admissible C: need %r <= C <= %r" % (max(p.r0, sup_low), inf_up))
         premises = False
-    sim, diverged = simulate_capped(p, N)
-    lower = [0.0] * (N + 1)
-    upper = [C] * (N + 1)
-    bounds_ok, margin = (False, -math.inf)
-    if premises:
-        bounds_ok, margin = _verify_bounds(sim, lower, upper, first=0)
-        if diverged is not None:
-            bounds_ok = False
-    if premises and bounds_ok:
-        detail.append("uniform cap C = %r holds on the simulation" % C)
-    return Certificate("bounded", {"C": C}, N, premises and bounds_ok,
-                       premises, bounds_ok, lower, upper, margin, detail)
+    return _finish("bounded", h, {"C": C}, premises, detail, [0.0] * (N + 1), [C] * (N + 1),
+                   first=0, held="uniform cap C = %r holds on the simulation" % C)
 
 
 def cert_uniform_max(p: MajorantParams, N: int) -> Certificate:
@@ -302,16 +333,14 @@ def cert_uniform_max(p: MajorantParams, N: int) -> Certificate:
     Additional side condition r0 <= upper root: beyond it the recurrence
     escapes and no uniform bound of this shape exists.
     """
-    lam = p.lam_values(N)
-    rho = p.rho_values(N)
+    h = _horizon(p, N)
+    lam, rho = h.lam[:N + 1], h.rho[:N + 1]
     detail: List[str] = []
     premises = _lambda_blanket(lam, detail)
-    if premises and not p.lam.nonincreasing_on(0, N):
-        detail.append("lambda sequence is not nonincreasing")
-        premises = False
-    if premises and not p.rho.nonincreasing_on(0, N):
-        detail.append("rho sequence is not nonincreasing")
-        premises = False
+    for name, vals in (("lambda", lam), ("rho", rho)):
+        if premises and any(cur > prev for prev, cur in zip(vals, vals[1:])):
+            detail.append("%s sequence is not nonincreasing" % name)
+            premises = False
     bound = math.nan
     if premises:
         low0, up0, disc0 = _roots(p.eta, lam[0], rho[0])
@@ -329,16 +358,9 @@ def cert_uniform_max(p: MajorantParams, N: int) -> Certificate:
                 detail.append("r0 = %r exceeds the upper root %r: recurrence escapes"
                               % (p.r0, up0))
                 premises = False
-    sim, diverged = simulate_capped(p, N)
-    lower = [0.0] * (N + 1)
     upper = [bound if premises else math.nan] * (N + 1)
-    bounds_ok, margin = (False, -math.inf)
-    if premises:
-        bounds_ok, margin = _verify_bounds(sim, lower, upper, first=0)
-        if diverged is not None:
-            bounds_ok = False
-    return Certificate("uniform_max", {"max_bound": bound}, N, premises and bounds_ok,
-                       premises, bounds_ok, lower, upper, margin, detail)
+    return _finish("uniform_max", h, {"max_bound": bound}, premises, detail,
+                   [0.0] * (N + 1), upper, first=0)
 
 
 def cert_sandwich(p: MajorantParams, N: int, C1: float, C2: float) -> Certificate:
@@ -350,8 +372,8 @@ def cert_sandwich(p: MajorantParams, N: int, C1: float, C2: float) -> Certificat
     bound).  The asserted sandwich is the lag-one one, which is what the
     induction proves.
     """
-    lam = p.lam_values(N + 1)
-    rho = p.rho_values(N + 1)
+    h = _horizon(p, N)
+    lam, rho = h.lam, h.rho
     detail: List[str] = []
     premises = _lambda_blanket(lam[:N + 1], detail)
     if not (0.0 <= C1 < 1.0):
@@ -389,17 +411,10 @@ def cert_sandwich(p: MajorantParams, N: int, C1: float, C2: float) -> Certificat
             detail.append("start window fails: r_1 value %r above C_rho*rho_0 = %r"
                           % (start, C_rho * rho[0]))
             premises = False
-    sim, diverged = simulate_capped(p, N)
     lower = [0.0] + [rho[j - 1] for j in range(1, N + 1)]
     upper = [p.r0] + [(C_rho * rho[j - 1]) if premises else math.nan for j in range(1, N + 1)]
-    bounds_ok, margin = (False, -math.inf)
-    if premises:
-        bounds_ok, margin = _verify_bounds(sim, lower, upper)
-        if diverged is not None:
-            bounds_ok = False
-    return Certificate("sandwich", {"C1": C1, "C2": C2, "C_rho": C_rho}, N,
-                       premises and bounds_ok, premises, bounds_ok, lower, upper,
-                       margin, detail)
+    return _finish("sandwich", h, {"C1": C1, "C2": C2, "C_rho": C_rho}, premises, detail,
+                   lower, upper)
 
 
 def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
@@ -411,14 +426,14 @@ def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
     lambda_0 factor; per-step eta and rho budgets against the bound value
     itself).  The published premises alone admit counterexamples.
     """
-    lam = p.lam_values(N + 1)
-    rho = p.rho_values(N + 1)
+    h = _horizon(p, N)
+    lam, rho = h.lam, h.rho
     detail: List[str] = []
     premises = _lambda_blanket(lam[:N + 1], detail)
     if premises and any(v <= 0.0 for v in lam[:N + 1]):
         detail.append("lambda must stay positive (products enter denominators)")
         premises = False
-    lam_bar = max(lam[:N + 1]) if lam else 1.0
+    lam_bar = max(lam[:N + 1])
     if not (0.0 <= chi <= 1.0):
         detail.append("need chi in [0,1], got %r" % chi)
         premises = False
@@ -472,16 +487,9 @@ def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
                     detail.append("anchored rho budget fails at n = %d" % n)
                     premises = False
                     break
-    sim, diverged = simulate_capped(p, N)
     lower = [p.r0 * prefix[j] for j in range(N + 1)]
-    bounds_ok, margin = (False, -math.inf)
-    if premises:
-        bounds_ok, margin = _verify_bounds(sim, lower, upper)
-        if diverged is not None:
-            bounds_ok = False
     wit = {"chi": chi, "mu": mu, "lambda0_tilde": lambda0_tilde, "C_mu": C_mu}
-    return Certificate("geometric", wit, N, premises and bounds_ok, premises,
-                       bounds_ok, lower, upper, margin, detail)
+    return _finish("geometric", h, wit, premises, detail, lower, upper)
 
 
 def cert_quadratic(p: MajorantParams, N: int, chi: float, mu: float) -> Certificate:
@@ -490,8 +498,8 @@ def cert_quadratic(p: MajorantParams, N: int, chi: float, mu: float) -> Certific
     The printed inflation (1+mu)^n is verified against the simulation because
     it is not inductively stable for mu > 0; valid reports what actually held.
     """
-    lam = p.lam_values(N)
-    rho = p.rho_values(N)
+    h = _horizon(p, N)
+    lam, rho = h.lam, h.rho
     detail: List[str] = []
     premises = True
     if p.eta <= 0.0:
@@ -525,123 +533,125 @@ def cert_quadratic(p: MajorantParams, N: int, chi: float, mu: float) -> Certific
     else:
         lower = [0.0] * (N + 1)
         upper = [math.nan] * (N + 1)
-    sim, diverged = simulate_capped(p, N)
-    bounds_ok, margin = (False, -math.inf)
-    if premises:
-        bounds_ok, margin = _verify_bounds(sim, lower, upper, first=0)
-        if diverged is not None:
-            bounds_ok = False
-        if not bounds_ok:
-            detail.append("printed inflation (1+mu)^n did not hold on the simulation")
-    return Certificate("quadratic", {"chi": chi, "mu": mu}, N,
-                       premises and bounds_ok, premises, bounds_ok, lower, upper,
-                       margin, detail)
+    return _finish("quadratic", h, {"chi": chi, "mu": mu}, premises, detail, lower, upper,
+                   first=0, broke="printed inflation (1+mu)^n did not hold on the simulation")
 
 
-_REGIMES = ("bounded", "uniform_max", "sandwich", "geometric", "quadratic")
+# ---------------------------------------------------------------------------
+# regime table: dispatch, witness-search grids and fallback witnesses
+
+
+def _needed_c2(p: MajorantParams, N: int) -> float:
+    rho = _horizon(p, N).rho
+    vals = [rho[k] ** 2 / rho[k + 1] for k in range(N - 1) if rho[k + 1] > 0]
+    return max(vals) * (1.0 + 1e-9) if vals else 0.0
+
+
+def _sandwich_grid(p: MajorantParams, N: int, grid: int) -> Iterator[Dict[str, float]]:
+    h = _horizon(p, N)
+    lam, rho = h.lam, h.rho
+    if any(v <= 0 for v in rho[:N + 1]):
+        return
+    need_c1 = max((lam[k + 1] * rho[k] / rho[k + 1] for k in range(N - 1)), default=0.0)
+    need_c2 = _needed_c2(p, N)
+    for c1 in [min(need_c1 * (1.0 + 1e-9), 0.999999)] + [i / grid for i in range(grid)]:
+        if not 0.0 <= c1 < 1.0:
+            continue
+        hi = math.inf if p.eta == 0.0 else (1.0 - c1) ** 2 / (4.0 * p.eta)
+        if need_c2 > hi:
+            continue
+        yield {"C1": c1, "C2": need_c2}
+        for i in range(1, grid):
+            yield {"C1": c1,
+                   "C2": need_c2 + (min(hi, need_c2 * 16 + 1.0) - need_c2) * i / grid}
+
+
+def _geometric_grid(p: MajorantParams, N: int, grid: int) -> Iterator[Dict[str, float]]:
+    h = _horizon(p, N)
+    lam = h.lam
+    if any(v <= 0 for v in lam) or max(lam) >= 1.0:
+        return
+    mu_max = 1.0 / max(lam) - 1.0
+    r1_value = p.eta * p.r0 ** 2 + lam[0] * p.r0 + h.rho[0]
+    for i in range(1, grid + 1):
+        mu = mu_max * i / grid
+        # anchor decides the smallest usable witness product
+        z = r1_value / ((1.0 + mu) * lam[0]) * (1.0 + 1e-9)
+        for j in range(1, grid):
+            for scale in (1.0, 2.0, 4.0, 8.0):
+                yield {"chi": j / grid, "mu": mu, "lambda0_tilde": 1.0, "C_mu": z * scale}
+    if p.eta == 0.0 and all(v == 0.0 for v in h.rho[:N + 1]):
+        z = max(p.r0, r1_value / lam[0] if lam[0] else 0.0)
+        yield {"chi": 0.0, "mu": 0.0, "lambda0_tilde": 1.0, "C_mu": z}
+
+
+def _quadratic_grid(p: MajorantParams, N: int, grid: int) -> Iterator[Dict[str, float]]:
+    yield {"chi": 0.5, "mu": 0.0}
+    for i in range(1, grid + 1):
+        for j in range(grid):
+            yield {"chi": j / grid, "mu": i / grid}
+
+
+class _Regime(NamedTuple):
+    """run: the certificate for a witness mapping; grid: the search candidates
+    in order; fallback: the witnesses whose failure certify reports when the
+    search finds nothing, None for witness-free regimes (run directly).
+    """
+
+    run: Callable[[MajorantParams, int, Dict[str, float]], Certificate]
+    grid: Callable[[MajorantParams, int, int], Iterable[Dict[str, float]]]
+    fallback: Optional[Callable[[MajorantParams, int], Dict[str, float]]] = None
+
+
+# the lambdas look the cert functions up at call time, so wrappers installed
+# on the module names (tracing, mocking) see every call
+REGIMES: Dict[str, _Regime] = {
+    "bounded": _Regime(lambda p, N, w: cert_bounded(p, N), lambda p, N, grid: ({},)),
+    "uniform_max": _Regime(lambda p, N, w: cert_uniform_max(p, N), lambda p, N, grid: ({},)),
+    "sandwich": _Regime(lambda p, N, w: cert_sandwich(p, N, w["C1"], w["C2"]),
+                        _sandwich_grid, lambda p, N: {"C1": 0.5, "C2": _needed_c2(p, N)}),
+    "geometric": _Regime(lambda p, N, w: cert_geometric(p, N, w["chi"], w["mu"],
+                                                        w["lambda0_tilde"], w["C_mu"]),
+                         _geometric_grid,
+                         lambda p, N: {"chi": 0.5, "mu": 0.0, "lambda0_tilde": 1.0, "C_mu": 1.0}),
+    "quadratic": _Regime(lambda p, N, w: cert_quadratic(p, N, w["chi"], w["mu"]),
+                         _quadratic_grid, lambda p, N: {"chi": 0.5, "mu": 0.0}),
+}
+
+
+def _regime(regime: str) -> _Regime:
+    try:
+        return REGIMES[regime]
+    except KeyError:
+        raise MajorantError("unknown regime %r (expected one of %s)"
+                            % (regime, ", ".join(REGIMES))) from None
 
 
 def certify(p: MajorantParams, regime: str, N: int,
             witnesses: Optional[Dict[str, float]] = None) -> Certificate:
     """Dispatch by regime name; witnesses=None triggers the grid search."""
-    if regime not in _REGIMES:
-        raise MajorantError("unknown regime %r (expected one of %s)" % (regime, ", ".join(_REGIMES)))
-    if regime == "bounded":
-        return cert_bounded(p, N)
-    if regime == "uniform_max":
-        return cert_uniform_max(p, N)
-    if witnesses is None:
+    spec = _regime(regime)
+    if witnesses is None and spec.fallback is not None:
         found = search_witnesses(p, regime, N)
         if found is not None:
             return found
         # report the first grid candidate's failure rather than nothing
-        if regime == "sandwich":
-            return cert_sandwich(p, N, 0.5, _needed_c2(p, N))
-        if regime == "geometric":
-            return cert_geometric(p, N, 0.5, 0.0, 1.0, 1.0)
-        return cert_quadratic(p, N, 0.5, 0.0)
+        witnesses = spec.fallback(p, N)
     try:
-        if regime == "sandwich":
-            return cert_sandwich(p, N, witnesses["C1"], witnesses["C2"])
-        if regime == "geometric":
-            return cert_geometric(p, N, witnesses["chi"], witnesses["mu"],
-                                  witnesses["lambda0_tilde"], witnesses["C_mu"])
-        return cert_quadratic(p, N, witnesses["chi"], witnesses["mu"])
+        return spec.run(p, N, witnesses)
     except KeyError as exc:
         raise MajorantError("regime %r missing witness %s" % (regime, exc))
-
-
-def _needed_c2(p: MajorantParams, N: int) -> float:
-    rho = p.rho_values(N)
-    vals = [rho[k] ** 2 / rho[k + 1] for k in range(N - 1) if rho[k + 1] > 0]
-    return max(vals) * (1.0 + 1e-9) if vals else 0.0
 
 
 def search_witnesses(p: MajorantParams, regime: str, N: int,
                      grid: int = 16) -> Optional[Certificate]:
     """Coarse witness search; returns the first valid certificate or None."""
-    if regime == "bounded":
-        c = cert_bounded(p, N)
-        return c if c.valid else None
-    if regime == "uniform_max":
-        c = cert_uniform_max(p, N)
-        return c if c.valid else None
-    if regime == "sandwich":
-        lam = p.lam_values(N)
-        rho = p.rho_values(N)
-        if any(v <= 0 for v in rho):
-            return None
-        need_c1 = max((lam[k + 1] * rho[k] / rho[k + 1] for k in range(N - 1)), default=0.0)
-        need_c2 = _needed_c2(p, N)
-        cand_c1 = [min(need_c1 * (1.0 + 1e-9), 0.999999)] + \
-                  [i / grid for i in range(grid)]
-        for c1 in cand_c1:
-            if not 0.0 <= c1 < 1.0:
-                continue
-            hi = math.inf if p.eta == 0.0 else (1.0 - c1) ** 2 / (4.0 * p.eta)
-            if need_c2 > hi:
-                continue
-            cand_c2 = [need_c2] + [need_c2 + (min(hi, need_c2 * 16 + 1.0) - need_c2) * i / grid
-                                   for i in range(1, grid)]
-            for c2 in cand_c2:
-                cert = cert_sandwich(p, N, c1, c2)
-                if cert.valid:
-                    return cert
-        return None
-    if regime == "geometric":
-        lam = p.lam_values(N + 1)
-        if any(v <= 0 for v in lam) or max(lam) >= 1.0:
-            return None
-        mu_max = 1.0 / max(lam) - 1.0
-        rho0 = p.rho(0)
-        r1_value = p.eta * p.r0 ** 2 + lam[0] * p.r0 + rho0
-        for i in range(1, grid + 1):
-            mu = mu_max * i / grid
-            for j in range(1, grid):
-                chi = j / grid
-                # anchor decides the smallest usable witness product
-                z = r1_value / ((1.0 + mu) * lam[0]) * (1.0 + 1e-9)
-                for scale in (1.0, 2.0, 4.0, 8.0):
-                    cert = cert_geometric(p, N, chi, mu, 1.0, z * scale)
-                    if cert.valid:
-                        return cert
-        if p.eta == 0.0 and all(v == 0.0 for v in p.rho_values(N)):
-            z = max(p.r0, r1_value / lam[0] if lam[0] else 0.0)
-            cert = cert_geometric(p, N, 0.0, 0.0, 1.0, z)
-            if cert.valid:
-                return cert
-        return None
-    if regime == "quadratic":
-        cand = [(0.5, 0.0)]
-        for i in range(1, grid + 1):
-            for j in range(grid):
-                cand.append((j / grid, i / grid))
-        for chi, mu in cand:
-            cert = cert_quadratic(p, N, chi, mu)
-            if cert.valid:
-                return cert
-        return None
-    raise MajorantError("unknown regime %r" % regime)
+    spec = _regime(regime)
+    for witnesses in spec.grid(p, N, grid):
+        cert = spec.run(p, N, witnesses)
+        if cert.valid:
+            return cert
+    return None
 
 
 # ---------------------------------------------------------------------------

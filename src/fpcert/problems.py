@@ -8,24 +8,24 @@ built-in problems go down one code path.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
 
-from .core import BallDomain, NormKind, OperatorEvaluationError, OperatorSpec, Vector, norm_of
+from .core import (BallDomain, CoreError, NormKind, OperatorEvaluationError, OperatorSpec,
+                   Vector, norm_of)
 from .exprparse import ExprError, eval_expr, parse_expr
 from .greens import KernelSpec, build_volterra_kernel, kernel_from_expression
-from .majorant import ProblemConstants
-from .rootfind import GammaSpec, wrap_root_problem
-from .schemes import InjectionMode, PerturbationPlan, SchemeKind, StopRule
+from .majorant import REGIMES, ProblemConstants
+from .rootfind import GammaSpec, RootfindError, wrap_root_problem
+from .schemes import InjectionMode, PerturbationPlan, SchemeError, SchemeKind, StopRule
 from .sequences import ScalarSequence, SequenceError, sequence_from_config
-
-_REGIMES = ("bounded", "uniform_max", "sandwich", "geometric", "quadratic")
 
 
 class ProblemError(ValueError):
@@ -131,8 +131,8 @@ class CatalogEntry:
     deriv_exprs: Optional[Tuple[Tuple[str, ...], ...]]
     x0: Tuple[float, ...]
     norm: NormKind
-    M: float
-    K: float
+    M: Optional[float]                         # None once a gamma override voids them
+    K: Optional[float]
     ball: Optional[BallDomain]
     scheme: SchemeKind
     plan: PerturbationPlan
@@ -382,7 +382,14 @@ def _plan_config(plan: PerturbationPlan) -> dict:
             "gamma": _seq_to_config(plan.gamma)}
 
 
-def _digest(canonical: dict) -> str:
+def _digest(plan: PerturbationPlan, stop: StopRule, integral: Optional[IntegralSetup],
+            **problem) -> str:
+    """sha256 over the resolved problem: its own fields plus the run settings."""
+    canonical = dict(
+        problem, perturbation=_plan_config(plan),
+        stop={"max_n": stop.max_n, "r_tol": stop.r_tol, "residual_tol": stop.residual_tol},
+        integral=({"kernel": integral.kernel_kind, "T_end": integral.T_end, "m": integral.m}
+                  if integral else None))
     return hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()
 
 
@@ -423,9 +430,9 @@ def _parse_certs(cfg) -> List[CertRequest]:
         if not isinstance(item, dict) or "regime" not in item:
             raise ProblemError("each certificate request needs a regime key: %r" % (item,))
         regime = item["regime"]
-        if regime not in _REGIMES:
+        if regime not in REGIMES:
             raise ProblemError("unknown certificate regime %r (expected one of %s)"
-                               % (regime, ", ".join(_REGIMES)))
+                               % (regime, ", ".join(REGIMES)))
         wit = item.get("witnesses")
         if wit == "search":
             wit = None
@@ -440,7 +447,8 @@ def _parse_certs(cfg) -> List[CertRequest]:
 def _resolve_catalog(cfg: dict) -> ResolvedProblem:
     name = cfg["catalog"]
     entry = get_entry(name)
-    allowed = {"catalog", "scheme", "perturbation", "stop", "certificates", "integral", "name"}
+    allowed = {"catalog", "scheme", "perturbation", "stop", "certificates", "integral", "name",
+               "gamma"}
     extra = set(cfg) - allowed
     if extra:
         raise ProblemError("catalog problems only accept %s overrides; got: %s"
@@ -460,21 +468,31 @@ def _resolve_catalog(cfg: dict) -> ResolvedProblem:
         m = int(cfg["integral"].get("m", entry.integral.m))
         integral = IntegralSetup(entry.integral.kernel_kind, entry.integral.T_end, m,
                                  exact=entry.integral.exact)
-    canonical = {
-        "catalog": name, "scheme": scheme.value, "norm": entry.norm.value,
-        "x0": list(entry.x0), "operator": list(entry.operator_exprs),
-        "perturbation": _plan_config(plan),
-        "stop": {"max_n": stop.max_n, "r_tol": stop.r_tol, "residual_tol": stop.residual_tol},
-        "integral": ({"kernel": integral.kernel_kind, "T_end": integral.T_end,
-                      "m": integral.m} if integral else None),
-    }
+    if "gamma" in cfg:
+        gcfg = cfg["gamma"]
+        if (entry.kind != "root" or entry.gamma.kind != "damped" or not isinstance(gcfg, dict)
+                or set(gcfg) - {"alpha"}):
+            raise ProblemError("gamma override %r: only damped-gamma root problems take one, "
+                               "as {alpha: value}" % (gcfg,))
+        try:
+            alpha = float(gcfg.get("alpha", entry.gamma.alpha))
+        except (TypeError, ValueError):
+            raise ProblemError("gamma.alpha must be a number, got %r" % (gcfg.get("alpha"),))
+        if alpha != entry.gamma.alpha:
+            # the entry's analytic M and K hold only at its own alpha
+            entry = replace(entry, gamma=GammaSpec(entry.gamma.kind, alpha), M=None, K=None)
+    problem = {"catalog": name, "scheme": scheme.value, "norm": entry.norm.value,
+               "x0": list(entry.x0), "operator": list(entry.operator_exprs)}
+    if entry.gamma != CATALOG[name].gamma:
+        # only an overridden gamma enters the digest, so default runs keep theirs
+        problem["gamma"] = {"kind": entry.gamma.kind, "alpha": entry.gamma.alpha}
     return ResolvedProblem(
         name=name, kind=entry.kind, operator=entry.build_operator(), scheme=scheme,
         norm=entry.norm, x0=Vector(entry.x0), plan=plan, stop=stop,
         M=entry.M, K=entry.K, theta=entry.theta, ball=entry.ball, estimate_cfg=None,
         cert_requests=certs, integral=integral,
         fixed_point=Vector(entry.fixed_point) if entry.fixed_point else None,
-        digest=_digest(canonical), entry=entry)
+        digest=_digest(plan, stop, integral, **problem), entry=entry)
 
 
 _TOP_KEYS = {"name", "kind", "dim", "operator", "derivative", "x0", "norm", "scheme",
@@ -485,13 +503,18 @@ def resolve_config(cfg: dict) -> ResolvedProblem:
     """Validate a problem mapping and build everything a run needs.
 
     Raises ProblemError on the first validation failure; expression errors
-    carry the offending position.
+    carry the offending position, and rejected enum or range values (scheme,
+    norm, perturbation mode, stop, gamma) the field they came from.
     """
     if not isinstance(cfg, dict):
         raise ProblemError("problem file must contain a mapping, got %r" % type(cfg).__name__)
-    if "catalog" in cfg:
-        return _resolve_catalog(cfg)
+    try:
+        return _resolve_catalog(cfg) if "catalog" in cfg else _resolve_file(cfg)
+    except (CoreError, RootfindError, SchemeError) as exc:
+        raise ProblemError(str(exc)) from exc
 
+
+def _resolve_file(cfg: dict) -> ResolvedProblem:
     extra = set(cfg) - _TOP_KEYS
     if extra:
         raise ProblemError("unknown problem keys: %s" % ", ".join(sorted(extra)))
@@ -586,15 +609,10 @@ def resolve_config(cfg: dict) -> ResolvedProblem:
     stop = _parse_stop(cfg.get("stop") or {})
     certs = _parse_certs(cfg.get("certificates"))
 
-    canonical = {
-        "name": name, "kind": kind, "operator": list(exprs), "derivative": deriv,
-        "x0": [float(v) for v in x0_cfg], "norm": norm.value, "scheme": scheme.value,
-        "perturbation": _plan_config(plan),
-        "stop": {"max_n": stop.max_n, "r_tol": stop.r_tol, "residual_tol": stop.residual_tol},
-        "gamma": {"kind": gamma.kind, "alpha": gamma.alpha} if gamma else None,
-        "integral": ({"kernel": integral.kernel_kind, "T_end": integral.T_end,
-                      "m": integral.m} if integral else None),
-    }
+    digest = _digest(plan, stop, integral, name=name, kind=kind, operator=list(exprs),
+                     derivative=deriv, x0=[float(v) for v in x0_cfg], norm=norm.value,
+                     scheme=scheme.value,
+                     gamma={"kind": gamma.kind, "alpha": gamma.alpha} if gamma else None)
     ball = None
     if estimate_cfg is not None:
         radius = float(estimate_cfg.get("radius", 1.0))
@@ -603,15 +621,15 @@ def resolve_config(cfg: dict) -> ResolvedProblem:
         name=name, kind=kind, operator=operator, scheme=scheme, norm=norm, x0=x0,
         plan=plan, stop=stop, M=M, K=K, theta=None, ball=ball,
         estimate_cfg=estimate_cfg, cert_requests=certs, integral=integral,
-        fixed_point=None, digest=_digest(canonical), entry=None,
+        fixed_point=None, digest=digest, entry=None,
         m_star=m_star, k_star=k_star)
 
 
-def load_problem(source) -> ResolvedProblem:
-    """Resolve a catalog name or a YAML problem file path."""
+def load_config(source) -> dict:
+    """The raw problem mapping of a catalog name or a YAML problem file path."""
     text_name = str(source)
     if text_name in CATALOG:
-        return resolve_config({"catalog": text_name})
+        return {"catalog": text_name}
     try:
         with open(source, "r") as fh:
             cfg = yaml.safe_load(fh)
@@ -619,14 +637,19 @@ def load_problem(source) -> ResolvedProblem:
         raise ProblemError("%r is neither a catalog problem nor a readable file" % text_name)
     except yaml.YAMLError as exc:
         raise ProblemError("cannot parse %s: %s" % (text_name, exc))
-    if cfg is None:
-        raise ProblemError("problem file %s is empty" % text_name)
-    return resolve_config(cfg)
+    if not isinstance(cfg, dict):
+        raise ProblemError("problem file %s must contain a mapping" % text_name)
+    return cfg
+
+
+def load_problem(source) -> ResolvedProblem:
+    """Resolve a catalog name or a YAML problem file path."""
+    return resolve_config(load_config(source))
 
 
 def override_param(cfg: dict, param: str, value: float) -> dict:
     """Return a copy of a raw problem config with one sweepable scalar replaced."""
-    out = json.loads(json.dumps(cfg))  # deep copy of plain data
+    out = copy.deepcopy(cfg)
     if param == "eps":
         pert = out.setdefault("perturbation", {})
         pert["eps"] = {"kind": "constant", "c": float(value)}
@@ -637,11 +660,11 @@ def override_param(cfg: dict, param: str, value: float) -> dict:
             raise ProblemError("param m needs an integral problem")
         out.setdefault("integral", {})["m"] = int(value)
     elif param == "alpha":
-        if "gamma" not in out:
+        if "gamma" not in out and "catalog" not in out:
             raise ProblemError("param alpha needs a root problem with a gamma block")
-        out["gamma"]["alpha"] = float(value)
+        out["gamma"] = dict(out.get("gamma") or {}, alpha=float(value))
     elif param == "seed":
-        out.setdefault("perturbation", {})["seed"] = int(value)
+        out["perturbation"] = dict(out.get("perturbation") or {}, seed=int(value))
     else:
         raise ProblemError("unknown sweep param %r (expected eps, m, alpha or seed)" % param)
     return out

@@ -117,20 +117,6 @@ class ScalarSequence:
     def values(self, n0: int, n1: int) -> list:
         return [self(n) for n in range(n0, n1 + 1)]
 
-    def sup_over(self, n0: int, n1: int) -> float:
-        if n1 < n0:
-            raise SequenceError("empty index range")
-        return max(self(n) for n in range(n0, n1 + 1))
-
-    def nonincreasing_on(self, n0: int, n1: int) -> bool:
-        prev = self(n0)
-        for n in range(n0 + 1, n1 + 1):
-            cur = self(n)
-            if cur > prev:
-                return False
-            prev = cur
-        return True
-
     # -- tail analytics -----------------------------------------------
 
     def sup_tail(self, n0: int) -> float:
@@ -226,7 +212,8 @@ def sequence_from_config(cfg) -> ScalarSequence:
     """Build a sequence from problem-file config.
 
     Accepts a bare number (constant) or a mapping with a 'kind' key:
-    {kind: constant, c}, {kind: geometric, c, ratio}, {kind: power, c, p}.
+    {kind: constant, c}, {kind: geometric, c, ratio}, {kind: power, c, p},
+    {kind: table, entries: [...]} (constant beyond the last entry).
     """
     if cfg is None:
         return ScalarSequence.zero()
@@ -241,9 +228,15 @@ def sequence_from_config(cfg) -> ScalarSequence:
         return ScalarSequence.geometric(_num(cfg, "c"), _num(cfg, "ratio"))
     if kind == "power":
         return ScalarSequence.power(_num(cfg, "c"), _num(cfg, "p"))
+    if kind == "table":
+        entries = cfg.get("entries")
+        if not isinstance(entries, list) or not all(isinstance(v, (int, float)) for v in entries):
+            raise SequenceError("table sequence needs an entries list of numbers: %r" % (cfg,))
+        return ScalarSequence.from_table(entries)
     if kind == "zero":
         return ScalarSequence.zero()
-    raise SequenceError("unknown sequence kind %r (expected constant|geometric|power|zero)" % kind)
+    raise SequenceError("unknown sequence kind %r (expected constant|geometric|power|table|zero)"
+                        % kind)
 
 
 def _num(cfg: dict, key: str) -> float:

@@ -114,6 +114,31 @@ def test_run_integral_problem(tmp_path):
     assert len(rows) == 101
 
 
+@pytest.mark.parametrize("text, key", [
+    ("scheme: halley\n", "scheme"),
+    ("norm: manhattan\n", "norm"),
+    ("perturbation: {mode: multiplicative}\n", "perturbation mode"),
+    ("stop: {max_n: 0}\n", "max_n"),
+    ("kind: root\ngamma: {kind: halley}\n", "gamma"),
+])
+def test_run_bad_enum_value_is_a_validation_error(tmp_path, capsys, text, key):
+    src = write_yaml(tmp_path, "bad.yaml", "operator: 0.5*x1 + 1\nx0: 0.0\n" + text)
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_run_with_table_perturbation(tmp_path):
+    src = write_yaml(tmp_path, "tab.yaml", (
+        "catalog: perturbed-linear\n"
+        "perturbation: {eps: {kind: table, entries: [0.01, 0.001, 0.0]}}\n"))
+    out = tmp_path / "tab"
+    assert run_cli("run", src, "--out", str(out)) == 0
+    injected = [float(r["injected_n"]) for r in read_rows(out / "trace.csv") if r["injected_n"]]
+    assert injected[:3] == pytest.approx([0.01, 0.001, 0.0])
+    assert not any(injected[3:])     # constant zero beyond the last entry
+
+
 def test_run_inner_tol_recorded(tmp_path):
     out = tmp_path / "avg"
     assert run_cli("run", "averaged-linear", "--inner-tol", "1e-6",
@@ -238,6 +263,41 @@ def test_sweep_aborts_on_bad_param(tmp_path, capsys):
                    "--values", "0.5", "--out", str(out)) == 1
     assert "unknown sweep param" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_alpha_on_catalog_root_problem(tmp_path):
+    out = tmp_path / "swa"
+    assert run_cli("sweep", "damped-root", "--param", "alpha",
+                   "--values", "0.25,0.5", "--out", str(out)) == 0
+    rows = read_rows(out / "summary.csv")
+    assert [r["exit"] for r in rows] == ["0", "0"]
+    digests = {read_json(out / ("alpha=" + v) / "run.json")["digest"] for v in ("0.25", "0.5")}
+    assert len(digests) == 2
+    # the entry's own alpha is 0.5: the override leaves its digest alone
+    assert run_cli("run", "damped-root", "--out", str(tmp_path / "plain")) == 0
+    assert read_json(tmp_path / "plain" / "run.json")["digest"] in digests
+
+
+@pytest.mark.parametrize("text", [
+    "catalog: linear-contraction\ngamma: {alpha: 0.5}\n",   # not a root problem
+    "catalog: sqrt2-root\ngamma: {alpha: 0.25}\n",          # newton gamma has no alpha
+    "catalog: damped-root\ngamma: {alpha: abc}\n",
+    "catalog: damped-root\ngamma: {alpha: null}\n",
+])
+def test_bad_catalog_gamma_override_rejected(tmp_path, capsys, text):
+    src = write_yaml(tmp_path, "g.yaml", text)
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gamma" in err
+
+
+def test_certify_refuses_catalog_constants_at_overridden_alpha(tmp_path, capsys):
+    # damped-root's M = 0.5 holds only at alpha = 0.5; at 0.25 the wrap contracts by 0.75
+    src = write_yaml(tmp_path, "a.yaml", "catalog: damped-root\ngamma: {alpha: 0.25}\n")
+    out = tmp_path / "a"
+    assert run_cli("run", src, "--out", str(out)) == 0
+    assert run_cli("certify", src, "--trace", str(out)) == 1
+    assert "neither analytic constants" in capsys.readouterr().err
 
 
 def test_sweep_integral_mesh(tmp_path):

@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
 import math
+import operator
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpcert.majorant import (Certificate, MajorantError, MajorantParams,
                              NoValidMajorantError, PreconditionError,
@@ -330,6 +334,64 @@ def test_certify_reports_failure_when_search_comes_up_empty():
 
 def test_search_witnesses_none_when_impossible():
     assert search_witnesses(params(lam=1.2), "bounded", 10) is None
+
+
+FIXED_WITNESSES = {"bounded": {}, "uniform_max": {}, "sandwich": {"C1": 0.5, "C2": 0.1},
+                   "geometric": {"chi": 0.5, "mu": 0.2, "lambda0_tilde": 1.0, "C_mu": 2.0},
+                   "quadratic": {"chi": 0.5, "mu": 0.5}}
+
+
+def cert_fields(p, regime, N):
+    """Each field's repr (exact for floats, NaN equal to NaN), or the error raised."""
+    try:
+        cert = certify(p, regime, N, FIXED_WITNESSES[regime])
+    except (ArithmeticError, MajorantError) as exc:
+        return repr(exc)
+    return [repr(getattr(cert, f.name)) for f in dataclasses.fields(Certificate)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(eta=st.just(0.0) | st.floats(0.0, 2.0),
+       lam_c=st.floats(0.0, 0.99), lam_ratio=st.none() | st.floats(0.0, 1.0),
+       rho_c=st.floats(0.0, 0.1), rho_ratio=st.floats(0.0, 1.0),
+       r0=st.floats(0.0, 2.0), horizons=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+def test_horizon_reuse_matches_fresh_params(eta, lam_c, lam_ratio, rho_c, rho_ratio, r0,
+                                            horizons):
+    def fresh(lam_scale=None):
+        lam = (ScalarSequence.constant(lam_c) if lam_ratio is None
+               else ScalarSequence.geometric(lam_c, lam_ratio))
+        if lam_scale is not None:
+            # raw-callable sequences compare equal whatever their values
+            lam = ScalarSequence.from_func(lambda n, seq=lam: lam_scale * seq(n))
+        return MajorantParams(eta=eta, lam=lam, rho=ScalarSequence.geometric(rho_c, rho_ratio),
+                              r0=r0)
+
+    used, twin, decoy = fresh(), fresh(1.0), fresh(0.5)
+    assert twin == decoy
+    for N in horizons:
+        for p in (used, decoy):
+            for regime in FIXED_WITNESSES:
+                try:
+                    search_witnesses(p, regime, N, grid=4)
+                except ArithmeticError:
+                    pass
+        try:
+            tail_bound([r0], used, 1, horizon=N)
+        except MajorantError:
+            pass
+    for N in horizons:
+        for regime in FIXED_WITNESSES:
+            assert cert_fields(used, regime, N) == cert_fields(fresh(), regime, N)
+            assert cert_fields(twin, regime, N) == cert_fields(fresh(), regime, N)
+        # lower bounds read the horizon's coefficients: check them against the
+        # sequences themselves, with no memo in the way
+        for p in (used, twin, decoy):
+            lam_products = itertools.accumulate((p.lam(k) for k in range(N)), operator.mul,
+                                                initial=1.0)
+            assert certify(p, "geometric", N, FIXED_WITNESSES["geometric"]).lower == \
+                [p.r0 * v for v in lam_products]
+            assert certify(p, "sandwich", N, FIXED_WITNESSES["sandwich"]).lower == \
+                [0.0] + [p.rho(k) for k in range(N)]
 
 
 # -- tail bound -----------------------------------------------------------

@@ -75,15 +75,6 @@ def test_affine_and_pair_sum():
     assert s.tail_sum(0) == pytest.approx(brute_tail(s, 0, 200), rel=1e-12)
 
 
-def test_sup_over_and_nonincreasing():
-    g = ScalarSequence.geometric(1.0, 0.5)
-    assert g.sup_over(0, 10) == 1.0
-    assert g.nonincreasing_on(0, 50)
-    t = ScalarSequence.from_table([0.1, 0.3, 0.05])
-    assert not t.nonincreasing_on(0, 5)
-    assert t.sup_over(0, 5) == 0.3
-
-
 def test_sup_tail_upper_bounds_samples():
     cases = [
         ScalarSequence.zero(),
@@ -124,6 +115,13 @@ def test_sequence_from_config_forms():
     assert p(2) == pytest.approx(0.5)
     z = sequence_from_config({"kind": "zero"})
     assert z(5) == 0.0
+    t = sequence_from_config({"kind": "table", "entries": [0.5, 0.25, 0.1]})
+    assert t == ScalarSequence.from_table([0.5, 0.25, 0.1])
+    assert t(1) == 0.25 and t(9) == 0.1    # constant beyond the last entry
+    for bad in ({"kind": "table"}, {"kind": "table", "entries": []},
+                {"kind": "table", "entries": [0.1, "x"]}, {"kind": "table", "entries": [-0.1]}):
+        with pytest.raises(SequenceError):
+            sequence_from_config(bad)
     with pytest.raises(SequenceError):
         sequence_from_config({"kind": "fourier"})
     with pytest.raises(SequenceError):
