@@ -9,9 +9,15 @@ lines.  The pipelines are:
 - every non-integral catalog problem: `run`, then `certify` with all five
   regimes by witness search at horizons 200 and 500;
 - newton-dense and noisy-certify instances 0-2 of seed 1, and fredholm-sweep
-  instance 0 of seed 1, exactly as `bench/run.py` calls them.
+  instance 0 of seed 1, exactly as `bench/run.py` calls them;
+- the paths the catalog defaults miss, each `run` then `certify` with all five
+  regimes at horizon 200: newton and modified_newton overrides with eps, sigma
+  and gamma budgets in both injection modes, file problems with an `estimate`
+  constants block, a file root problem with the newton gamma and no
+  `derivative`, and a geometric request whose witness grid overflows.
 
-Exit codes are printed too; paths are relative to OUT_DIR.
+Exit codes are printed too, or the exception a call raised; paths are relative
+to OUT_DIR.
 """
 from __future__ import annotations
 
@@ -26,6 +32,34 @@ import yaml
 # spelled out rather than imported: the tree under test may predate majorant.REGIMES
 REGIMES = ("bounded", "uniform_max", "sandwich", "geometric", "quadratic")
 BENCH_INSTANCES = (("newton-dense", 3), ("noisy-certify", 3), ("fredholm-sweep", 1))
+BUDGETS = {"eps": {"kind": "geometric", "c": 1e-3, "ratio": 0.5},
+           "sigma": {"kind": "geometric", "c": 1e-2, "ratio": 0.5},
+           "gamma": {"kind": "geometric", "c": 1e-2, "ratio": 0.5}}
+ESTIMATE = {"estimate": {"radius": 0.5, "samples": 30, "seed": 2}}
+
+
+def extra_problems():
+    """(name, problem mapping) for the paths the catalog defaults leave out."""
+    for name in ("two-dim-system", "gentle-newton", "sqrt2-root"):
+        for scheme in ("newton", "modified_newton"):
+            for mode in ("additive-deterministic", "additive-seeded-random"):
+                yield ("%s-%s-%s" % (name, scheme, mode.split("-")[1]),
+                       {"catalog": name, "scheme": scheme,
+                        "perturbation": dict(BUDGETS, mode=mode, seed=3)})
+    yield "estimate-twodim-newton", {
+        "operator": ["0.3*cos(x2)", "0.3*sin(x1)"],
+        "derivative": [["0", "-0.3*sin(x2)"], ["0.3*cos(x1)", "0"]],
+        "x0": [0.0, 0.0], "scheme": "newton", "constants": ESTIMATE,
+        "stop": {"max_n": 30, "residual_tol": 1e-13}}
+    for scheme, constants in (("newton", ESTIMATE), ("contraction", {"M": 0.14, "K": 0.82})):
+        yield "file-root-%s" % scheme, {
+            "kind": "root", "operator": "x1^2 - 2", "x0": 1.5, "gamma": {"kind": "newton"},
+            "scheme": scheme, "constants": constants,
+            "stop": {"max_n": 30, "residual_tol": 1e-13}}
+    yield "geometric-overflow", {
+        "catalog": "linear-contraction", "scheme": "newton",
+        "perturbation": {"mode": "additive-deterministic", "eps": BUDGETS["eps"],
+                         "sigma": BUDGETS["sigma"]}}
 
 
 def main(argv) -> int:
@@ -40,29 +74,34 @@ def main(argv) -> int:
     import workloads
 
     def call(argv):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli_main(argv)
-        print("exit %d: %s" % (code, " ".join(a.replace(str(out), "OUT") for a in argv)))
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                outcome = "exit %d" % cli_main(argv)
+        except Exception as exc:  # an outcome to compare, not a reason to stop
+            outcome = "raised %s" % type(exc).__name__
+        print("%s: %s" % (outcome, " ".join(a.replace(str(out), "OUT") for a in argv)))
+
+    def run_and_certify(d, problem, horizons):
+        d.mkdir(parents=True, exist_ok=True)
+        path = d / "problem.yaml"
+        path.write_text(yaml.safe_dump(dict(problem, certificates=[
+            {"regime": r, "witnesses": "search"} for r in REGIMES])))
+        call(["run", str(path), "--out", str(d / "trace")])
+        for horizon in horizons:
+            call(["certify", str(path), "--trace", str(d / "trace"),
+                  "--horizon", str(horizon), "--out", str(d / ("h%d" % horizon))])
 
     for name, entry in CATALOG.items():
-        if entry.kind == "integral":
-            continue
-        d = out / "catalog" / name
-        d.mkdir(parents=True, exist_ok=True)
-        problem = d / "problem.yaml"
-        problem.write_text(yaml.safe_dump({
-            "catalog": name,
-            "certificates": [{"regime": r, "witnesses": "search"} for r in REGIMES]}))
-        call(["run", str(problem), "--out", str(d / "trace")])
-        for horizon in (200, 500):
-            call(["certify", str(problem), "--trace", str(d / "trace"),
-                  "--horizon", str(horizon), "--out", str(d / ("h%d" % horizon))])
+        if entry.kind != "integral":
+            run_and_certify(out / "catalog" / name, {"catalog": name}, (200, 500))
     for workload, count in BENCH_INSTANCES:
         for index in range(count):
             inst = workloads.make_instance(workload, 1, index, out / workload / str(index))
             for c in inst.calls:
                 call(c.argv)
+    for name, problem in extra_problems():
+        run_and_certify(out / "extra" / name, problem, (200,))
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print("%s  %s" % (hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out)))
     return 0

@@ -206,11 +206,11 @@ def _problem_constants(resolved: ResolvedProblem):
         raise CliError("problem %r has neither analytic constants nor an estimate block"
                        % resolved.name)
     cfg = resolved.estimate_cfg
-    ball = resolved.ball or BallDomain(resolved.x0, float(cfg.get("radius", 1.0)),
-                                       resolved.norm)
-    samples = int(cfg.get("samples", 200))
-    seed = int(cfg.get("seed", 0))
-    safety = float(cfg.get("safety", 1.1))
+    # resolve_config has already checked the block's numbers
+    ball = resolved.ball or BallDomain(resolved.x0, cfg.get("radius", 1.0), resolved.norm)
+    samples = cfg.get("samples", 200)
+    seed = cfg.get("seed", 0)
+    safety = cfg.get("safety", 1.1)
     m_est = with_safety(estimate_lipschitz_M(resolved.operator, ball, samples, seed), safety)
     k_est = with_safety(estimate_lipschitz_K(resolved.operator, ball, max(10, samples // 2),
                                              seed), safety)

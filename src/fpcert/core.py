@@ -17,6 +17,14 @@ class OperatorEvaluationError(CoreError):
     """Operator evaluation failed or returned a non-finite / wrong-shape value."""
 
 
+def parse_enum(cls, name: str, what: str, error) -> enum.Enum:
+    """The member of enum cls whose value is name; else error listing the choices."""
+    for kind in cls:
+        if kind.value == name:
+            return kind
+    raise error("unknown %s %r (expected %s)" % (what, name, "|".join(k.value for k in cls)))
+
+
 class NormKind(enum.Enum):
     SUP = "sup"
     EUCLIDEAN = "euclidean"
@@ -24,10 +32,7 @@ class NormKind(enum.Enum):
 
     @staticmethod
     def parse(name: str) -> "NormKind":
-        for kind in NormKind:
-            if kind.value == name:
-                return kind
-        raise CoreError("unknown norm %r (expected sup|euclidean|one)" % name)
+        return parse_enum(NormKind, name, "norm", CoreError)
 
 
 @dataclass(frozen=True)
@@ -78,14 +83,6 @@ def norm_of(v: Vector, kind: NormKind) -> float:
     if kind is NormKind.ONE:
         return float(np.sum(np.abs(a)))
     raise CoreError("unknown norm kind %r" % kind)
-
-
-def _vec_norm(a: np.ndarray, kind: NormKind) -> float:
-    if kind is NormKind.SUP:
-        return float(np.max(np.abs(a)))
-    if kind is NormKind.EUCLIDEAN:
-        return float(np.linalg.norm(a))
-    return float(np.sum(np.abs(a)))
 
 
 @dataclass(frozen=True)
@@ -146,6 +143,10 @@ class OperatorSpec:
             return out
         return gateaux_fd(self, x, h, step=step)
 
+    def jacobian(self, x: Vector) -> np.ndarray:
+        """A'(x) as a dim x dim matrix, one derivative_at call per coordinate."""
+        return matrix_of(lambda h: self.derivative_at(x, h), self.dim)
+
 
 def gateaux_fd(op: OperatorSpec, x: Vector, h: Vector, step: Optional[float] = None) -> Vector:
     """Central-difference directional derivative (A(x+t h) - A(x-t h)) / 2t.
@@ -201,11 +202,10 @@ def operator_norm_estimate(linmap: Callable[[Vector], Vector], dim: int,
         rng = np.random.default_rng(0)
         for _ in range(samples):
             g = rng.standard_normal(dim)
-            denom = _vec_norm(g, kind)
+            denom = norm_of(Vector(g), kind)
             if denom == 0.0:
                 continue
-            u = g / denom
-            val = _vec_norm(np.asarray(linmap(Vector(u)).coords, dtype=float), kind)
+            val = norm_of(linmap(Vector(g / denom)), kind)
             if val > best:
                 best = val
     return best

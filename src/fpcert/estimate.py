@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BallDomain, CoreError, OperatorSpec, Vector, matrix_norm, matrix_of, norm_of
+from .core import BallDomain, CoreError, OperatorSpec, Vector, matrix_norm, norm_of
 
 SAFETY_FACTOR = 1.1
 
@@ -61,16 +61,13 @@ def estimate_lipschitz_K(A: OperatorSpec, ball: BallDomain, samples: int = 100,
     if samples < 10:
         raise CoreError("need at least 10 sample pairs, got %d" % samples)
     rng = np.random.default_rng(seed)
-    dim = ball.center.dim
     best = 0.0
     for _ in range(samples):
         x, y = _sample_pair(ball, rng)
         gap = norm_of(x - y, ball.norm)
         if gap == 0.0:
             continue
-        dx = matrix_of(lambda h: A.derivative_at(x, h), dim)
-        dy = matrix_of(lambda h: A.derivative_at(y, h), dim)
-        ratio = matrix_norm(dx - dy, ball.norm) / gap
+        ratio = matrix_norm(A.jacobian(x) - A.jacobian(y), ball.norm) / gap
         if ratio > best:
             best = ratio
     return best

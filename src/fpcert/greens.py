@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import OperatorSpec, Vector
 from .exprparse import EvalDomainError, Expr, eval_expr, parse_expr
-from .majorant import ProblemConstants
+from .majorant import PreconditionError, ProblemConstants, step_inequality
 from .schemes import SchemeKind, StopRule
 
 
@@ -224,24 +224,17 @@ def bound_propagate(k: KernelSpec, constants: ProblemConstants, r_prev: GridFunc
                     slack_coeff: float = 1.0) -> BoundReport:
     """Nodewise check of r_n(t) <= int |G(t,s)| (step-inequality integrand) ds.
 
-    The integrand follows the scheme's step inequality (Lipschitz form for
+    The integrand is M_n r_n plus majorant.step_inequality (Lipschitz form for
     contraction/custom, curvature form for newton); margins below
     -slack_coeff * h^2 fail, anything inside the quadrature slack passes.
     """
     if not np.array_equal(r_prev.nodes, r_cur.nodes):
         raise GreensError("grid functions live on different node sets")
-    eps = constants.eps_seq
-    if scheme in (SchemeKind.CONTRACTION, SchemeKind.CUSTOM):
-        integrand = (constants.m_at(n) * r_cur.values
-                     + (constants.M + constants.m_at(n - 1)) * r_prev.values
-                     + eps(n - 1) + eps(n))
-    elif scheme is SchemeKind.NEWTON:
-        integrand = (constants.m_at(n) * r_cur.values
-                     + 0.5 * (constants.K + constants.k_at(n - 1)) * r_prev.values ** 2
-                     + constants.sigma_seq(n - 1) * r_prev.values
-                     + eps(n - 1) + eps(n))
-    else:
-        raise GreensError("bound propagation is not wired for scheme %r" % scheme)
+    try:
+        rest = step_inequality(constants, scheme, n, r_prev.values)
+    except PreconditionError:
+        raise GreensError("bound propagation is not wired for scheme %r" % scheme) from None
+    integrand = constants.m_at(n) * r_cur.values + rest
     rhs = _kernel_quadrature(k, r_cur.nodes, integrand, absolute=True)
     margins = rhs - r_cur.values
     h = float(np.max(np.diff(r_cur.nodes)))

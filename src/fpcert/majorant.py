@@ -302,6 +302,19 @@ def _roots(eta: float, lam: float, rho: float) -> Tuple[float, float, float]:
     return low, up, disc
 
 
+def _inflation(mu: float, N: int, detail: List[str]) -> Optional[List[float]]:
+    """(1+mu)^j for j = 0..N; None, with a detail line naming j, once that overflows."""
+    powers = []
+    for j in range(N + 1):
+        try:
+            powers.append((1.0 + mu) ** j)
+        except OverflowError:
+            detail.append("printed bound overflows at n = %d: (1+mu)^%d with mu = %r"
+                          % (j, j, mu))
+            return None
+    return powers
+
+
 def cert_bounded(p: MajorantParams, N: int) -> Certificate:
     """Uniform cap: r_n <= C with C between every lower root and every upper root."""
     h = _horizon(p, N)
@@ -470,7 +483,12 @@ def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
                 detail.append("published eta premise fails at n = %d" % n)
                 premises = False
                 break
-    upper = [p.r0] + [z * (1.0 + mu) ** j * prefix[j] for j in range(1, N + 1)]
+    inflation = _inflation(mu, N, detail)
+    if inflation is None:
+        premises = False
+        upper = [p.r0] + [math.inf] * N
+    else:
+        upper = [p.r0] + [z * inflation[j] * prefix[j] for j in range(1, N + 1)]
     if premises:
         # anchored set: the induction that the printed bound actually needs
         if not _le(r1_value, upper[1]):
@@ -528,8 +546,11 @@ def cert_quadratic(p: MajorantParams, N: int, chi: float, mu: float) -> Certific
                 premises = False
                 break
     if premises:
+        inflation = _inflation(mu, N, detail)
+        premises = inflation is not None
+    if premises:
         lower = [theta_pow[j] / p.eta for j in range(N + 1)]
-        upper = [(1.0 + mu) ** j * theta_pow[j] / p.eta for j in range(N + 1)]
+        upper = [inflation[j] * theta_pow[j] / p.eta for j in range(N + 1)]
     else:
         lower = [0.0] * (N + 1)
         upper = [math.nan] * (N + 1)
@@ -805,6 +826,31 @@ class AuditReport:
         return min((row.rhs - row.lhs for row in self.rows), default=math.inf)
 
 
+def step_inequality(c: ProblemConstants, scheme: SchemeKind, n: int, r_prev):
+    """Right-hand side of the step inequality for r_n, without its M_n r_n term.
+
+    Lipschitz form for contraction/custom, curvature form for newton; r_prev
+    (r_{n-1}) is a float or an array.  modified_newton's inequality also needs
+    r_tilde and is written out in audit_step_inequalities.
+    """
+    eps = c.eps_seq
+    if scheme in (SchemeKind.CONTRACTION, SchemeKind.CUSTOM):
+        return (c.M + c.m_at(n - 1)) * r_prev + eps(n - 1) + eps(n)
+    if scheme is SchemeKind.NEWTON:
+        return (0.5 * (c.K + c.k_at(n - 1)) * r_prev * r_prev
+                + c.sigma_seq(n - 1) * r_prev + eps(n - 1) + eps(n))
+    raise PreconditionError("no single-step inequality for scheme %r" % scheme)
+
+
+def _audit_row(part: int, n: int, lhs: float, m_printed: float, m_shifted: float,
+               common: float, slack: float, label: str) -> AuditRow:
+    """lhs <= m_printed * lhs + common as printed; flagged if only m_shifted makes it hold."""
+    rhs = m_printed * lhs + common
+    ok = lhs <= rhs + slack
+    flagged = not ok and lhs <= m_shifted * lhs + common + slack
+    return AuditRow(part, n, lhs, rhs, ok or flagged, flagged, label)
+
+
 def audit_step_inequalities(trace_r: Sequence[float], trace_rtilde: Sequence[float],
                             c: ProblemConstants, scheme: SchemeKind,
                             slack: float = 1e-12) -> AuditReport:
@@ -825,45 +871,19 @@ def audit_step_inequalities(trace_r: Sequence[float], trace_rtilde: Sequence[flo
 
     for n in range(1, len(r)):
         rn, rp = r[n], r[n - 1]
-        if scheme in (SchemeKind.CONTRACTION, SchemeKind.CUSTOM):
-            common = (c.M + c.m_at(n - 1)) * rp + eps(n - 1) + eps(n)
-            rhs = c.m_at(n) * rn + common
-            ok = rn <= rhs + slack
-            flagged = False
-            if not ok:
-                shifted = c.m_at(n - 1) * rn + common
-                flagged = rn <= shifted + slack
-            rows.append(AuditRow(2, n, rn, rhs, ok or flagged, flagged, "lipschitz"))
-        elif scheme is SchemeKind.NEWTON:
-            common = (0.5 * (c.K + c.k_at(n - 1)) * rp * rp
-                      + c.sigma_seq(n - 1) * rp + eps(n - 1) + eps(n))
-            rhs = c.m_at(n) * rn + common
-            ok = rn <= rhs + slack
-            flagged = False
-            if not ok:
-                flagged = rn <= c.m_at(n - 1) * rn + common + slack
-            rows.append(AuditRow(3, n, rn, rhs, ok or flagged, flagged, "curvature"))
-        elif scheme is SchemeKind.MODIFIED_NEWTON:
+        m_n, m_prev = c.m_at(n), c.m_at(n - 1)
+        if scheme is SchemeKind.MODIFIED_NEWTON:
             # distance-from-start inequality, printed with M_{n-1} against r_tilde_n
             rtn, rtp = rt[n], rt[n - 1]
-            common_t = (0.5 * (c.K + c.k_at(n - 1)) * rtp * rtp
-                        + c.gamma_seq(n - 1) * rtp + c.eps + eps(n - 1))
-            rhs_t = c.m_at(n - 1) * rtn + common_t
-            ok_t = rtn <= rhs_t + slack
-            flagged_t = False
-            if not ok_t:
-                flagged_t = rtn <= c.m_at(n) * rtn + common_t + slack
-            rows.append(AuditRow(4, n, rtn, rhs_t, ok_t or flagged_t, flagged_t,
-                                 "distance-from-start"))
             kk = c.K + c.k_at(n - 1)
+            common_t = 0.5 * kk * rtp * rtp + c.gamma_seq(n - 1) * rtp + c.eps + eps(n - 1)
+            rows.append(_audit_row(4, n, rtn, m_prev, m_n, common_t, slack,
+                                   "distance-from-start"))
             common = (0.5 * kk * rp * rp
                       + (c.gamma_seq(n - 1) + kk * rtp) * rp + eps(n - 1) + eps(n))
-            rhs = c.m_at(n) * rn + common
-            ok = rn <= rhs + slack
-            flagged = False
-            if not ok:
-                flagged = rn <= c.m_at(n - 1) * rn + common + slack
-            rows.append(AuditRow(4, n, rn, rhs, ok or flagged, flagged, "step"))
+            rows.append(_audit_row(4, n, rn, m_n, m_prev, common, slack, "step"))
         else:
-            raise PreconditionError("unknown scheme %r" % scheme)
+            part, label = (3, "curvature") if scheme is SchemeKind.NEWTON else (2, "lipschitz")
+            rows.append(_audit_row(part, n, rn, m_n, m_prev,
+                                   step_inequality(c, scheme, n, rp), slack, label))
     return AuditReport(rows)

@@ -32,6 +32,15 @@ class ProblemError(ValueError):
     pass
 
 
+def _number(value, key: str, convert=float):
+    """convert(value) for a problem-file value; ProblemError naming key if it is no number."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ProblemError("%s must be %s, got %r"
+                           % (key, "an integer" if convert is int else "a number", value)) from None
+
+
 def _var_names(dim: int) -> List[str]:
     return ["x%d" % (i + 1) for i in range(dim)]
 
@@ -401,12 +410,12 @@ def _parse_plan(cfg: dict, base: Optional[PerturbationPlan] = None) -> Perturbat
         raise ProblemError("unknown perturbation keys: %s" % ", ".join(sorted(extra)))
     try:
         return PerturbationPlan(
-            eps0=float(cfg["eps0"]) if "eps0" in cfg else base.eps0,
+            eps0=_number(cfg["eps0"], "perturbation.eps0") if "eps0" in cfg else base.eps0,
             eps=sequence_from_config(cfg["eps"]) if "eps" in cfg else base.eps,
             sigma=sequence_from_config(cfg["sigma"]) if "sigma" in cfg else base.sigma,
             gamma=sequence_from_config(cfg["gamma"]) if "gamma" in cfg else base.gamma,
             mode=InjectionMode.parse(cfg["mode"]) if "mode" in cfg else base.mode,
-            seed=int(cfg["seed"]) if "seed" in cfg else base.seed)
+            seed=_number(cfg["seed"], "perturbation.seed", int) if "seed" in cfg else base.seed)
     except SequenceError as exc:
         raise ProblemError("bad perturbation block: %s" % exc)
 
@@ -415,9 +424,9 @@ def _parse_stop(cfg: dict) -> StopRule:
     extra = set(cfg) - {"max_n", "r_tol", "residual_tol"}
     if extra:
         raise ProblemError("unknown stop keys: %s" % ", ".join(sorted(extra)))
-    return StopRule(max_n=int(cfg.get("max_n", 50)),
-                    r_tol=float(cfg.get("r_tol", 0.0)),
-                    residual_tol=float(cfg.get("residual_tol", 0.0)))
+    return StopRule(max_n=_number(cfg.get("max_n", 50), "stop.max_n", int),
+                    r_tol=_number(cfg.get("r_tol", 0.0), "stop.r_tol"),
+                    residual_tol=_number(cfg.get("residual_tol", 0.0), "stop.residual_tol"))
 
 
 def _parse_certs(cfg) -> List[CertRequest]:
@@ -439,7 +448,7 @@ def _parse_certs(cfg) -> List[CertRequest]:
         if wit is not None:
             if not isinstance(wit, dict):
                 raise ProblemError("witnesses must be a mapping or \"search\"")
-            wit = {k: float(v) for k, v in wit.items()}
+            wit = {k: _number(v, "%s witness %s" % (regime, k)) for k, v in wit.items()}
         out.append(CertRequest(regime=regime, witnesses=wit))
     return out
 
@@ -465,7 +474,7 @@ def _resolve_catalog(cfg: dict) -> ResolvedProblem:
     if "integral" in cfg:
         if entry.integral is None:
             raise ProblemError("problem %r is not an integral problem" % name)
-        m = int(cfg["integral"].get("m", entry.integral.m))
+        m = _number(cfg["integral"].get("m", entry.integral.m), "integral.m", int)
         integral = IntegralSetup(entry.integral.kernel_kind, entry.integral.T_end, m,
                                  exact=entry.integral.exact)
     if "gamma" in cfg:
@@ -474,10 +483,7 @@ def _resolve_catalog(cfg: dict) -> ResolvedProblem:
                 or set(gcfg) - {"alpha"}):
             raise ProblemError("gamma override %r: only damped-gamma root problems take one, "
                                "as {alpha: value}" % (gcfg,))
-        try:
-            alpha = float(gcfg.get("alpha", entry.gamma.alpha))
-        except (TypeError, ValueError):
-            raise ProblemError("gamma.alpha must be a number, got %r" % (gcfg.get("alpha"),))
+        alpha = _number(gcfg.get("alpha", entry.gamma.alpha), "gamma.alpha")
         if alpha != entry.gamma.alpha:
             # the entry's analytic M and K hold only at its own alpha
             entry = replace(entry, gamma=GammaSpec(entry.gamma.kind, alpha), M=None, K=None)
@@ -494,6 +500,9 @@ def _resolve_catalog(cfg: dict) -> ResolvedProblem:
         fixed_point=Vector(entry.fixed_point) if entry.fixed_point else None,
         digest=_digest(plan, stop, integral, **problem), entry=entry)
 
+
+# the sampling settings an estimate block may carry, and their types
+_ESTIMATE_KEYS = {"radius": float, "samples": int, "seed": int, "safety": float}
 
 _TOP_KEYS = {"name", "kind", "dim", "operator", "derivative", "x0", "norm", "scheme",
              "perturbation", "constants", "stop", "certificates", "gamma", "integral"}
@@ -530,7 +539,7 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
         exprs = [exprs]
     if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
         raise ProblemError("operator must be an expression string or list of them")
-    dim = int(cfg.get("dim", len(exprs)))
+    dim = _number(cfg.get("dim", len(exprs)), "dim", int)
     if dim != len(exprs):
         raise ProblemError("dim = %d but %d operator expressions given" % (dim, len(exprs)))
 
@@ -551,7 +560,7 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
         x0_cfg = [x0_cfg]
     if len(x0_cfg) != dim:
         raise ProblemError("x0 has %d coordinates, dim is %d" % (len(x0_cfg), dim))
-    x0 = Vector([float(v) for v in x0_cfg])
+    x0 = Vector([_number(v, "x0") for v in x0_cfg])
 
     try:
         base = operator_from_expressions(exprs, dim, deriv, name=name)
@@ -563,7 +572,7 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
     if kind == "root":
         gcfg = cfg.get("gamma") or {}
         gamma = GammaSpec(kind=gcfg.get("kind", "newton"),
-                          alpha=float(gcfg.get("alpha", 1.0)))
+                          alpha=_number(gcfg.get("alpha", 1.0), "gamma.alpha"))
         operator = wrap_root_problem(base, gamma)
     elif "gamma" in cfg:
         raise ProblemError("gamma block is only meaningful for root problems")
@@ -574,8 +583,8 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
         if not isinstance(icfg, dict):
             raise ProblemError("integral problems need an integral block (kernel, T_end, m)")
         kernel_kind = icfg.get("kernel", "volterra_unit")
-        T_end = float(icfg.get("T_end", 1.0))
-        m = int(icfg.get("m", 100))
+        T_end = _number(icfg.get("T_end", 1.0), "integral.T_end")
+        m = _number(icfg.get("m", 100), "integral.m", int)
         if kernel_kind != "volterra_unit":
             try:
                 parse_expr(kernel_kind, {"t", "s"})
@@ -594,16 +603,23 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
         if not isinstance(ccfg, dict):
             raise ProblemError("constants must be a mapping")
         if "estimate" in ccfg:
-            estimate_cfg = dict(ccfg["estimate"] or {})
+            block = ccfg["estimate"] or {}
+            if not isinstance(block, dict):
+                raise ProblemError("constants.estimate must be a mapping")
+            estimate_cfg = dict(block)
+            for key, convert in _ESTIMATE_KEYS.items():
+                if key in estimate_cfg:
+                    estimate_cfg[key] = _number(estimate_cfg[key], "constants.estimate." + key,
+                                                convert)
         else:
             if "M" not in ccfg:
                 raise ProblemError("constants block needs M (or an estimate sub-block)")
-            M = float(ccfg["M"])
-            K = float(ccfg.get("K", 0.0))
+            M = _number(ccfg["M"], "constants.M")
+            K = _number(ccfg.get("K", 0.0), "constants.K")
             if "M_star" in ccfg:
-                m_star = float(ccfg["M_star"])
+                m_star = _number(ccfg["M_star"], "constants.M_star")
             if "K_star" in ccfg:
-                k_star = float(ccfg["K_star"])
+                k_star = _number(ccfg["K_star"], "constants.K_star")
 
     plan = _parse_plan(cfg.get("perturbation") or {})
     stop = _parse_stop(cfg.get("stop") or {})
@@ -615,7 +631,7 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
                      gamma={"kind": gamma.kind, "alpha": gamma.alpha} if gamma else None)
     ball = None
     if estimate_cfg is not None:
-        radius = float(estimate_cfg.get("radius", 1.0))
+        radius = estimate_cfg.get("radius", 1.0)
         ball = BallDomain(x0, radius, norm)
     return ResolvedProblem(
         name=name, kind=kind, operator=operator, scheme=scheme, norm=norm, x0=x0,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OperatorSpec, Vector, matrix_of
+from .core import OperatorSpec, Vector
 
 
 class RootfindError(ValueError):
@@ -60,7 +60,7 @@ def wrap_root_problem(P: OperatorSpec, g: GammaSpec) -> OperatorSpec:
                             name="damped(%s)" % (P.name or "P"))
 
     def eval_newton(x: Vector) -> Vector:
-        jac = matrix_of(lambda h: P.derivative_at(x, h), P.dim)
+        jac = P.jacobian(x)
         px = P.apply(x).coords
         try:
             z = np.linalg.solve(jac, px)

@@ -14,8 +14,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import (BallDomain, NormKind, OperatorSpec, Vector, matrix_of,
-                   norm_of)
+from .core import BallDomain, NormKind, OperatorSpec, Vector, norm_of, parse_enum
 from .sequences import ScalarSequence
 
 
@@ -56,10 +55,7 @@ class SchemeKind(enum.Enum):
 
     @staticmethod
     def parse(name: str) -> "SchemeKind":
-        for kind in SchemeKind:
-            if kind.value == name:
-                return kind
-        raise SchemeError("unknown scheme %r" % name)
+        return parse_enum(SchemeKind, name, "scheme", SchemeError)
 
 
 class InjectionMode(enum.Enum):
@@ -69,10 +65,7 @@ class InjectionMode(enum.Enum):
 
     @staticmethod
     def parse(name: str) -> "InjectionMode":
-        for kind in InjectionMode:
-            if kind.value == name:
-                return kind
-        raise SchemeError("unknown perturbation mode %r" % name)
+        return parse_enum(InjectionMode, name, "perturbation mode", SchemeError)
 
 
 @dataclass(frozen=True)
@@ -139,10 +132,13 @@ class IterationTrace:
         return out
 
 
-def _unit(vec: np.ndarray, kind: NormKind) -> Optional[np.ndarray]:
+def _unit(vec: np.ndarray, kind: NormKind) -> np.ndarray:
+    """vec scaled to norm 1; e_0 for the zero vector."""
     n = norm_of(Vector(vec), kind) if np.any(vec) else 0.0
     if n == 0.0:
-        return None
+        u = np.zeros(vec.size)
+        u[0] = 1.0
+        return u
     return vec / n
 
 
@@ -154,17 +150,18 @@ def _additive_noise(dim: int, amount: float, direction_hint: np.ndarray,
     if mode is InjectionMode.DETERMINISTIC:
         # oppose the step direction: pushes the iterate back toward where it
         # came from, the worst case for a contraction (stagnation at eps/(1-q))
-        u = _unit(direction_hint, kind)
-        if u is None:
-            u = np.zeros(dim)
-            u[0] = 1.0
-        return -amount * u
-    g = rng.standard_normal(dim)
-    u = _unit(g, kind)
-    if u is None:  # absurdly unlikely; keep the draw count fixed anyway
-        u = np.zeros(dim)
-        u[0] = 1.0
-    return amount * u
+        return -amount * _unit(direction_hint, kind)
+    return amount * _unit(rng.standard_normal(dim), kind)
+
+
+def _value_and_noise(A: OperatorSpec, x_prev: Vector, n: int, plan: PerturbationPlan,
+                     norm: NormKind, rng: np.random.Generator
+                     ) -> Tuple[Vector, np.ndarray, float]:
+    """A(x_{n-1}), the additive noise of the step producing x_n, and its norm."""
+    fx = A.apply(x_prev)
+    e = _additive_noise(A.dim, plan.eps(n - 1), fx.coords - x_prev.coords,
+                        plan.mode, norm, rng)
+    return fx, e, norm_of(Vector(e), norm)
 
 
 def _rank_one(dim: int, amount: float, mode: InjectionMode,
@@ -184,24 +181,21 @@ def _rank_one(dim: int, amount: float, mode: InjectionMode,
     return E
 
 
-def _derivative_matrix(A: OperatorSpec, x: Vector) -> np.ndarray:
-    return matrix_of(lambda h: A.derivative_at(x, h), A.dim)
-
-
 def _solve_affine(D: np.ndarray, rhs: np.ndarray, kind: NormKind,
                   inner_tol: float) -> Tuple[np.ndarray, float]:
     """Solve (I - D) x = rhs with a defect check and one refinement pass."""
     S = np.eye(D.shape[0]) - D
-    try:
-        x = np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLinearSystemError("I - D is singular: %s" % exc)
-    defect = norm_of(Vector(rhs - S @ x), kind)
-    if defect > inner_tol:
+
+    def solve(b: np.ndarray) -> np.ndarray:
         try:
-            x = x + np.linalg.solve(S, rhs - S @ x)
+            return np.linalg.solve(S, b)
         except np.linalg.LinAlgError as exc:
             raise SingularLinearSystemError("I - D is singular: %s" % exc)
+
+    x = solve(rhs)
+    defect = norm_of(Vector(rhs - S @ x), kind)
+    if defect > inner_tol:
+        x = x + solve(rhs - S @ x)
         defect = norm_of(Vector(rhs - S @ x), kind)
         if defect > inner_tol and not np.all(np.isfinite(x)):
             raise SingularLinearSystemError("inner solve produced non-finite iterate")
@@ -214,37 +208,33 @@ def _solve_affine(D: np.ndarray, rhs: np.ndarray, kind: NormKind,
 def step_contraction(A: OperatorSpec, x_prev: Vector, n: int, plan: PerturbationPlan,
                      norm: NormKind, rng: np.random.Generator) -> Tuple[Vector, float, float]:
     """x_n = A(x_{n-1}) + noise; B_{n-1} is the constant map, defect is 0."""
-    base = A.apply(x_prev)
-    e = _additive_noise(A.dim, plan.eps(n - 1), base.coords - x_prev.coords,
-                        plan.mode, norm, rng)
-    return Vector(base.coords + e), 0.0, norm_of(Vector(e), norm)
+    fx, e, injected = _value_and_noise(A, x_prev, n, plan, norm, rng)
+    return Vector(fx.coords + e), 0.0, injected
+
+
+def _affine_step(A: OperatorSpec, x_prev: Vector, n: int, D: np.ndarray,
+                 plan: PerturbationPlan, norm: NormKind, inner_tol: float,
+                 rng: np.random.Generator) -> Tuple[Vector, float, float]:
+    """Solve x = D x - D x_{n-1} + A(x_{n-1}) + noise: the affine B_{n-1} of both Newtons."""
+    fx, e, injected = _value_and_noise(A, x_prev, n, plan, norm, rng)
+    x, defect = _solve_affine(D, fx.coords + e - D @ x_prev.coords, norm, inner_tol)
+    return Vector(x), defect, injected
 
 
 def step_newton(A: OperatorSpec, x_prev: Vector, n: int, plan: PerturbationPlan,
                 norm: NormKind, inner_tol: float,
                 rng: np.random.Generator) -> Tuple[Vector, float, float]:
-    """Solve x = D x - D x_{n-1} + A(x_{n-1}) + noise with D ~ A'(x_{n-1})."""
-    D = _derivative_matrix(A, x_prev)
-    D = D + _rank_one(A.dim, plan.sigma(n - 1), plan.mode, rng)
-    fx = A.apply(x_prev)
-    e = _additive_noise(A.dim, plan.eps(n - 1), fx.coords - x_prev.coords,
-                        plan.mode, norm, rng)
-    rhs = fx.coords + e - D @ x_prev.coords
-    x, defect = _solve_affine(D, rhs, norm, inner_tol)
-    return Vector(x), defect, norm_of(Vector(e), norm)
+    """Affine step with D = A'(x_{n-1}) plus the sigma perturbation."""
+    D = A.jacobian(x_prev) + _rank_one(A.dim, plan.sigma(n - 1), plan.mode, rng)
+    return _affine_step(A, x_prev, n, D, plan, norm, inner_tol, rng)
 
 
 def step_modified_newton(A: OperatorSpec, x_prev: Vector, n: int, D0: np.ndarray,
                          plan: PerturbationPlan, norm: NormKind, inner_tol: float,
                          rng: np.random.Generator) -> Tuple[Vector, float, float]:
-    """Same affine solve with the derivative frozen at x_0."""
+    """Affine step with the derivative D0 frozen at x_0 plus the gamma perturbation."""
     D = D0 + _rank_one(D0.shape[0], plan.gamma(n - 1), plan.mode, rng)
-    fx = A.apply(x_prev)
-    e = _additive_noise(A.dim, plan.eps(n - 1), fx.coords - x_prev.coords,
-                        plan.mode, norm, rng)
-    rhs = fx.coords + e - D @ x_prev.coords
-    x, defect = _solve_affine(D, rhs, norm, inner_tol)
-    return Vector(x), defect, norm_of(Vector(e), norm)
+    return _affine_step(A, x_prev, n, D, plan, norm, inner_tol, rng)
 
 
 def step_custom(B: OperatorSpec, x_prev: Vector, noise: np.ndarray, norm: NormKind,
@@ -298,7 +288,7 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
     D0 = None
     if scheme is SchemeKind.MODIFIED_NEWTON:
         try:
-            D0 = _derivative_matrix(A, x0)
+            D0 = A.jacobian(x0)
         except Exception as exc:
             raise StepFailure(1, exc) from exc
 
@@ -318,11 +308,8 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
                                                            norm, inner_tol, rng)
             else:
                 B = custom_factory(n, x_prev, x0)
-                fx = A.apply(x_prev)
-                noise = _additive_noise(A.dim, plan.eps(n - 1),
-                                        fx.coords - x_prev.coords, plan.mode, norm, rng)
+                _, noise, injected = _value_and_noise(A, x_prev, n, plan, norm, rng)
                 x, defect = step_custom(B, x_prev, noise, norm, inner_tol)
-                injected = norm_of(Vector(noise), norm)
         except StepFailure:
             raise
         except Exception as exc:

@@ -120,6 +120,16 @@ def test_run_integral_problem(tmp_path):
     ("perturbation: {mode: multiplicative}\n", "perturbation mode"),
     ("stop: {max_n: 0}\n", "max_n"),
     ("kind: root\ngamma: {kind: halley}\n", "gamma"),
+    ("stop: {max_n: abc}\n", "stop.max_n"),
+    ("x0: [abc]\n", "x0"),
+    ("constants: {M: x}\n", "constants.M"),
+    ("certificates: [{regime: sandwich, witnesses: {C1: abc, C2: 1.0}}]\n", "C1"),
+    ("constants: {estimate: {samples: abc}}\n", "constants.estimate.samples"),
+    ("perturbation: {eps0: abc}\n", "perturbation.eps0"),
+    ("perturbation: {seed: abc}\n", "perturbation.seed"),
+    ("kind: root\ngamma: {kind: damped, alpha: abc}\n", "gamma.alpha"),
+    ("kind: integral\nintegral: {T_end: abc}\n", "integral.T_end"),
+    ("kind: integral\nintegral: {m: abc}\n", "integral.m"),
 ])
 def test_run_bad_enum_value_is_a_validation_error(tmp_path, capsys, text, key):
     src = write_yaml(tmp_path, "bad.yaml", "operator: 0.5*x1 + 1\nx0: 0.0\n" + text)
@@ -230,6 +240,23 @@ def test_certify_with_estimated_constants(tmp_path):
     rep = read_json(out / "certify.json")
     assert "constants_note" in rep
     assert "safety factor" in rep["constants_note"]
+
+
+def test_certify_overflowing_geometric_bound_is_invalid(tmp_path):
+    # the geometric grid tries mu up to 1/sup(lambda) - 1, and sigma -> 0 makes
+    # sup(lambda) tiny: (1+mu)^n overflows, which must fail the candidate
+    src, out, rc = certified_setup(tmp_path, (
+        "catalog: linear-contraction\n"
+        "scheme: newton\n"
+        "perturbation: {mode: additive-deterministic,"
+        " eps: {kind: geometric, c: 0.001, ratio: 0.5},"
+        " sigma: {kind: geometric, c: 0.01, ratio: 0.5}}\n"
+        "certificates: [{regime: geometric}]\n"))
+    assert rc == 0
+    assert run_cli("certify", src, "--trace", str(out)) == 1
+    rep = read_json(out / "certify.json")
+    assert rep["certificates"][0]["regime"] == "geometric"
+    assert rep["certificates"][0]["valid"] is False
 
 
 # -- sweep ---------------------------------------------------------------------

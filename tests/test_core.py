@@ -57,7 +57,8 @@ def test_norm_axioms_random():
 
 def test_norm_parse():
     assert NormKind.parse("sup") is NormKind.SUP
-    with pytest.raises(CoreError):
+    with pytest.raises(CoreError, match=r"unknown norm 'manhattan-ish' "
+                                        r"\(expected sup\|euclidean\|one\)"):
         NormKind.parse("manhattan-ish")
 
 
@@ -136,6 +137,25 @@ def test_derivative_linearity_when_supplied():
         lhs = op.derivative_at(x, Vector(a * u.coords + b * v.coords))
         rhs = op.derivative_at(x, u).scale(a) + op.derivative_at(x, v).scale(b)
         assert lhs[0] == pytest.approx(rhs[0], rel=1e-12, abs=1e-12)
+
+
+def test_jacobian_is_matrix_of_derivative_at():
+    def f(x):
+        return Vector([x[0] * x[1], math.sin(x[0]) + x[1] ** 3])
+
+    def df(x, h):
+        return Vector([x[1] * h[0] + x[0] * h[1],
+                       math.cos(x[0]) * h[0] + 3.0 * x[1] ** 2 * h[1]])
+
+    x = Vector([0.3, -1.2])
+    analytic = OperatorSpec(dim=2, evaluator=f, derivative=df)
+    fd = OperatorSpec(dim=2, evaluator=f)
+    for op in (analytic, fd):
+        want = matrix_of(lambda h: op.derivative_at(x, h), 2)
+        assert np.array_equal(op.jacobian(x), want)
+    exact = [[-1.2, 0.3], [math.cos(0.3), 3.0 * 1.44]]
+    assert np.array_equal(analytic.jacobian(x), np.array(exact))
+    assert np.allclose(fd.jacobian(x), exact, atol=1e-8)
 
 
 # -- matrices and operator norms ----------------------------------------

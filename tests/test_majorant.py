@@ -311,6 +311,22 @@ def test_quadratic_needs_eta_positive_and_contractive_start():
     assert not c2.valid and any("eta*r0 < 1" in d for d in c2.detail)
 
 
+def test_overflowing_inflation_is_an_invalid_certificate():
+    # tiny lambda lets the geometric grid try mu near 1e70: (1+mu)^5 overflows
+    p = MajorantParams(0.0, ScalarSequence.constant(1e-70), ScalarSequence.zero(), 0.0)
+    cert = cert_geometric(p, 5, 0.5, 1e70, 1.0, 1.0)
+    assert not cert.valid and not cert.premises_ok
+    assert any("overflows at n = 5" in d for d in cert.detail)
+    # witness search skips the overflowing candidates and still finds the exact one
+    found = certify(p, "geometric", 5)
+    assert found.valid and found.witnesses["mu"] == 0.0
+    # quadratic: (1+mu)^n with mu = 1 overflows once n reaches 1024
+    q = params(eta=1.0, lam=0.0, rho=0.0, r0=0.5)
+    cert = certify(q, "quadratic", 1100, {"chi": 0.5, "mu": 1.0})
+    assert not cert.valid and any("overflows at n = 1024" in d for d in cert.detail)
+    assert certify(q, "quadratic", 1100).valid
+
+
 # -- dispatcher and search -------------------------------------------------
 
 

@@ -97,9 +97,12 @@ def test_parse_names():
     assert SchemeKind.parse("newton") is SchemeKind.NEWTON
     assert SchemeKind.parse("modified_newton") is SchemeKind.MODIFIED_NEWTON
     assert InjectionMode.parse("additive-deterministic") is InjectionMode.DETERMINISTIC
-    with pytest.raises(SchemeError):
+    with pytest.raises(SchemeError, match=r"unknown scheme 'halley' \(expected "
+                                          r"contraction\|modified_newton\|newton\|custom\)"):
         SchemeKind.parse("halley")
-    with pytest.raises(SchemeError):
+    with pytest.raises(SchemeError, match=r"unknown perturbation mode 'multiplicative' "
+                                          r"\(expected none\|additive-deterministic\|"
+                                          r"additive-seeded-random\)"):
         InjectionMode.parse("multiplicative")
 
 
