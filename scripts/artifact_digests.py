@@ -10,6 +10,10 @@ lines.  The pipelines are:
   regimes by witness search at horizons 200 and 500;
 - newton-dense and noisy-certify instances 0-2 of seed 1, and fredholm-sweep
   instance 0 of seed 1, exactly as `bench/run.py` calls them;
+- catalog references with overrides, each a `run`: volterra-exp at its own
+  mesh and at m = 100, damped-root at alpha 0.25 (also `certify`) and 0.5,
+  seed, stop and mode overrides of the perturbed entries, a name plus scheme
+  override, a null perturbation block and a newton run of averaged-cos;
 - the paths the catalog defaults miss, each `run` then `certify` with all five
   regimes at horizon 200: newton and modified_newton overrides with eps, sigma
   and gamma budgets in both injection modes, file problems with an `estimate`
@@ -36,6 +40,25 @@ BUDGETS = {"eps": {"kind": "geometric", "c": 1e-3, "ratio": 0.5},
            "sigma": {"kind": "geometric", "c": 1e-2, "ratio": 0.5},
            "gamma": {"kind": "geometric", "c": 1e-2, "ratio": 0.5}}
 ESTIMATE = {"estimate": {"radius": 0.5, "samples": 30, "seed": 2}}
+
+
+CATALOG_OVERRIDES = (
+    ("volterra-exp", {"catalog": "volterra-exp"}),
+    ("volterra-exp-m100", {"catalog": "volterra-exp", "integral": {"m": 100}}),
+    ("damped-root-alpha0.25", {"catalog": "damped-root", "gamma": {"alpha": 0.25}}),
+    ("damped-root-alpha0.5", {"catalog": "damped-root", "gamma": {"alpha": 0.5}}),
+    ("perturbed-linear-random-seed-stop", {"catalog": "perturbed-linear-random",
+                                           "perturbation": {"seed": 11},
+                                           "stop": {"max_n": 100}}),
+    ("perturbed-linear-mode", {"catalog": "perturbed-linear",
+                            "perturbation": {"mode": "additive-seeded-random"}}),
+    ("cos-fixed-point-named", {"catalog": "cos-fixed-point", "name": "renamed",
+                               "scheme": "modified_newton"}),
+    ("linear-contraction-null-perturbation", {"catalog": "linear-contraction",
+                                              "perturbation": None}),
+    ("averaged-cos-newton", {"catalog": "averaged-cos", "scheme": "newton"}),
+)
+CERTIFIED_OVERRIDES = ("damped-root-alpha0.25",)
 
 
 def extra_problems():
@@ -100,6 +123,14 @@ def main(argv) -> int:
             inst = workloads.make_instance(workload, 1, index, out / workload / str(index))
             for c in inst.calls:
                 call(c.argv)
+    for label, problem in CATALOG_OVERRIDES:
+        d = out / "override" / label
+        d.mkdir(parents=True)
+        path = d / "problem.yaml"
+        path.write_text(yaml.safe_dump(problem))
+        call(["run", str(path), "--out", str(d / "trace")])
+        if label in CERTIFIED_OVERRIDES:
+            call(["certify", str(path), "--trace", str(d / "trace"), "--out", str(d / "h200")])
     for name, problem in extra_problems():
         run_and_certify(out / "extra" / name, problem, (200,))
     for path in sorted(p for p in out.rglob("*") if p.is_file()):

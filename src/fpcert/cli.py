@@ -186,8 +186,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out) if args.out else Path("fpcert-out") / resolved.name
     code, summary = _execute_run(resolved, out_dir, args.inner_tol)
     if "error" in summary:
-        print("error: step %s failed: %s" % (summary.get("failed_step"), summary["error"]),
-              file=sys.stderr)
+        print("error: %s" % summary["error"], file=sys.stderr)
         return code
     print("%s: %d steps, stopped on %s, final residual %s -> %s"
           % (resolved.name, summary["steps"], summary["stop_reason"],
@@ -207,7 +206,7 @@ def _problem_constants(resolved: ResolvedProblem):
                        % resolved.name)
     cfg = resolved.estimate_cfg
     # resolve_config has already checked the block's numbers
-    ball = resolved.ball or BallDomain(resolved.x0, cfg.get("radius", 1.0), resolved.norm)
+    ball = BallDomain(resolved.x0, cfg.get("radius", 1.0), resolved.norm)
     samples = cfg.get("samples", 200)
     seed = cfg.get("seed", 0)
     safety = cfg.get("safety", 1.1)

@@ -2,9 +2,12 @@
 
 A problem bundles everything a run needs: the operator (possibly wrapped from
 a root problem), start point, norm, scheme, perturbation plan, stop rule and
-the analytic Lipschitz data on a stated working ball.  Catalog entries define
-their operators through the same expression parser as user files, so file and
-built-in problems go down one code path.
+analytic or estimated Lipschitz constants.  Each catalog entry is the
+problem-file mapping a user would write, plus what a file cannot state (an
+averaging weight, a known solution).  A catalog reference becomes that mapping
+with its overrides applied, and one resolver turns every mapping, built-in or
+from a file, into a ResolvedProblem; only the digest's identity fields tell
+the two apart.
 """
 from __future__ import annotations
 
@@ -12,13 +15,13 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
 
-from .core import (BallDomain, CoreError, NormKind, OperatorEvaluationError, OperatorSpec,
+from .core import (CoreError, NormKind, OperatorEvaluationError, OperatorSpec,
                    Vector, norm_of)
 from .exprparse import ExprError, eval_expr, parse_expr
 from .greens import KernelSpec, build_volterra_kernel, kernel_from_expression
@@ -132,140 +135,87 @@ class IntegralSetup:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
+    """A built-in problem: the problem-file mapping a user would write, plus
+    what a file cannot state (an averaging weight, a known solution)."""
     summary: str
-    kind: str                                  # fixed_point | root | integral
-    dim: int
-    operator_exprs: Tuple[str, ...]            # A for fixed_point/integral, P for root
-    deriv_exprs: Optional[Tuple[Tuple[str, ...], ...]]
-    x0: Tuple[float, ...]
-    norm: NormKind
-    M: Optional[float]                         # None once a gamma override voids them
-    K: Optional[float]
-    ball: Optional[BallDomain]
-    scheme: SchemeKind
-    plan: PerturbationPlan
-    stop: StopRule
-    gamma: Optional[GammaSpec] = None          # root kind only
+    config: dict                               # the YAML problem-file schema
     theta: Optional[float] = None              # custom scheme only
-    integral: Optional[IntegralSetup] = None
     fixed_point: Optional[Tuple[float, ...]] = None
+    exact: Optional[Callable[[np.ndarray], np.ndarray]] = None   # integral kind only
 
-    def build_operator(self) -> OperatorSpec:
-        base = operator_from_expressions(list(self.operator_exprs), self.dim,
-                                         self.deriv_exprs, name=self.name)
-        if self.kind == "root":
-            return wrap_root_problem(base, self.gamma)
-        return base
-
-
-def _entry(name, summary, kind, exprs, deriv, x0, M, K, ball_center, ball_radius,
-           scheme, norm=NormKind.SUP, plan=None, stop=None, gamma=None, theta=None,
-           integral=None, fixed_point=None) -> CatalogEntry:
-    dim = len(x0)
-    ball = None
-    if ball_center is not None:
-        ball = BallDomain(Vector(ball_center), ball_radius, norm)
-    return CatalogEntry(
-        name=name, summary=summary, kind=kind, dim=dim,
-        operator_exprs=tuple(exprs),
-        deriv_exprs=tuple(tuple(r) for r in deriv) if deriv else None,
-        x0=tuple(float(v) for v in x0), norm=norm, M=M, K=K, ball=ball,
-        scheme=scheme, plan=plan or PerturbationPlan.exact(),
-        stop=stop or StopRule(max_n=50, residual_tol=1e-12),
-        gamma=gamma, theta=theta, integral=integral,
-        fixed_point=tuple(fixed_point) if fixed_point is not None else None)
+    @property
+    def kind(self) -> str:
+        return self.config.get("kind", "fixed_point")
 
 
 SIN1 = math.sin(1.0)
 DOTTIE = 0.7390851332151607  # fixed point of cos, to double precision
 
+# shared parts of the catalog mappings; resolving never mutates them
+_STOP = {"max_n": 50, "residual_tol": 1e-12}
+_LINEAR = {"operator": ["0.5*x1 + 1"], "derivative": [["0.5"]], "x0": [0.0],
+           "constants": {"M": 0.5, "K": 0.0}}
+_COS = {"operator": ["cos(x1)"], "derivative": [["-sin(x1)"]], "x0": [1.0],
+        "constants": {"M": SIN1, "K": 1.0}}
+_TWODIM = {"operator": ["0.3*cos(x2)", "0.3*sin(x1)"],
+           "derivative": [["0", "-0.3*sin(x2)"], ["0.3*cos(x1)", "0"]], "x0": [0.0, 0.0],
+           "constants": {"M": 0.3, "K": 0.3}}
+_NOISE = {"eps": {"kind": "constant", "c": 0.01}}
 
-def _build_catalog() -> Dict[str, CatalogEntry]:
-    entries = [
-        _entry("linear-contraction",
-               "affine scalar contraction 0.5 x + 1, fixed point 2",
-               "fixed_point", ["0.5*x1 + 1"], [["0.5"]], [0.0],
-               M=0.5, K=0.0, ball_center=[1.0], ball_radius=2.0,
-               scheme=SchemeKind.CONTRACTION, fixed_point=[2.0]),
-        _entry("cos-fixed-point",
-               "x = cos(x) near the Dottie point",
-               "fixed_point", ["cos(x1)"], [["-sin(x1)"]], [1.0],
-               M=SIN1, K=1.0, ball_center=[0.77], ball_radius=0.23,
-               scheme=SchemeKind.NEWTON, fixed_point=[DOTTIE]),
-        _entry("two-dim-system",
-               "coupled 2-D trig system, sup norm, contraction factor 0.3",
-               "fixed_point", ["0.3*cos(x2)", "0.3*sin(x1)"],
-               [["0", "-0.3*sin(x2)"], ["0.3*cos(x1)", "0"]], [0.0, 0.0],
-               M=0.3, K=0.3, ball_center=[0.0, 0.0], ball_radius=0.5,
-               scheme=SchemeKind.CONTRACTION),
-        _entry("gentle-newton",
-               "mildly nonlinear scalar map with small curvature",
-               "fixed_point", ["0.9 + 0.1*sin(x1)"], [["0.1*cos(x1)"]], [0.0],
-               M=0.1, K=0.1, ball_center=[0.5], ball_radius=1.0,
-               scheme=SchemeKind.NEWTON),
-        _entry("sqrt2-root",
-               "root of x^2 - 2 via the newton wrap (Heron iteration)",
-               "root", ["x1^2 - 2"], [["2*x1"]], [1.5],
-               M=0.14, K=0.82, ball_center=[1.5], ball_radius=0.15,
-               scheme=SchemeKind.CONTRACTION, gamma=GammaSpec.newton(),
-               fixed_point=[math.sqrt(2.0)]),
-        _entry("damped-root",
-               "root of P(x) = x with damped gamma, alpha = 0.5",
-               "root", ["x1"], [["1"]], [1.0],
-               M=0.5, K=0.0, ball_center=[0.0], ball_radius=2.0,
-               scheme=SchemeKind.CONTRACTION, gamma=GammaSpec.damped(0.5),
-               fixed_point=[0.0]),
-        _entry("volterra-exp",
-               "x' = x + 1, x(0) = 0 on [0, 2] as a Volterra integral equation",
-               "integral", ["x1 + 1"], [["1"]], [0.0],
-               M=1.0, K=0.0, ball_center=None, ball_radius=0.0,
-               scheme=SchemeKind.CONTRACTION,
-               stop=StopRule(max_n=60, residual_tol=1e-9),
-               integral=IntegralSetup("volterra_unit", 2.0, 400, exact=np.expm1)),
-        _entry("expanding",
-               "A(x) = 2x from x0 = 1: the iteration must trip the divergence guard",
-               "fixed_point", ["2*x1"], [["2"]], [1.0],
-               M=2.0, K=0.0, ball_center=[0.0], ball_radius=10.0,
-               scheme=SchemeKind.CONTRACTION, stop=StopRule(max_n=50),
-               fixed_point=[0.0]),
-        _entry("perturbed-linear",
-               "linear contraction with constant 1e-2 worst-case additive noise",
-               "fixed_point", ["0.5*x1 + 1"], [["0.5"]], [0.0],
-               M=0.5, K=0.0, ball_center=[1.0], ball_radius=2.0,
-               scheme=SchemeKind.CONTRACTION,
-               plan=PerturbationPlan(eps=ScalarSequence.constant(0.01),
-                                     mode=InjectionMode.DETERMINISTIC),
-               stop=StopRule(max_n=200), fixed_point=[2.0]),
-        _entry("perturbed-linear-random",
-               "linear contraction with constant 1e-2 seeded random noise",
-               "fixed_point", ["0.5*x1 + 1"], [["0.5"]], [0.0],
-               M=0.5, K=0.0, ball_center=[1.0], ball_radius=2.0,
-               scheme=SchemeKind.CONTRACTION,
-               plan=PerturbationPlan(eps=ScalarSequence.constant(0.01),
-                                     mode=InjectionMode.RANDOM, seed=7),
-               stop=StopRule(max_n=200), fixed_point=[2.0]),
-        _entry("averaged-linear",
-               "custom scheme: half-averaged relaxation of the linear contraction",
-               "fixed_point", ["0.5*x1 + 1"], [["0.5"]], [0.0],
-               M=0.5, K=0.0, ball_center=[1.0], ball_radius=2.0,
-               scheme=SchemeKind.CUSTOM, theta=0.5, fixed_point=[2.0]),
-        _entry("averaged-cos",
-               "custom scheme: half-averaged relaxation of x = cos(x)",
-               "fixed_point", ["cos(x1)"], [["-sin(x1)"]], [1.0],
-               M=SIN1, K=1.0, ball_center=[0.77], ball_radius=0.23,
-               scheme=SchemeKind.CUSTOM, theta=0.5, fixed_point=[DOTTIE]),
-        _entry("averaged-twodim",
-               "custom scheme: half-averaged relaxation of the 2-D trig system",
-               "fixed_point", ["0.3*cos(x2)", "0.3*sin(x1)"],
-               [["0", "-0.3*sin(x2)"], ["0.3*cos(x1)", "0"]], [0.0, 0.0],
-               M=0.3, K=0.3, ball_center=[0.0, 0.0], ball_radius=0.5,
-               scheme=SchemeKind.CUSTOM, theta=0.5),
-    ]
-    return {e.name: e for e in entries}
-
-
-CATALOG: Dict[str, CatalogEntry] = _build_catalog()
+CATALOG: Dict[str, CatalogEntry] = {
+    "linear-contraction": CatalogEntry(
+        "affine scalar contraction 0.5 x + 1, fixed point 2",
+        dict(_LINEAR, scheme="contraction", stop=_STOP), fixed_point=(2.0,)),
+    "cos-fixed-point": CatalogEntry(
+        "x = cos(x) near the Dottie point",
+        dict(_COS, scheme="newton", stop=_STOP), fixed_point=(DOTTIE,)),
+    "two-dim-system": CatalogEntry(
+        "coupled 2-D trig system, sup norm, contraction factor 0.3",
+        dict(_TWODIM, scheme="contraction", stop=_STOP)),
+    "gentle-newton": CatalogEntry(
+        "mildly nonlinear scalar map with small curvature",
+        {"operator": ["0.9 + 0.1*sin(x1)"], "derivative": [["0.1*cos(x1)"]], "x0": [0.0],
+         "constants": {"M": 0.1, "K": 0.1}, "scheme": "newton", "stop": _STOP}),
+    "sqrt2-root": CatalogEntry(
+        "root of x^2 - 2 via the newton wrap (Heron iteration)",
+        {"kind": "root", "operator": ["x1^2 - 2"], "derivative": [["2*x1"]], "x0": [1.5],
+         "gamma": {"kind": "newton"}, "constants": {"M": 0.14, "K": 0.82},
+         "scheme": "contraction", "stop": _STOP}, fixed_point=(math.sqrt(2.0),)),
+    "damped-root": CatalogEntry(
+        "root of P(x) = x with damped gamma, alpha = 0.5",
+        {"kind": "root", "operator": ["x1"], "derivative": [["1"]], "x0": [1.0],
+         "gamma": {"kind": "damped", "alpha": 0.5}, "constants": {"M": 0.5, "K": 0.0},
+         "scheme": "contraction", "stop": _STOP}, fixed_point=(0.0,)),
+    "volterra-exp": CatalogEntry(
+        "x' = x + 1, x(0) = 0 on [0, 2] as a Volterra integral equation",
+        {"kind": "integral", "operator": ["x1 + 1"], "derivative": [["1"]], "x0": [0.0],
+         "integral": {"kernel": "volterra_unit", "T_end": 2.0, "m": 400},
+         "constants": {"M": 1.0, "K": 0.0}, "scheme": "contraction",
+         "stop": {"max_n": 60, "residual_tol": 1e-9}}, exact=np.expm1),
+    "expanding": CatalogEntry(
+        "A(x) = 2x from x0 = 1: the iteration must trip the divergence guard",
+        {"operator": ["2*x1"], "derivative": [["2"]], "x0": [1.0],
+         "constants": {"M": 2.0, "K": 0.0}, "scheme": "contraction", "stop": {"max_n": 50}},
+        fixed_point=(0.0,)),
+    "perturbed-linear": CatalogEntry(
+        "linear contraction with constant 1e-2 worst-case additive noise",
+        dict(_LINEAR, scheme="contraction", stop={"max_n": 200},
+             perturbation=dict(_NOISE, mode="additive-deterministic")), fixed_point=(2.0,)),
+    "perturbed-linear-random": CatalogEntry(
+        "linear contraction with constant 1e-2 seeded random noise",
+        dict(_LINEAR, scheme="contraction", stop={"max_n": 200},
+             perturbation=dict(_NOISE, mode="additive-seeded-random", seed=7)),
+        fixed_point=(2.0,)),
+    "averaged-linear": CatalogEntry(
+        "custom scheme: half-averaged relaxation of the linear contraction",
+        dict(_LINEAR, scheme="custom", stop=_STOP), theta=0.5, fixed_point=(2.0,)),
+    "averaged-cos": CatalogEntry(
+        "custom scheme: half-averaged relaxation of x = cos(x)",
+        dict(_COS, scheme="custom", stop=_STOP), theta=0.5, fixed_point=(DOTTIE,)),
+    "averaged-twodim": CatalogEntry(
+        "custom scheme: half-averaged relaxation of the 2-D trig system",
+        dict(_TWODIM, scheme="custom", stop=_STOP), theta=0.5),
+}
 
 
 def catalog_names() -> List[str]:
@@ -275,7 +225,7 @@ def catalog_names() -> List[str]:
 def get_entry(name: str) -> CatalogEntry:
     try:
         return CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ProblemError("unknown catalog problem %r (see `fpcert catalog`)" % name)
 
 
@@ -346,13 +296,11 @@ class ResolvedProblem:
     M: Optional[float]
     K: Optional[float]
     theta: Optional[float]
-    ball: Optional[BallDomain]
     estimate_cfg: Optional[dict]
     cert_requests: List[CertRequest]
     integral: Optional[IntegralSetup]
     fixed_point: Optional[Vector]
     digest: str
-    entry: Optional[CatalogEntry]
     m_star: Optional[float] = None
     k_star: Optional[float] = None
 
@@ -402,20 +350,18 @@ def _digest(plan: PerturbationPlan, stop: StopRule, integral: Optional[IntegralS
     return hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()
 
 
-def _parse_plan(cfg: dict, base: Optional[PerturbationPlan] = None) -> PerturbationPlan:
-    """Plan from config keys; keys absent from cfg keep the base plan's values."""
-    base = base or PerturbationPlan.exact()
+def _parse_plan(cfg: dict) -> PerturbationPlan:
     extra = set(cfg) - {"mode", "seed", "eps0", "eps", "sigma", "gamma"}
     if extra:
         raise ProblemError("unknown perturbation keys: %s" % ", ".join(sorted(extra)))
     try:
         return PerturbationPlan(
-            eps0=_number(cfg["eps0"], "perturbation.eps0") if "eps0" in cfg else base.eps0,
-            eps=sequence_from_config(cfg["eps"]) if "eps" in cfg else base.eps,
-            sigma=sequence_from_config(cfg["sigma"]) if "sigma" in cfg else base.sigma,
-            gamma=sequence_from_config(cfg["gamma"]) if "gamma" in cfg else base.gamma,
-            mode=InjectionMode.parse(cfg["mode"]) if "mode" in cfg else base.mode,
-            seed=_number(cfg["seed"], "perturbation.seed", int) if "seed" in cfg else base.seed)
+            eps0=_number(cfg.get("eps0", 0.0), "perturbation.eps0"),
+            eps=sequence_from_config(cfg.get("eps")),
+            sigma=sequence_from_config(cfg.get("sigma")),
+            gamma=sequence_from_config(cfg.get("gamma")),
+            mode=InjectionMode.parse(cfg.get("mode", "none")),
+            seed=_number(cfg.get("seed", 0), "perturbation.seed", int))
     except SequenceError as exc:
         raise ProblemError("bad perturbation block: %s" % exc)
 
@@ -453,59 +399,28 @@ def _parse_certs(cfg) -> List[CertRequest]:
     return out
 
 
-def _resolve_catalog(cfg: dict) -> ResolvedProblem:
-    name = cfg["catalog"]
-    entry = get_entry(name)
-    allowed = {"catalog", "scheme", "perturbation", "stop", "certificates", "integral", "name",
-               "gamma"}
-    extra = set(cfg) - allowed
-    if extra:
-        raise ProblemError("catalog problems only accept %s overrides; got: %s"
-                           % (", ".join(sorted(allowed - {"catalog", "name"})),
-                              ", ".join(sorted(extra))))
-    scheme = SchemeKind.parse(cfg["scheme"]) if "scheme" in cfg else entry.scheme
-    if scheme is SchemeKind.CUSTOM and entry.theta is None:
-        raise ProblemError("problem %r has no averaging weight; custom scheme unavailable"
-                           % name)
-    plan = _parse_plan(cfg.get("perturbation") or {}, base=entry.plan)
-    stop = _parse_stop(cfg["stop"]) if "stop" in cfg else entry.stop
-    certs = _parse_certs(cfg.get("certificates"))
-    integral = entry.integral
-    if "integral" in cfg:
-        if entry.integral is None:
-            raise ProblemError("problem %r is not an integral problem" % name)
-        m = _number(cfg["integral"].get("m", entry.integral.m), "integral.m", int)
-        integral = IntegralSetup(entry.integral.kernel_kind, entry.integral.T_end, m,
-                                 exact=entry.integral.exact)
-    if "gamma" in cfg:
-        gcfg = cfg["gamma"]
-        if (entry.kind != "root" or entry.gamma.kind != "damped" or not isinstance(gcfg, dict)
-                or set(gcfg) - {"alpha"}):
-            raise ProblemError("gamma override %r: only damped-gamma root problems take one, "
-                               "as {alpha: value}" % (gcfg,))
-        alpha = _number(gcfg.get("alpha", entry.gamma.alpha), "gamma.alpha")
-        if alpha != entry.gamma.alpha:
-            # the entry's analytic M and K hold only at its own alpha
-            entry = replace(entry, gamma=GammaSpec(entry.gamma.kind, alpha), M=None, K=None)
-    problem = {"catalog": name, "scheme": scheme.value, "norm": entry.norm.value,
-               "x0": list(entry.x0), "operator": list(entry.operator_exprs)}
-    if entry.gamma != CATALOG[name].gamma:
-        # only an overridden gamma enters the digest, so default runs keep theirs
-        problem["gamma"] = {"kind": entry.gamma.kind, "alpha": entry.gamma.alpha}
-    return ResolvedProblem(
-        name=name, kind=entry.kind, operator=entry.build_operator(), scheme=scheme,
-        norm=entry.norm, x0=Vector(entry.x0), plan=plan, stop=stop,
-        M=entry.M, K=entry.K, theta=entry.theta, ball=entry.ball, estimate_cfg=None,
-        cert_requests=certs, integral=integral,
-        fixed_point=Vector(entry.fixed_point) if entry.fixed_point else None,
-        digest=_digest(plan, stop, integral, **problem), entry=entry)
-
-
 # the sampling settings an estimate block may carry, and their types
 _ESTIMATE_KEYS = {"radius": float, "samples": int, "seed": int, "safety": float}
 
 _TOP_KEYS = {"name", "kind", "dim", "operator", "derivative", "x0", "norm", "scheme",
              "perturbation", "constants", "stop", "certificates", "gamma", "integral"}
+
+_CATALOG_OVERRIDES = {"scheme", "perturbation", "stop", "certificates", "integral", "gamma"}
+
+
+def _mapping(cfg: dict, key: str) -> dict:
+    """cfg[key] as a mapping: {} when absent or null, ProblemError when no mapping."""
+    block = cfg.get(key)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ProblemError("%s must be a mapping, got %r" % (key, block))
+    return block
+
+
+def _require(ok: bool, key: str, what: str, value):
+    if not ok:
+        raise ProblemError("%s must be %s, got %r" % (key, what, value))
 
 
 def resolve_config(cfg: dict) -> ResolvedProblem:
@@ -518,12 +433,48 @@ def resolve_config(cfg: dict) -> ResolvedProblem:
     if not isinstance(cfg, dict):
         raise ProblemError("problem file must contain a mapping, got %r" % type(cfg).__name__)
     try:
-        return _resolve_catalog(cfg) if "catalog" in cfg else _resolve_file(cfg)
+        if "catalog" in cfg:
+            entry = get_entry(cfg["catalog"])
+            return _resolve(_from_catalog(cfg, entry), entry)
+        return _resolve(cfg)
     except (CoreError, RootfindError, SchemeError) as exc:
         raise ProblemError(str(exc)) from exc
 
 
-def _resolve_file(cfg: dict) -> ResolvedProblem:
+def _from_catalog(cfg: dict, entry: CatalogEntry) -> dict:
+    """The entry's problem mapping with the overrides of a catalog reference applied."""
+    extra = set(cfg) - _CATALOG_OVERRIDES - {"catalog", "name"}
+    if extra:
+        raise ProblemError("catalog problems only accept %s overrides; got: %s"
+                           % (", ".join(sorted(_CATALOG_OVERRIDES)), ", ".join(sorted(extra))))
+    # null blocks override nothing; name is the catalog name whatever cfg says
+    over = {k: v for k, v in cfg.items() if k in _CATALOG_OVERRIDES and v is not None}
+    out = dict(entry.config, name=cfg["catalog"])
+    out.update((k, over[k]) for k in ("scheme", "stop", "certificates") if k in over)
+    if "perturbation" in over:
+        out["perturbation"] = {**_mapping(entry.config, "perturbation"),
+                               **_mapping(over, "perturbation")}
+    if "integral" in over:
+        icfg = _mapping(over, "integral")
+        if set(icfg) - {"m"}:
+            raise ProblemError("a catalog integral override takes only m, got: %s"
+                               % ", ".join(sorted(set(icfg) - {"m"})))
+        out["integral"] = {**_mapping(entry.config, "integral"), **icfg}
+    if "gamma" in over:
+        gcfg, own = _mapping(over, "gamma"), _mapping(entry.config, "gamma")
+        if own.get("kind") != "damped" or set(gcfg) - {"alpha"}:
+            raise ProblemError("gamma override %r: only damped-gamma root problems take one, "
+                               "as {alpha: value}" % (gcfg,))
+        alpha = _number(gcfg.get("alpha", own["alpha"]), "gamma.alpha")
+        if alpha != own["alpha"]:
+            # the entry's analytic M and K hold only at its own alpha
+            out["gamma"] = dict(own, alpha=alpha)
+            out.pop("constants", None)
+    return out
+
+
+def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem:
+    """Resolve a problem-file mapping; entry is the catalog entry it came from, if any."""
     extra = set(cfg) - _TOP_KEYS
     if extra:
         raise ProblemError("unknown problem keys: %s" % ", ".join(sorted(extra)))
@@ -550,8 +501,10 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
 
     norm = NormKind.parse(cfg.get("norm", "sup"))
     scheme = SchemeKind.parse(cfg.get("scheme", "contraction"))
-    if scheme is SchemeKind.CUSTOM:
-        raise ProblemError("the custom scheme is only available on catalog problems")
+    theta = entry.theta if entry else None
+    if scheme is SchemeKind.CUSTOM and theta is None:
+        raise ProblemError("the custom scheme needs an averaging weight; "
+                           "only the averaged-* catalog problems have one")
 
     x0_cfg = cfg.get("x0")
     if x0_cfg is None:
@@ -563,28 +516,29 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
     x0 = Vector([_number(v, "x0") for v in x0_cfg])
 
     try:
-        base = operator_from_expressions(exprs, dim, deriv, name=name)
+        operator = operator_from_expressions(exprs, dim, deriv, name=name)
     except ExprError as exc:
         raise ProblemError("bad operator expression: %s" % exc)
 
     gamma = None
-    operator = base
     if kind == "root":
-        gcfg = cfg.get("gamma") or {}
+        gcfg = _mapping(cfg, "gamma")
         gamma = GammaSpec(kind=gcfg.get("kind", "newton"),
                           alpha=_number(gcfg.get("alpha", 1.0), "gamma.alpha"))
-        operator = wrap_root_problem(base, gamma)
+        operator = wrap_root_problem(operator, gamma)
     elif "gamma" in cfg:
         raise ProblemError("gamma block is only meaningful for root problems")
 
     integral = None
     if kind == "integral":
-        icfg = cfg.get("integral")
-        if not isinstance(icfg, dict):
+        if cfg.get("integral") is None:
             raise ProblemError("integral problems need an integral block (kernel, T_end, m)")
+        icfg = _mapping(cfg, "integral")
         kernel_kind = icfg.get("kernel", "volterra_unit")
         T_end = _number(icfg.get("T_end", 1.0), "integral.T_end")
+        _require(0.0 < T_end < math.inf, "integral.T_end", "positive and finite", T_end)
         m = _number(icfg.get("m", 100), "integral.m", int)
+        _require(m >= 1, "integral.m", "at least 1", m)
         if kernel_kind != "volterra_unit":
             try:
                 parse_expr(kernel_kind, {"t", "s"})
@@ -592,7 +546,7 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
                 raise ProblemError("bad kernel expression: %s" % exc)
         if dim != 1:
             raise ProblemError("integral problems are scalar (dim 1) in this version")
-        integral = IntegralSetup(kernel_kind, T_end, m)
+        integral = IntegralSetup(kernel_kind, T_end, m, exact=entry.exact if entry else None)
     elif "integral" in cfg:
         raise ProblemError("integral block is only meaningful for integral problems")
 
@@ -611,6 +565,12 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
                 if key in estimate_cfg:
                     estimate_cfg[key] = _number(estimate_cfg[key], "constants.estimate." + key,
                                                 convert)
+            for key, ok, what in (("radius", lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+                                  ("samples", lambda v: v >= 10, "at least 10"),
+                                  ("safety", lambda v: v >= 1.0, ">= 1")):
+                if key in estimate_cfg:
+                    _require(ok(estimate_cfg[key]), "constants.estimate." + key, what,
+                             estimate_cfg[key])
         else:
             if "M" not in ccfg:
                 raise ProblemError("constants block needs M (or an estimate sub-block)")
@@ -621,24 +581,28 @@ def _resolve_file(cfg: dict) -> ResolvedProblem:
             if "K_star" in ccfg:
                 k_star = _number(ccfg["K_star"], "constants.K_star")
 
-    plan = _parse_plan(cfg.get("perturbation") or {})
-    stop = _parse_stop(cfg.get("stop") or {})
+    plan = _parse_plan(_mapping(cfg, "perturbation"))
+    stop = _parse_stop(_mapping(cfg, "stop"))
     certs = _parse_certs(cfg.get("certificates"))
 
-    digest = _digest(plan, stop, integral, name=name, kind=kind, operator=list(exprs),
-                     derivative=deriv, x0=[float(v) for v in x0_cfg], norm=norm.value,
-                     scheme=scheme.value,
-                     gamma={"kind": gamma.kind, "alpha": gamma.alpha} if gamma else None)
-    ball = None
-    if estimate_cfg is not None:
-        radius = estimate_cfg.get("radius", 1.0)
-        ball = BallDomain(x0, radius, norm)
+    x0_list = [float(v) for v in x0_cfg]
+    gamma_cfg = {"kind": gamma.kind, "alpha": gamma.alpha} if gamma else None
+    if entry is None:
+        # a file problem is keyed by its content
+        identity = dict(name=name, kind=kind, operator=list(exprs), derivative=deriv,
+                        x0=x0_list, norm=norm.value, scheme=scheme.value, gamma=gamma_cfg)
+    else:
+        # a catalog problem by its name; gamma only when overridden, so default runs keep theirs
+        identity = {"catalog": name, "scheme": scheme.value, "norm": norm.value,
+                    "x0": x0_list, "operator": list(exprs)}
+        if cfg.get("gamma") != entry.config.get("gamma"):
+            identity["gamma"] = gamma_cfg
     return ResolvedProblem(
         name=name, kind=kind, operator=operator, scheme=scheme, norm=norm, x0=x0,
-        plan=plan, stop=stop, M=M, K=K, theta=None, ball=ball,
+        plan=plan, stop=stop, M=M, K=K, theta=theta,
         estimate_cfg=estimate_cfg, cert_requests=certs, integral=integral,
-        fixed_point=None, digest=digest, entry=None,
-        m_star=m_star, k_star=k_star)
+        fixed_point=Vector(entry.fixed_point) if entry and entry.fixed_point else None,
+        digest=_digest(plan, stop, integral, **identity), m_star=m_star, k_star=k_star)
 
 
 def load_config(source) -> dict:

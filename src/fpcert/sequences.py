@@ -42,22 +42,24 @@ class ScalarSequence:
 
     @staticmethod
     def constant(c: float) -> "ScalarSequence":
-        if c < 0:
-            raise SequenceError("constant sequence must be nonnegative, got %r" % c)
+        if not 0 <= c < math.inf:
+            raise SequenceError("constant sequence must be finite and nonnegative, got %r" % c)
         return ScalarSequence("constant", c=float(c))
 
     @staticmethod
     def geometric(c: float, ratio: float) -> "ScalarSequence":
         """c * ratio**n."""
-        if c < 0 or ratio < 0:
-            raise SequenceError("geometric sequence needs c >= 0 and ratio >= 0")
+        if not (0 <= c < math.inf and 0 <= ratio < math.inf):
+            raise SequenceError("geometric sequence needs finite c >= 0 and ratio >= 0, got %r, %r"
+                                % (c, ratio))
         return ScalarSequence("geometric", c=float(c), ratio=float(ratio))
 
     @staticmethod
     def power(c: float, p: float) -> "ScalarSequence":
         """c * n**(-p) for n >= 1; the value at n = 0 is c."""
-        if c < 0:
-            raise SequenceError("power sequence must be nonnegative")
+        if not (0 <= c < math.inf and math.isfinite(p)):
+            raise SequenceError("power sequence needs finite c >= 0 and finite p, got %r, %r"
+                                % (c, p))
         return ScalarSequence("power", c=float(c), p=float(p))
 
     @staticmethod
@@ -65,8 +67,8 @@ class ScalarSequence:
         vals = tuple(float(v) for v in values)
         if not vals:
             raise SequenceError("table sequence needs at least one entry")
-        if any(v < 0 for v in vals):
-            raise SequenceError("table entries must be nonnegative")
+        if not all(0 <= v < math.inf for v in vals):
+            raise SequenceError("table entries must be finite and nonnegative, got %r" % (vals,))
         return ScalarSequence("table", entries=vals)
 
     @staticmethod

@@ -130,12 +130,31 @@ def test_run_integral_problem(tmp_path):
     ("kind: root\ngamma: {kind: damped, alpha: abc}\n", "gamma.alpha"),
     ("kind: integral\nintegral: {T_end: abc}\n", "integral.T_end"),
     ("kind: integral\nintegral: {m: abc}\n", "integral.m"),
+    ("kind: integral\nintegral: {m: 0}\n", "integral.m"),
+    ("kind: integral\nintegral: {T_end: -1}\n", "integral.T_end"),
+    ("kind: integral\nintegral: {T_end: .inf}\n", "integral.T_end"),
+    ("constants: {estimate: {samples: 3}}\n", "constants.estimate.samples"),
+    ("constants: {estimate: {safety: 0.5}}\n", "constants.estimate.safety"),
+    ("constants: {estimate: {radius: -1}}\n", "constants.estimate.radius"),
+    ("constants: {estimate: {radius: .inf}}\n", "constants.estimate.radius"),
+    ("perturbation: {mode: additive-deterministic, eps: .inf}\n", "perturbation"),
+    ("perturbation: {eps: {kind: geometric, c: .nan, ratio: 0.5}}\n", "perturbation"),
 ])
 def test_run_bad_enum_value_is_a_validation_error(tmp_path, capsys, text, key):
     src = write_yaml(tmp_path, "bad.yaml", "operator: 0.5*x1 + 1\nx0: 0.0\n" + text)
     assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+def test_run_step_failure_is_reported_once(tmp_path, capsys):
+    # A'(1) = 1, so the newton step's I - D is singular at x0
+    src = write_yaml(tmp_path, "f.yaml", "operator: 0.5*x1^2 + 0.5\nderivative: [[x1]]\n"
+                                         "x0: 1.0\nscheme: newton\n")
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1 failed: ") and err.count("failed") == 1
+    assert "singular" in err
 
 
 def test_run_with_table_perturbation(tmp_path):
@@ -318,6 +337,23 @@ def test_bad_catalog_gamma_override_rejected(tmp_path, capsys, text):
     assert err.startswith("error: ") and "gamma" in err
 
 
+@pytest.mark.parametrize("text, key", [
+    ("catalog: volterra-exp\nintegral: 5\n", "integral"),
+    ("catalog: volterra-exp\nintegral: {T_end: 5}\n", "T_end"),
+    ("catalog: linear-contraction\nstop: 5\n", "stop"),
+    ("catalog: linear-contraction\nperturbation: [1]\n", "perturbation"),
+    ("catalog: damped-root\ngamma: 5\n", "gamma"),
+    ("operator: 0.5*x1 + 1\nx0: 0.0\nstop: 5\n", "stop"),
+    ("operator: 0.5*x1 + 1\nx0: 0.0\nperturbation: [1]\n", "perturbation"),
+    ("kind: root\noperator: x1\nx0: 1.0\ngamma: 5\n", "gamma"),
+])
+def test_block_that_is_no_mapping_rejected(tmp_path, capsys, text, key):
+    src = write_yaml(tmp_path, "b.yaml", text)
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_certify_refuses_catalog_constants_at_overridden_alpha(tmp_path, capsys):
     # damped-root's M = 0.5 holds only at alpha = 0.5; at 0.25 the wrap contracts by 0.75
     src = write_yaml(tmp_path, "a.yaml", "catalog: damped-root\ngamma: {alpha: 0.25}\n")
@@ -325,6 +361,18 @@ def test_certify_refuses_catalog_constants_at_overridden_alpha(tmp_path, capsys)
     assert run_cli("run", src, "--out", str(out)) == 0
     assert run_cli("certify", src, "--trace", str(out)) == 1
     assert "neither analytic constants" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param, value, key", [
+    ("eps", "inf", "perturbation"), ("eps", "nan", "perturbation"), ("m", "0", "integral.m"),
+])
+def test_sweep_rejects_out_of_range_value(tmp_path, capsys, param, value, key):
+    problem = "volterra-exp" if param == "m" else "linear-contraction"
+    out = tmp_path / "sw"
+    assert run_cli("sweep", problem, "--param", param, "--values", value,
+                   "--out", str(out)) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_integral_mesh(tmp_path):

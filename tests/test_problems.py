@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -125,27 +126,56 @@ def test_catalog_unknown_name():
 
 def test_catalog_fixed_points_are_fixed():
     for name in catalog_names():
-        entry = get_entry(name)
-        if entry.fixed_point is None or entry.kind == "integral":
+        r = resolve_config({"catalog": name})
+        if r.fixed_point is None or r.kind == "integral":
             continue
-        op = entry.build_operator()
-        x = Vector(entry.fixed_point)
-        moved = max(abs(op.apply(x)[i] - x[i]) for i in range(op.dim))
+        moved = max(abs(r.operator.apply(r.fixed_point)[i] - r.fixed_point[i])
+                    for i in range(r.operator.dim))
         assert moved < 1e-12, name
 
 
 def test_catalog_operators_evaluate_at_start():
     for name in catalog_names():
-        entry = get_entry(name)
-        op = entry.build_operator()
-        out = op.apply(Vector(entry.x0))
-        assert out.dim == entry.dim
+        r = resolve_config({"catalog": name})
+        out = r.operator.apply(r.x0)
+        assert out.dim == len(CATALOG[name].config["operator"])
 
 
 def test_cos_entry_constants():
-    entry = get_entry("cos-fixed-point")
-    assert entry.M == math.sin(1.0)
-    assert entry.K == 1.0
+    r = resolve_config({"catalog": "cos-fixed-point"})
+    assert r.M == math.sin(1.0)
+    assert r.K == 1.0
+
+
+def test_catalog_entries_are_problem_files():
+    # an entry's mapping, written out as a file, is the same problem
+    for name, entry in CATALOG.items():
+        if entry.theta is not None:
+            continue    # the custom scheme needs the entry's averaging weight
+        cat = resolve_config({"catalog": name})
+        own = resolve_config(dict(entry.config, name=name))
+        assert own.operator.apply(own.x0) == cat.operator.apply(cat.x0), name
+        assert (own.kind, own.scheme, own.norm, own.x0) == (cat.kind, cat.scheme, cat.norm, cat.x0)
+        assert own.plan == cat.plan and own.stop == cat.stop, name
+        assert (own.M, own.K, own.m_star, own.k_star) == (cat.M, cat.K, cat.m_star, cat.k_star)
+        assert own.integral == cat.integral, name
+
+
+def test_catalog_overrides_leave_entries_untouched():
+    before = {name: copy.deepcopy(entry.config) for name, entry in CATALOG.items()}
+    overrides = [
+        {"catalog": "perturbed-linear-random", "perturbation": {"seed": 11},
+         "stop": {"max_n": 100}, "certificates": [{"regime": "bounded"}]},
+        {"catalog": "perturbed-linear", "perturbation": {"mode": "additive-seeded-random"}},
+        {"catalog": "linear-contraction", "perturbation": None, "name": "other"},
+        {"catalog": "volterra-exp", "integral": {"m": 100}},
+        {"catalog": "damped-root", "gamma": {"alpha": 0.25}},
+        {"catalog": "damped-root", "gamma": {}},
+        {"catalog": "averaged-cos", "scheme": "newton"},
+    ]
+    for cfg in overrides:
+        resolve_config(cfg)
+    assert {name: entry.config for name, entry in CATALOG.items()} == before
 
 
 def test_catalog_resolution_and_digest_stability():
@@ -267,7 +297,7 @@ def test_constants_block_variants():
                                                              "samples": 50}}))
     assert est.M is None
     assert est.estimate_cfg == {"radius": 0.5, "samples": 50}
-    assert est.ball.radius == 0.5
+    assert est.estimate_cfg["radius"] == 0.5
     with pytest.raises(ProblemError):
         est.constants()
 

@@ -106,6 +106,20 @@ def test_negative_parameters_rejected():
         ScalarSequence.from_table([0.1, -0.2])
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_parameters_rejected(bad):
+    for build in (lambda: ScalarSequence.constant(bad),
+                  lambda: ScalarSequence.geometric(bad, 0.5),
+                  lambda: ScalarSequence.geometric(1.0, bad),
+                  lambda: ScalarSequence.power(bad, 2.0),
+                  lambda: ScalarSequence.power(1.0, bad),
+                  lambda: ScalarSequence.from_table([0.1, bad]),
+                  lambda: sequence_from_config(bad),
+                  lambda: sequence_from_config({"kind": "constant", "c": bad})):
+        with pytest.raises(SequenceError):
+            build()
+
+
 def test_sequence_from_config_forms():
     assert sequence_from_config(0.25)(7) == 0.25
     assert sequence_from_config(0)(3) == 0.0
