@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .core import BallDomain
 from .estimate import estimate_lipschitz_K, estimate_lipschitz_M, with_safety
@@ -135,23 +135,9 @@ def _execute_run(resolved: ResolvedProblem, out_dir: Path, inner_tol: float) -> 
                                  "error": str(exc), "failed_step": exc.step}
     _write_trace_csv(out_dir / "trace.csv", trace)
     _write_iterates_csv(out_dir / "iterates.csv", trace)
-    code = EXIT_DIVERGED if trace.stop_reason in _GUARD_REASONS else EXIT_OK
-    summary = {
-        "problem": resolved.name,
-        "digest": resolved.digest,
-        "kind": resolved.kind,
-        "scheme": resolved.scheme.value,
-        "norm": resolved.norm.value,
-        "seed": resolved.plan.seed,
-        "inner_tol": inner_tol,
-        "stop_reason": trace.stop_reason,
-        "steps": trace.steps,
-        "final_residual": trace.residual[-1],
-        "final_r": trace.r[-1] if trace.r else None,
-        "exit": code,
-    }
-    _dump_json(out_dir / "run.json", summary)
-    return code, summary
+    return _write_run_json(out_dir, resolved, trace, scheme=resolved.scheme.value,
+                           norm=resolved.norm.value, seed=resolved.plan.seed,
+                           inner_tol=inner_tol)
 
 
 def _execute_integral(resolved: ResolvedProblem, out_dir: Path) -> Tuple[int, dict]:
@@ -160,23 +146,21 @@ def _execute_integral(resolved: ResolvedProblem, out_dir: Path) -> Tuple[int, di
     trace = run_integral_iteration(setup.kernel(), resolved.operator, x0, resolved.stop)
     _write_integral_trace_csv(out_dir / "trace.csv", trace)
     _write_solution_csv(out_dir / "solution.csv", trace.grids[-1])
-    code = EXIT_DIVERGED if trace.stop_reason in _GUARD_REASONS else EXIT_OK
-    summary = {
-        "problem": resolved.name,
-        "digest": resolved.digest,
-        "kind": "integral",
-        "m": setup.m,
-        "T_end": setup.T_end,
-        "stop_reason": trace.stop_reason,
-        "steps": trace.steps,
-        "final_residual": trace.residual[-1],
-        "final_r": trace.r[-1] if trace.r else None,
-        "exit": code,
-    }
+    own = {"m": setup.m, "T_end": setup.T_end}
     if setup.exact is not None:
         final = trace.grids[-1]
-        summary["sup_error_vs_exact"] = float(
-            max(abs(final.values - setup.exact(final.nodes))))
+        own["sup_error_vs_exact"] = float(max(abs(final.values - setup.exact(final.nodes))))
+    return _write_run_json(out_dir, resolved, trace, **own)
+
+
+def _write_run_json(out_dir: Path, resolved: ResolvedProblem,
+                    trace: Union[IterationTrace, IntegralTrace], **own) -> Tuple[int, dict]:
+    """Write run.json, the keys every run has plus the runner's own; return (exit, it)."""
+    code = EXIT_DIVERGED if trace.stop_reason in _GUARD_REASONS else EXIT_OK
+    summary = dict(own, problem=resolved.name, digest=resolved.digest, kind=resolved.kind,
+                   stop_reason=trace.stop_reason, steps=trace.steps,
+                   final_residual=trace.residual[-1],
+                   final_r=trace.r[-1] if trace.r else None, exit=code)
     _dump_json(out_dir / "run.json", summary)
     return code, summary
 
@@ -247,7 +231,7 @@ def cmd_certify(args) -> int:
         "horizon": horizon,
         "slack": slack,
         "precheck": [{"name": e.name, "status": e.status, "detail": e.detail}
-                     for e in precheck(constants, r0=r_meas[0], horizon=horizon).entries],
+                     for e in precheck(constants, r0=r_meas[0]).entries],
         "certificates": [],
         "tail_bounds": None,
     }

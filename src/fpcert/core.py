@@ -97,9 +97,6 @@ class BallDomain:
         if self.radius < 0 or not math.isfinite(self.radius):
             raise CoreError("ball radius must be finite and >= 0, got %r" % self.radius)
 
-    def contains(self, x: Vector, slack: float = 0.0) -> bool:
-        return norm_of(x - self.center, self.norm) <= self.radius + slack
-
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -135,13 +132,13 @@ class OperatorSpec:
                 "operator %s returned dim %d, expected %d" % (self.name or "?", out.dim, self.dim))
         return out
 
-    def derivative_at(self, x: Vector, h: Vector, step: Optional[float] = None) -> Vector:
+    def derivative_at(self, x: Vector, h: Vector) -> Vector:
         if self.derivative is not None:
             out = self.derivative(x, h)
             if not isinstance(out, Vector):
                 out = Vector(out)
             return out
-        return gateaux_fd(self, x, h, step=step)
+        return gateaux_fd(self, x, h)
 
     def jacobian(self, x: Vector) -> np.ndarray:
         """A'(x) as a dim x dim matrix, one derivative_at call per coordinate."""
@@ -182,33 +179,6 @@ def matrix_norm(mat: np.ndarray, kind: NormKind) -> float:
     if kind is NormKind.ONE:
         return float(np.max(np.sum(np.abs(mat), axis=0)))
     return float(np.linalg.norm(mat, 2))
-
-
-def operator_norm_estimate(linmap: Callable[[Vector], Vector], dim: int,
-                           kind: NormKind, samples: int = 0) -> float:
-    """Induced-norm estimate of a linear map, never exceeding the true norm
-    by more than rounding.
-
-    The map is materialized from the coordinate directions (so sup/one norms
-    are exact via row/column sums, euclidean via the spectral norm); extra
-    random unit directions, when requested, can only confirm the bound from
-    below and are kept as a cross-check against a non-linear `linmap`.
-    """
-    if samples and samples < dim:
-        raise CoreError("samples must be >= dim when given (got %d < %d)" % (samples, dim))
-    mat = matrix_of(linmap, dim)
-    best = matrix_norm(mat, kind)
-    if samples:
-        rng = np.random.default_rng(0)
-        for _ in range(samples):
-            g = rng.standard_normal(dim)
-            denom = norm_of(Vector(g), kind)
-            if denom == 0.0:
-                continue
-            val = norm_of(linmap(Vector(g / denom)), kind)
-            if val > best:
-                best = val
-    return best
 
 
 def identity_operator(dim: int) -> OperatorSpec:

@@ -6,6 +6,8 @@ labeled empirical and callers are expected to inflate them (default factor
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .core import BallDomain, CoreError, OperatorSpec, Vector, matrix_norm, norm_of
@@ -33,6 +35,24 @@ def _sample_pair(ball: BallDomain, rng: np.random.Generator):
     return pts[0], pts[1]
 
 
+def _max_ratio(gap_of_images: Callable[[Vector, Vector], float], ball: BallDomain,
+               samples: int, seed: int) -> float:
+    """max over sampled pairs (x, y) of gap_of_images(x, y) / ||x - y||."""
+    if samples < 10:
+        raise CoreError("need at least 10 sample pairs, got %d" % samples)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(samples):
+        x, y = _sample_pair(ball, rng)
+        gap = norm_of(x - y, ball.norm)
+        if gap == 0.0:
+            continue
+        ratio = gap_of_images(x, y) / gap
+        if ratio > best:
+            best = ratio
+    return best
+
+
 def estimate_lipschitz_M(A: OperatorSpec, ball: BallDomain, samples: int = 200,
                          seed: int = 0) -> float:
     """max over sampled pairs of ||A(x) - A(y)|| / ||x - y||.
@@ -40,34 +60,12 @@ def estimate_lipschitz_M(A: OperatorSpec, ball: BallDomain, samples: int = 200,
     A lower estimate; deterministic per seed, and nondecreasing in `samples`
     because the pair stream is a prefix-stable function of the seed.
     """
-    if samples < 10:
-        raise CoreError("need at least 10 sample pairs, got %d" % samples)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        x, y = _sample_pair(ball, rng)
-        gap = norm_of(x - y, ball.norm)
-        if gap == 0.0:
-            continue
-        ratio = norm_of(A.apply(x) - A.apply(y), ball.norm) / gap
-        if ratio > best:
-            best = ratio
-    return best
+    return _max_ratio(lambda x, y: norm_of(A.apply(x) - A.apply(y), ball.norm),
+                      ball, samples, seed)
 
 
 def estimate_lipschitz_K(A: OperatorSpec, ball: BallDomain, samples: int = 100,
                          seed: int = 0) -> float:
     """max over sampled pairs of ||A'(x) - A'(y)|| / ||x - y|| in the induced norm."""
-    if samples < 10:
-        raise CoreError("need at least 10 sample pairs, got %d" % samples)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        x, y = _sample_pair(ball, rng)
-        gap = norm_of(x - y, ball.norm)
-        if gap == 0.0:
-            continue
-        ratio = matrix_norm(A.jacobian(x) - A.jacobian(y), ball.norm) / gap
-        if ratio > best:
-            best = ratio
-    return best
+    return _max_ratio(lambda x, y: matrix_norm(A.jacobian(x) - A.jacobian(y), ball.norm),
+                      ball, samples, seed)

@@ -314,15 +314,3 @@ def _render(e: Expr, parent_prec: int) -> str:
             s = "%s %s %s" % (left, e.op, right)
         return "(" + s + ")" if prec < parent_prec else s
     raise ExprError("unknown node %r" % (e,))
-
-
-def free_variables(e: Expr) -> FrozenSet[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_variables(e.operand)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    if isinstance(e, Bin):
-        return free_variables(e.left) | free_variables(e.right)
-    return frozenset()

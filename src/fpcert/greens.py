@@ -183,27 +183,21 @@ def run_integral_iteration(k: KernelSpec, A: OperatorSpec, x0: GridFunction,
         trace.r.append(rn)
         trace.r_tilde.append(y.sup_distance(x0))
         trace.residual.append(rn)  # residual of x_n: T(x_n) - x_n = y - x
-        if y.sup_norm() > guard_radius:
+        x = y
+        if x.sup_norm() > guard_radius:
             trace.stop_reason = "diverged"
-            x = y
             break
         flat = flat + 1 if (trace.r[-2:-1] and rn >= trace.r[-2] * (1.0 - 1e-12)
                             and rn > floor) else 0
         if flat >= 10:
             trace.stop_reason = "non_contraction"
-            x = y
             break
         if stop.r_tol > 0.0 and rn <= stop.r_tol:
             trace.stop_reason = "r_tol"
-            x = y
             break
         if stop.residual_tol > 0.0 and rn <= stop.residual_tol:
             trace.stop_reason = "residual_tol"
-            x = y
             break
-        x = y
-    else:
-        x = trace.grids[-1]
     final = apply_integral_operator(k, A, x)
     trace.residual.append(final.sup_distance(x))
     return trace
@@ -220,13 +214,12 @@ class BoundReport:
 
 
 def bound_propagate(k: KernelSpec, constants: ProblemConstants, r_prev: GridFunction,
-                    r_cur: GridFunction, scheme: SchemeKind, n: int,
-                    slack_coeff: float = 1.0) -> BoundReport:
+                    r_cur: GridFunction, scheme: SchemeKind, n: int) -> BoundReport:
     """Nodewise check of r_n(t) <= int |G(t,s)| (step-inequality integrand) ds.
 
     The integrand is M_n r_n plus majorant.step_inequality (Lipschitz form for
-    contraction/custom, curvature form for newton); margins below
-    -slack_coeff * h^2 fail, anything inside the quadrature slack passes.
+    contraction/custom, curvature form for newton); margins below -h^2 fail,
+    anything inside that quadrature slack passes.
     """
     if not np.array_equal(r_prev.nodes, r_cur.nodes):
         raise GreensError("grid functions live on different node sets")
@@ -238,7 +231,7 @@ def bound_propagate(k: KernelSpec, constants: ProblemConstants, r_prev: GridFunc
     rhs = _kernel_quadrature(k, r_cur.nodes, integrand, absolute=True)
     margins = rhs - r_cur.values
     h = float(np.max(np.diff(r_cur.nodes)))
-    slack = slack_coeff * h * h
+    slack = h * h
     mn = float(np.min(margins))
     return BoundReport(n=n, scheme=scheme, margins=margins, min_margin=mn,
                        slack=slack, ok=mn >= -slack)

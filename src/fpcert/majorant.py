@@ -103,9 +103,9 @@ class MajorantParams:
     lam: ScalarSequence
     rho: ScalarSequence
     r0: float
-    # horizons built so far, by N.  They live on the instance, never in a cache
-    # keyed by equality: sequences from raw callables compare equal regardless
-    # of their values.
+    # horizons built so far, by N.  They live on the instance and go with it;
+    # a cache keyed by params equality would hold every params object it saw
+    # for the life of the process.
     _horizons: Dict[int, "_Horizon"] = field(default_factory=dict, init=False, repr=False,
                                              compare=False)
 
@@ -735,8 +735,7 @@ class PrecheckReport:
         raise KeyError(name)
 
 
-def precheck(c: ProblemConstants, r0: Optional[float] = None,
-             horizon: int = 200) -> PrecheckReport:
+def precheck(c: ProblemConstants, r0: Optional[float] = None) -> PrecheckReport:
     """Report pass/fail per standing assumption before trusting any majorant."""
     entries: List[PrecheckEntry] = []
 
@@ -749,7 +748,7 @@ def precheck(c: ProblemConstants, r0: Optional[float] = None,
         entries.append(PrecheckEntry("M_star < 1", "fail", "M_star = %r" % c.M_star))
         entries.append(PrecheckEntry("q < 1", "fail", "undefined: M_star >= 1"))
 
-    entries.append(_summability_entry(c.eps_seq, horizon))
+    entries.append(_summability_entry(c.eps_seq))
 
     ks = c.K_star
     entries.append(PrecheckEntry("K_star finite", "pass" if math.isfinite(ks) else "fail",
@@ -771,28 +770,14 @@ def precheck(c: ProblemConstants, r0: Optional[float] = None,
     return PrecheckReport(entries)
 
 
-def _summability_entry(seq: ScalarSequence, horizon: int) -> PrecheckEntry:
+def _summability_entry(seq: ScalarSequence) -> PrecheckEntry:
     name = "eps series summable"
-    decided = seq.is_summable()
-    if decided is True:
+    if seq.is_summable():
         return PrecheckEntry(name, "pass", "closed form is summable")
-    if decided is False:
-        why = "closed form diverges"
-        if seq.kind == "power" and seq.p <= 1.0:
-            why = "harmonic-or-slower decay (p = %r <= 1)" % seq.p
-        return PrecheckEntry(name, "fail", why)
-    # raw callable: scan the horizon
-    vals = [seq(n) for n in range(1, horizon + 1)]
-    if all(v == 0.0 for v in vals):
-        return PrecheckEntry(name, "pass", "all sampled values are zero")
-    scaled = [v * n for n, v in enumerate(vals, start=1) if v > 0.0]
-    tail = scaled[len(scaled) // 2:]
-    if tail and min(tail) >= 0.5 * max(tail) and min(tail) > 0.0:
-        return PrecheckEntry(name, "fail", "harmonic lower bound detected over the horizon")
-    ratios = [vals[i + 1] / vals[i] for i in range(len(vals) - 1) if vals[i] > 0.0]
-    if ratios and max(ratios[len(ratios) // 2:]) < 0.999:
-        return PrecheckEntry(name, "pass", "sampled ratios stay below 1 (heuristic)")
-    return PrecheckEntry(name, "skipped", "cannot decide summability from samples")
+    why = "closed form diverges"
+    if seq.kind == "power" and seq.p <= 1.0:
+        why = "harmonic-or-slower decay (p = %r <= 1)" % seq.p
+    return PrecheckEntry(name, "fail", why)
 
 
 # ---------------------------------------------------------------------------
@@ -817,13 +802,6 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return all(row.ok or row.flagged for row in self.rows)
-
-    @property
-    def flags(self) -> int:
-        return sum(1 for row in self.rows if row.flagged)
-
-    def worst_margin(self) -> float:
-        return min((row.rhs - row.lhs for row in self.rows), default=math.inf)
 
 
 def step_inequality(c: ProblemConstants, scheme: SchemeKind, n: int, r_prev):

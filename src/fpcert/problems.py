@@ -353,7 +353,7 @@ def _digest(plan: PerturbationPlan, stop: StopRule, integral: Optional[IntegralS
 def _parse_plan(cfg: dict) -> PerturbationPlan:
     extra = set(cfg) - {"mode", "seed", "eps0", "eps", "sigma", "gamma"}
     if extra:
-        raise ProblemError("unknown perturbation keys: %s" % ", ".join(sorted(extra)))
+        raise ProblemError("unknown perturbation keys: %s" % _listed(extra))
     try:
         return PerturbationPlan(
             eps0=_number(cfg.get("eps0", 0.0), "perturbation.eps0"),
@@ -369,7 +369,7 @@ def _parse_plan(cfg: dict) -> PerturbationPlan:
 def _parse_stop(cfg: dict) -> StopRule:
     extra = set(cfg) - {"max_n", "r_tol", "residual_tol"}
     if extra:
-        raise ProblemError("unknown stop keys: %s" % ", ".join(sorted(extra)))
+        raise ProblemError("unknown stop keys: %s" % _listed(extra))
     return StopRule(max_n=_number(cfg.get("max_n", 50), "stop.max_n", int),
                     r_tol=_number(cfg.get("r_tol", 0.0), "stop.r_tol"),
                     residual_tol=_number(cfg.get("residual_tol", 0.0), "stop.residual_tol"))
@@ -418,6 +418,11 @@ def _mapping(cfg: dict, key: str) -> dict:
     return block
 
 
+def _listed(keys) -> str:
+    """Mapping keys for a message; YAML keys need not be strings."""
+    return ", ".join(sorted(map(str, keys)))
+
+
 def _require(ok: bool, key: str, what: str, value):
     if not ok:
         raise ProblemError("%s must be %s, got %r" % (key, what, value))
@@ -446,7 +451,7 @@ def _from_catalog(cfg: dict, entry: CatalogEntry) -> dict:
     extra = set(cfg) - _CATALOG_OVERRIDES - {"catalog", "name"}
     if extra:
         raise ProblemError("catalog problems only accept %s overrides; got: %s"
-                           % (", ".join(sorted(_CATALOG_OVERRIDES)), ", ".join(sorted(extra))))
+                           % (_listed(_CATALOG_OVERRIDES), _listed(extra)))
     # null blocks override nothing; name is the catalog name whatever cfg says
     over = {k: v for k, v in cfg.items() if k in _CATALOG_OVERRIDES and v is not None}
     out = dict(entry.config, name=cfg["catalog"])
@@ -458,7 +463,7 @@ def _from_catalog(cfg: dict, entry: CatalogEntry) -> dict:
         icfg = _mapping(over, "integral")
         if set(icfg) - {"m"}:
             raise ProblemError("a catalog integral override takes only m, got: %s"
-                               % ", ".join(sorted(set(icfg) - {"m"})))
+                               % _listed(set(icfg) - {"m"}))
         out["integral"] = {**_mapping(entry.config, "integral"), **icfg}
     if "gamma" in over:
         gcfg, own = _mapping(over, "gamma"), _mapping(entry.config, "gamma")
@@ -477,7 +482,7 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
     """Resolve a problem-file mapping; entry is the catalog entry it came from, if any."""
     extra = set(cfg) - _TOP_KEYS
     if extra:
-        raise ProblemError("unknown problem keys: %s" % ", ".join(sorted(extra)))
+        raise ProblemError("unknown problem keys: %s" % _listed(extra))
     kind = cfg.get("kind", "fixed_point")
     if kind not in ("fixed_point", "root", "integral"):
         raise ProblemError("kind must be fixed_point, root or integral, got %r" % kind)

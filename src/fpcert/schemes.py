@@ -86,10 +86,6 @@ class PerturbationPlan:
     mode: InjectionMode = InjectionMode.NONE
     seed: int = 0
 
-    @staticmethod
-    def exact() -> "PerturbationPlan":
-        return PerturbationPlan()
-
 
 @dataclass(frozen=True)
 class StopRule:
@@ -237,13 +233,16 @@ def step_modified_newton(A: OperatorSpec, x_prev: Vector, n: int, D0: np.ndarray
     return _affine_step(A, x_prev, n, D, plan, norm, inner_tol, rng)
 
 
+MAX_INNER = 5000
+
+
 def step_custom(B: OperatorSpec, x_prev: Vector, noise: np.ndarray, norm: NormKind,
-                inner_tol: float, max_inner: int = 5000) -> Tuple[Vector, float]:
-    """Solve x = B(x) + noise by inner fixed-point iteration from x_prev."""
+                inner_tol: float) -> Tuple[Vector, float]:
+    """Solve x = B(x) + noise by at most MAX_INNER fixed-point iterations from x_prev."""
     guard = 1e6 * (1.0 + norm_of(x_prev, norm))
     y = x_prev
     defect = math.inf
-    for _ in range(max_inner):
+    for _ in range(MAX_INNER):
         by = Vector(B.apply(y).coords + noise)
         defect = norm_of(by - y, norm)
         y = by
@@ -254,7 +253,7 @@ def step_custom(B: OperatorSpec, x_prev: Vector, noise: np.ndarray, norm: NormKi
                 "inner iterate left the guard ball (defect %.3e)" % defect, defect)
     raise InnerDivergenceError(
         "inner solve did not reach %.1e in %d iterations (defect %.3e)"
-        % (inner_tol, max_inner, defect), defect)
+        % (inner_tol, MAX_INNER, defect), defect)
 
 
 def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
@@ -271,7 +270,7 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
     (with .step) if a step errors out; divergence is not an exception but a
     stop_reason, so callers can still inspect the partial trace.
     """
-    plan = plan or PerturbationPlan.exact()
+    plan = plan or PerturbationPlan()
     stop = stop or StopRule()
     if scheme is SchemeKind.CUSTOM and custom_factory is None:
         raise SchemeError("custom scheme needs a custom_factory")
@@ -280,17 +279,16 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
     def resid(x: Vector) -> float:
         return norm_of(A.apply(x) - x, norm)
 
-    trace = IterationTrace(iterates=[x0], r=[], r_tilde=[0.0], residual=[resid(x0)],
+    # what x_0 needs is built before step 1, so its failures are step 1's
+    try:
+        residual0 = resid(x0)
+        D0 = A.jacobian(x0) if scheme is SchemeKind.MODIFIED_NEWTON else None
+    except Exception as exc:
+        raise StepFailure(1, exc) from exc
+    trace = IterationTrace(iterates=[x0], r=[], r_tilde=[0.0], residual=[residual0],
                            inner_defect=[], injected=[], stop_reason="max_n",
                            norm=norm, scheme=scheme, seed=plan.seed)
     guard_radius = 1e6 * (1.0 + norm_of(x0, norm))
-
-    D0 = None
-    if scheme is SchemeKind.MODIFIED_NEWTON:
-        try:
-            D0 = A.jacobian(x0)
-        except Exception as exc:
-            raise StepFailure(1, exc) from exc
 
     if stop.residual_tol > 0.0 and trace.residual[0] <= stop.residual_tol:
         trace.stop_reason = "residual_tol"
@@ -310,8 +308,7 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
                 B = custom_factory(n, x_prev, x0)
                 _, noise, injected = _value_and_noise(A, x_prev, n, plan, norm, rng)
                 x, defect = step_custom(B, x_prev, noise, norm, inner_tol)
-        except StepFailure:
-            raise
+            residual = resid(x)
         except Exception as exc:
             raise StepFailure(n, exc) from exc
 
@@ -322,7 +319,7 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
         trace.iterates.append(x)
         trace.r.append(norm_of(x - x_prev, norm))
         trace.r_tilde.append(norm_of(x - x0, norm))
-        trace.residual.append(resid(x))
+        trace.residual.append(residual)
         trace.inner_defect.append(defect)
         trace.injected.append(injected)
 

@@ -2,14 +2,14 @@
 
 Perturbation schedules and majorant coefficients are all sequences of this
 shape.  Closed forms (constant, geometric, power) know their own tail sums
-and summability; tables and raw callables fall back to scanning, and their
-infinite tails are reported as unknown rather than guessed.
+and summability; a table is constant beyond its last entry, so its tail is
+summable exactly when that entry is zero.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 
 class SequenceError(ValueError):
@@ -20,7 +20,7 @@ class SequenceError(ValueError):
 class ScalarSequence:
     """A map n -> float for n >= 0, with optional tail analytics.
 
-    kind is one of: zero, constant, geometric, power, table, func,
+    kind is one of: zero, constant, geometric, power, table,
     affine (scale*base + offset), pairsum (scale*(base(n) + base(n+1))).
     """
 
@@ -29,7 +29,6 @@ class ScalarSequence:
     ratio: float = 0.0
     p: float = 0.0
     entries: tuple = ()
-    func: Optional[Callable[[int], float]] = field(default=None, compare=False)
     base: Optional["ScalarSequence"] = None
     scale: float = 1.0
     offset: float = 0.0
@@ -71,10 +70,6 @@ class ScalarSequence:
             raise SequenceError("table entries must be finite and nonnegative, got %r" % (vals,))
         return ScalarSequence("table", entries=vals)
 
-    @staticmethod
-    def from_func(f: Callable[[int], float]) -> "ScalarSequence":
-        return ScalarSequence("func", func=f)
-
     def affine(self, scale: float, offset: float) -> "ScalarSequence":
         """scale * self(n) + offset, both nonnegative."""
         if scale < 0 or offset < 0:
@@ -105,11 +100,6 @@ class ScalarSequence:
         if k == "table":
             # constant extension beyond the table end
             return self.entries[min(n, len(self.entries) - 1)]
-        if k == "func":
-            v = float(self.func(n))
-            if not math.isfinite(v) or v < 0:
-                raise SequenceError("sequence callable returned %r at n=%d" % (v, n))
-            return v
         if k == "affine":
             return self.scale * self.base(n) + self.offset
         if k == "pairsum":
@@ -122,10 +112,7 @@ class ScalarSequence:
     # -- tail analytics -----------------------------------------------
 
     def sup_tail(self, n0: int) -> float:
-        """Upper bound for sup_{k >= n0} of the sequence; math.inf if unbounded.
-
-        Raises SequenceError for raw callables (no closed form to trust).
-        """
+        """Upper bound for sup_{k >= n0} of the sequence; math.inf if unbounded."""
         k = self.kind
         if k == "zero":
             return 0.0
@@ -150,10 +137,7 @@ class ScalarSequence:
         raise SequenceError("tail sup unavailable for sequence kind %r" % k)
 
     def tail_sum(self, n0: int) -> float:
-        """Upper bound for sum_{k >= n0} of the sequence; math.inf if divergent.
-
-        Raises SequenceError for raw callables (no closed form to trust).
-        """
+        """Upper bound for sum_{k >= n0} of the sequence; math.inf if divergent."""
         k = self.kind
         if k == "zero":
             return 0.0
@@ -188,10 +172,10 @@ class ScalarSequence:
             return self.scale * (self.base.tail_sum(n0) + self.base.tail_sum(n0 + 1))
         raise SequenceError("tail sum unavailable for sequence kind %r" % k)
 
-    def is_summable(self) -> Optional[bool]:
-        """True/False when decidable from the closed form, None otherwise."""
+    def is_summable(self) -> bool:
+        """Whether the series converges, decided from the closed form."""
         k = self.kind
-        if k in ("zero",):
+        if k == "zero":
             return True
         if k == "constant":
             return self.c == 0.0
@@ -207,7 +191,7 @@ class ScalarSequence:
             return self.base.is_summable()
         if k == "pairsum":
             return self.base.is_summable()
-        return None
+        raise SequenceError("summability unavailable for sequence kind %r" % k)
 
 
 def sequence_from_config(cfg) -> ScalarSequence:

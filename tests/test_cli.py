@@ -157,6 +157,19 @@ def test_run_step_failure_is_reported_once(tmp_path, capsys):
     assert "singular" in err
 
 
+@pytest.mark.parametrize("text, step", [
+    # x_2 = 1 + log(1 + log(0.5)) = -0.18, so the residual of x_2 leaves the domain
+    ("operator: [\"1 + log(x1)\"]\nx0: [0.5]\n", 2),
+    ("operator: [\"log(x1)\"]\nx0: [-1.0]\n", 1),
+], ids=["third-iterate", "start-point"])
+def test_run_residual_failure_names_the_step(tmp_path, capsys, text, step):
+    src = write_yaml(tmp_path, "f.yaml", text)
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step %d failed: " % step) and err.count("\n") == 1
+    assert "log of nonpositive value" in err
+
+
 def test_run_with_table_perturbation(tmp_path):
     src = write_yaml(tmp_path, "tab.yaml", (
         "catalog: perturbed-linear\n"
@@ -352,6 +365,19 @@ def test_block_that_is_no_mapping_rejected(tmp_path, capsys, text, key):
     assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("text, block", [
+    ("operator: 0.5*x1 + 1\nx0: 0.0\n1: x\n", "problem"),
+    ("operator: 0.5*x1 + 1\nx0: 0.0\nperturbation: {1: 2}\n", "perturbation"),
+    ("operator: 0.5*x1 + 1\nx0: 0.0\nstop: {1: 2}\n", "stop"),
+    ("catalog: linear-contraction\n1: x\n", "catalog"),
+], ids=["top-level", "perturbation", "stop", "catalog"])
+def test_non_string_key_rejected(tmp_path, capsys, text, block):
+    src = write_yaml(tmp_path, "k.yaml", text)
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and block in err and err.rstrip().endswith(": 1")
 
 
 def test_certify_refuses_catalog_constants_at_overridden_alpha(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from fpcert.exprparse import (Bin, Call, EvalDomainError, ExprSyntaxError,
                               FUNCTIONS, Lit, Neg, UnknownVariableError, Var,
-                              eval_expr, free_variables, parse_expr, to_text)
+                              eval_expr, parse_expr, to_text)
 
 
 # -- parsing ------------------------------------------------------------
@@ -84,12 +84,6 @@ def test_eval_matches_math_library():
     for text, want in checks:
         got = eval_expr(parse_expr(text, ("t", "s")), env)
         assert got == pytest.approx(want, rel=1e-15)
-
-
-def test_free_variables():
-    e = parse_expr("sin(t) + s * t", ("t", "s"))
-    assert free_variables(e) == frozenset({"t", "s"})
-    assert free_variables(parse_expr("1 + 2", ())) == frozenset()
 
 
 # -- round trip ----------------------------------------------------------

@@ -75,7 +75,7 @@ def test_averaged_factory_theta_range():
 
 def test_constants_for_contraction():
     A = operator_from_expressions(["0.5*x1 + 1"], 1)
-    c = constants_for(0.5, 0.0, SchemeKind.CONTRACTION, PerturbationPlan.exact(),
+    c = constants_for(0.5, 0.0, SchemeKind.CONTRACTION, PerturbationPlan(),
                       A, Vector([0.0]), NormKind.SUP)
     assert c.M == 0.5 and c.M_star == 0.0 and c.K_star == 0.0
     assert c.eps == 1.0  # measured ||A(x0) - x0||
@@ -94,18 +94,18 @@ def test_constants_for_newton_adds_sigma_headroom():
 
 def test_constants_for_custom_scales_by_theta():
     A = operator_from_expressions(["cos(x1)"], 1)
-    c = constants_for(0.84, 1.0, SchemeKind.CUSTOM, PerturbationPlan.exact(),
+    c = constants_for(0.84, 1.0, SchemeKind.CUSTOM, PerturbationPlan(),
                       A, Vector([1.0]), NormKind.SUP, theta=0.5)
     assert c.M_star == pytest.approx(0.42)
     assert c.m_at(9) == pytest.approx(0.42)
     with pytest.raises(ProblemError):
-        constants_for(0.84, 1.0, SchemeKind.CUSTOM, PerturbationPlan.exact(),
+        constants_for(0.84, 1.0, SchemeKind.CUSTOM, PerturbationPlan(),
                       A, Vector([1.0]), NormKind.SUP)
 
 
 def test_constants_for_explicit_star_overrides():
     A = operator_from_expressions(["0.5*x1 + 1"], 1)
-    c = constants_for(0.5, 0.2, SchemeKind.NEWTON, PerturbationPlan.exact(),
+    c = constants_for(0.5, 0.2, SchemeKind.NEWTON, PerturbationPlan(),
                       A, Vector([0.0]), NormKind.SUP, m_star=0.7, k_star=0.9)
     assert c.M_star == 0.7
     assert c.K_star == 0.9

@@ -57,12 +57,12 @@ def test_table_sequence_extends_with_last_entry():
     assert z.is_summable() is True
 
 
-def test_func_sequence_cannot_decide_tail():
-    f = ScalarSequence.from_func(lambda n: 1.0 / (n + 1.0) ** 2)
-    assert f(3) == pytest.approx(1 / 16)
-    with pytest.raises(SequenceError):
-        f.tail_sum(0)
-    assert f.is_summable() is None
+def test_unknown_kind_cannot_decide_tail():
+    # every kind the constructors build has a closed form; anything else refuses
+    f = ScalarSequence("bogus")
+    for ask in (lambda: f(3), lambda: f.sup_tail(0), lambda: f.tail_sum(0), f.is_summable):
+        with pytest.raises(SequenceError, match="bogus"):
+            ask()
 
 
 def test_affine_and_pair_sum():
