@@ -18,7 +18,12 @@ lines.  The pipelines are:
   regimes at horizon 200: newton and modified_newton overrides with eps, sigma
   and gamma budgets in both injection modes, file problems with an `estimate`
   constants block, a file root problem with the newton gamma and no
-  `derivative`, and a geometric request whose witness grid overflows.
+  `derivative`, and a geometric request whose witness grid overflows;
+- file problems that between them set every key of every problem-file block
+  (`constants` with `M_star`/`K_star`, an estimate block with all four
+  settings, `stop.r_tol`, `perturbation.eps0`, a damped root `gamma` with
+  `alpha`, an integral block with an expression kernel), each `run` then
+  `certify` with all five regimes at horizon 200.
 
 Exit codes are printed too, or the exception a call raised; paths are relative
 to OUT_DIR.
@@ -85,6 +90,30 @@ def extra_problems():
                          "sigma": BUDGETS["sigma"]}}
 
 
+def every_key_problems():
+    """(name, problem mapping) for file problems that set every block key between them."""
+    stop = {"max_n": 40, "r_tol": 1e-15, "residual_tol": 1e-13}
+    yield "file-every-key", {
+        "name": "every-key", "kind": "fixed_point", "dim": 2,
+        "operator": ["0.3*cos(x2)", "0.3*sin(x1)"],
+        "derivative": [["0", "-0.3*sin(x2)"], ["0.3*cos(x1)", "0"]],
+        "x0": [0.0, 0.0], "norm": "euclidean", "scheme": "modified_newton",
+        "constants": {"M": 0.3, "K": 0.3, "M_star": 0.35, "K_star": 0.3},
+        "perturbation": dict(BUDGETS, mode="additive-seeded-random", seed=5, eps0=0.5),
+        "stop": stop}
+    yield "file-estimate-every-setting", {
+        "operator": "0.5*x1 + 1", "x0": 0.0, "scheme": "newton", "stop": stop,
+        "constants": {"estimate": {"radius": 0.5, "samples": 30, "seed": 2, "safety": 1.25}}}
+    yield "file-damped-root", {
+        "kind": "root", "operator": "x1^2 - 2", "derivative": [["2*x1"]], "x0": 1.5,
+        "gamma": {"kind": "damped", "alpha": 0.3}, "constants": {"M": 0.2, "K": 0.6},
+        "stop": stop}
+    yield "file-integral-expression", {
+        "kind": "integral", "operator": "x1 + 1", "x0": 0.0,
+        "integral": {"kernel": "0.2*cos(t - s)", "T_end": 1.5, "m": 60},
+        "stop": {"max_n": 40, "residual_tol": 1e-10}}
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -133,6 +162,8 @@ def main(argv) -> int:
             call(["certify", str(path), "--trace", str(d / "trace"), "--out", str(d / "h200")])
     for name, problem in extra_problems():
         run_and_certify(out / "extra" / name, problem, (200,))
+    for name, problem in every_key_problems():
+        run_and_certify(out / "every-key" / name, problem, (200,))
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print("%s  %s" % (hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out)))
     return 0

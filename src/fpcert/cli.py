@@ -17,13 +17,11 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from .core import BallDomain
-from .estimate import estimate_lipschitz_K, estimate_lipschitz_M, with_safety
 from .greens import GridFunction, IntegralTrace, run_integral_iteration
-from .majorant import (MajorantError, NoValidMajorantError, certify as run_certificate,
-                       majorant_from_constants, precheck, tail_bound)
-from .problems import (CATALOG, CertRequest, ProblemError, ResolvedProblem, constants_for,
-                       load_config, override_param, resolve_config)
+from .majorant import (MajorantError, certify as run_certificate, majorant_from_constants,
+                       precheck, tail_bound)
+from .problems import (CATALOG, CertRequest, ProblemError, ResolvedProblem, load_config,
+                       override_param, resolve_config)
 from .schemes import IterationTrace, StepFailure, run_outer
 
 EXIT_OK = 0
@@ -182,28 +180,6 @@ def cmd_run(args) -> int:
 # certify
 
 
-def _problem_constants(resolved: ResolvedProblem):
-    if resolved.M is not None:
-        return resolved.constants(), None
-    if resolved.estimate_cfg is None:
-        raise CliError("problem %r has neither analytic constants nor an estimate block"
-                       % resolved.name)
-    cfg = resolved.estimate_cfg
-    # resolve_config has already checked the block's numbers
-    ball = BallDomain(resolved.x0, cfg.get("radius", 1.0), resolved.norm)
-    samples = cfg.get("samples", 200)
-    seed = cfg.get("seed", 0)
-    safety = cfg.get("safety", 1.1)
-    m_est = with_safety(estimate_lipschitz_M(resolved.operator, ball, samples, seed), safety)
-    k_est = with_safety(estimate_lipschitz_K(resolved.operator, ball, max(10, samples // 2),
-                                             seed), safety)
-    note = ("constants estimated by sampling (%d pairs, seed %d), safety factor %s"
-            % (samples, seed, _fmt(safety)))
-    c = constants_for(m_est, k_est, resolved.scheme, resolved.plan,
-                      resolved.operator, resolved.x0, resolved.norm, resolved.theta)
-    return c, note
-
-
 def cmd_certify(args) -> int:
     resolved = resolve_config(_load(args.problem, args.seed))
     if resolved.kind == "integral":
@@ -224,7 +200,7 @@ def cmd_certify(args) -> int:
     slack = 10.0 * inner_tol + 1e-12
     horizon = args.horizon
 
-    constants, note = _problem_constants(resolved)
+    constants = resolved.constants()
     report = {
         "problem": resolved.name,
         "digest": resolved.digest,
@@ -235,14 +211,17 @@ def cmd_certify(args) -> int:
         "certificates": [],
         "tail_bounds": None,
     }
-    if note:
-        report["constants_note"] = note
+    est = resolved.constants_cfg.get("estimate")
+    if est is not None:
+        report["constants_note"] = (
+            "constants estimated by sampling (%d pairs, seed %d), safety factor %s"
+            % (est["samples"], est["seed"], _fmt(est["safety"])))
 
     out_dir = Path(args.out) if args.out else trace_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         p = majorant_from_constants(constants, resolved.scheme, r0=r_meas[0], horizon=horizon)
-    except (NoValidMajorantError, MajorantError) as exc:
+    except MajorantError as exc:
         report["error"] = str(exc)
         _dump_json(out_dir / "certify.json", report)
         print("error: %s" % exc, file=sys.stderr)
@@ -284,7 +263,7 @@ def cmd_certify(args) -> int:
     for n in range(1, len(r_meas) + 1):
         try:
             t = tail_bound(r_meas, p, n, horizon=horizon)
-        except (NoValidMajorantError, MajorantError):
+        except MajorantError:
             tails.append(None)
             continue
         tails.append(t if math.isfinite(t) else None)

@@ -656,7 +656,7 @@ def certify(p: MajorantParams, regime: str, N: int,
         found = search_witnesses(p, regime, N)
         if found is not None:
             return found
-        # report the first grid candidate's failure rather than nothing
+        # report the failure of a fixed fallback witness set rather than nothing
         witnesses = spec.fallback(p, N)
     try:
         return spec.run(p, N, witnesses)

@@ -21,8 +21,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import yaml
 
-from .core import (CoreError, NormKind, OperatorEvaluationError, OperatorSpec,
+from .core import (BallDomain, CoreError, NormKind, OperatorEvaluationError, OperatorSpec,
                    Vector, norm_of)
+from .estimate import SAFETY_FACTOR, estimate_lipschitz_K, estimate_lipschitz_M, with_safety
 from .exprparse import ExprError, eval_expr, parse_expr
 from .greens import KernelSpec, build_volterra_kernel, kernel_from_expression
 from .majorant import REGIMES, ProblemConstants
@@ -293,16 +294,14 @@ class ResolvedProblem:
     x0: Vector
     plan: PerturbationPlan
     stop: StopRule
-    M: Optional[float]
-    K: Optional[float]
     theta: Optional[float]
-    estimate_cfg: Optional[dict]
+    # the constants block: M (K, M_star, K_star), or estimate with all four
+    # sampling settings filled in; None when the problem declares none
+    constants_cfg: Optional[dict]
     cert_requests: List[CertRequest]
     integral: Optional[IntegralSetup]
     fixed_point: Optional[Vector]
     digest: str
-    m_star: Optional[float] = None
-    k_star: Optional[float] = None
 
     def custom_factory(self):
         if self.scheme is not SchemeKind.CUSTOM:
@@ -310,12 +309,25 @@ class ResolvedProblem:
         return averaged_factory(self.operator, self.theta)
 
     def constants(self) -> ProblemConstants:
-        if self.M is None:
-            raise ProblemError("problem %r declares no analytic constants "
-                               "(request an estimate block)" % self.name)
-        return constants_for(self.M, self.K or 0.0, self.scheme, self.plan,
-                             self.operator, self.x0, self.norm, self.theta,
-                             m_star=self.m_star, k_star=self.k_star)
+        """The analytic constants, or constants sampled as the estimate block says."""
+        c = self.constants_cfg
+        if c is None:
+            raise ProblemError("problem %r has neither analytic constants nor an estimate block"
+                               % self.name)
+        est = c.get("estimate")
+        if est is None:
+            M, K = c["M"], c.get("K", 0.0)
+        else:
+            ball = BallDomain(self.x0, est["radius"], self.norm)
+            samples, seed = est["samples"], est["seed"]
+            try:
+                M = estimate_lipschitz_M(self.operator, ball, samples, seed)
+                K = estimate_lipschitz_K(self.operator, ball, max(10, samples // 2), seed)
+            except CoreError as exc:
+                raise ProblemError("constants.estimate: sampling failed: %s" % exc) from exc
+            M, K = with_safety(M, est["safety"]), with_safety(K, est["safety"])
+        return constants_for(M, K, self.scheme, self.plan, self.operator, self.x0, self.norm,
+                             self.theta, m_star=c.get("M_star"), k_star=c.get("K_star"))
 
 
 def _seq_to_config(seq: ScalarSequence):
@@ -351,28 +363,13 @@ def _digest(plan: PerturbationPlan, stop: StopRule, integral: Optional[IntegralS
 
 
 def _parse_plan(cfg: dict) -> PerturbationPlan:
-    extra = set(cfg) - {"mode", "seed", "eps0", "eps", "sigma", "gamma"}
-    if extra:
-        raise ProblemError("unknown perturbation keys: %s" % _listed(extra))
+    block = _block(cfg, "perturbation")
     try:
-        return PerturbationPlan(
-            eps0=_number(cfg.get("eps0", 0.0), "perturbation.eps0"),
-            eps=sequence_from_config(cfg.get("eps")),
-            sigma=sequence_from_config(cfg.get("sigma")),
-            gamma=sequence_from_config(cfg.get("gamma")),
-            mode=InjectionMode.parse(cfg.get("mode", "none")),
-            seed=_number(cfg.get("seed", 0), "perturbation.seed", int))
+        seqs = {k: sequence_from_config(block.get(k)) for k in ("eps", "sigma", "gamma")}
     except SequenceError as exc:
         raise ProblemError("bad perturbation block: %s" % exc)
-
-
-def _parse_stop(cfg: dict) -> StopRule:
-    extra = set(cfg) - {"max_n", "r_tol", "residual_tol"}
-    if extra:
-        raise ProblemError("unknown stop keys: %s" % _listed(extra))
-    return StopRule(max_n=_number(cfg.get("max_n", 50), "stop.max_n", int),
-                    r_tol=_number(cfg.get("r_tol", 0.0), "stop.r_tol"),
-                    residual_tol=_number(cfg.get("residual_tol", 0.0), "stop.residual_tol"))
+    return PerturbationPlan(**{**block, **seqs,
+                               "mode": InjectionMode.parse(block.get("mode", "none"))})
 
 
 def _parse_certs(cfg) -> List[CertRequest]:
@@ -399,28 +396,50 @@ def _parse_certs(cfg) -> List[CertRequest]:
     return out
 
 
-# the sampling settings an estimate block may carry, and their types
-_ESTIMATE_KEYS = {"radius": float, "samples": int, "seed": int, "safety": float}
-
 _TOP_KEYS = {"name", "kind", "dim", "operator", "derivative", "x0", "norm", "scheme",
              "perturbation", "constants", "stop", "certificates", "gamma", "integral"}
 
 _CATALOG_OVERRIDES = {"scheme", "perturbation", "stop", "certificates", "integral", "gamma"}
 
 
-def _mapping(cfg: dict, key: str) -> dict:
-    """cfg[key] as a mapping: {} when absent or null, ProblemError when no mapping."""
-    block = cfg.get(key)
-    if block is None:
-        return {}
-    if not isinstance(block, dict):
-        raise ProblemError("%s must be a mapping, got %r" % (key, block))
-    return block
+# the problem-file schema below the top level: each block's keys, and the
+# type _number converts a key's value to (None: checked where it is used)
+_KEYS = {
+    "perturbation": {"mode": None, "seed": int, "eps0": float,
+                     "eps": None, "sigma": None, "gamma": None},
+    "stop": {"max_n": int, "r_tol": float, "residual_tol": float},
+    "gamma": {"kind": None, "alpha": float},
+    "integral": {"kernel": None, "T_end": float, "m": int},
+    "constants": {"M": float, "K": float, "M_star": float, "K_star": float, "estimate": None},
+    "constants.estimate": {"radius": float, "samples": int, "seed": int, "safety": float},
+}
+
+# the sampling settings of an estimate block that leaves them out
+_ESTIMATE_DEFAULTS = {"radius": 1.0, "samples": 200, "seed": 0, "safety": SAFETY_FACTOR}
 
 
 def _listed(keys) -> str:
     """Mapping keys for a message; YAML keys need not be strings."""
     return ", ".join(sorted(map(str, keys)))
+
+
+def _block(cfg: dict, path: str) -> dict:
+    """The block at path in cfg, its keys checked against _KEYS and its numbers converted.
+
+    cfg is the mapping that holds the block: the problem, or the constants
+    block for constants.estimate.  An absent or null block reads as {}.
+    """
+    block = cfg.get(path.rpartition(".")[2])
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ProblemError("%s must be a mapping, got %r" % (path, block))
+    keys = _KEYS[path]
+    extra = set(block) - set(keys)
+    if extra:
+        raise ProblemError("unknown %s keys: %s" % (path, _listed(extra)))
+    return {k: v if keys[k] is None else _number(v, "%s.%s" % (path, k), keys[k])
+            for k, v in block.items()}
 
 
 def _require(ok: bool, key: str, what: str, value):
@@ -457,20 +476,20 @@ def _from_catalog(cfg: dict, entry: CatalogEntry) -> dict:
     out = dict(entry.config, name=cfg["catalog"])
     out.update((k, over[k]) for k in ("scheme", "stop", "certificates") if k in over)
     if "perturbation" in over:
-        out["perturbation"] = {**_mapping(entry.config, "perturbation"),
-                               **_mapping(over, "perturbation")}
+        out["perturbation"] = {**_block(entry.config, "perturbation"),
+                               **_block(over, "perturbation")}
     if "integral" in over:
-        icfg = _mapping(over, "integral")
+        icfg = _block(over, "integral")
         if set(icfg) - {"m"}:
             raise ProblemError("a catalog integral override takes only m, got: %s"
                                % _listed(set(icfg) - {"m"}))
-        out["integral"] = {**_mapping(entry.config, "integral"), **icfg}
+        out["integral"] = {**_block(entry.config, "integral"), **icfg}
     if "gamma" in over:
-        gcfg, own = _mapping(over, "gamma"), _mapping(entry.config, "gamma")
+        gcfg, own = _block(over, "gamma"), _block(entry.config, "gamma")
         if own.get("kind") != "damped" or set(gcfg) - {"alpha"}:
             raise ProblemError("gamma override %r: only damped-gamma root problems take one, "
                                "as {alpha: value}" % (gcfg,))
-        alpha = _number(gcfg.get("alpha", own["alpha"]), "gamma.alpha")
+        alpha = gcfg.get("alpha", own["alpha"])
         if alpha != own["alpha"]:
             # the entry's analytic M and K hold only at its own alpha
             out["gamma"] = dict(own, alpha=alpha)
@@ -527,9 +546,7 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
 
     gamma = None
     if kind == "root":
-        gcfg = _mapping(cfg, "gamma")
-        gamma = GammaSpec(kind=gcfg.get("kind", "newton"),
-                          alpha=_number(gcfg.get("alpha", 1.0), "gamma.alpha"))
+        gamma = GammaSpec(**{"kind": "newton", **_block(cfg, "gamma")})
         operator = wrap_root_problem(operator, gamma)
     elif "gamma" in cfg:
         raise ProblemError("gamma block is only meaningful for root problems")
@@ -538,11 +555,11 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
     if kind == "integral":
         if cfg.get("integral") is None:
             raise ProblemError("integral problems need an integral block (kernel, T_end, m)")
-        icfg = _mapping(cfg, "integral")
+        icfg = _block(cfg, "integral")
         kernel_kind = icfg.get("kernel", "volterra_unit")
-        T_end = _number(icfg.get("T_end", 1.0), "integral.T_end")
+        T_end = icfg.get("T_end", 1.0)
         _require(0.0 < T_end < math.inf, "integral.T_end", "positive and finite", T_end)
-        m = _number(icfg.get("m", 100), "integral.m", int)
+        m = icfg.get("m", 100)
         _require(m >= 1, "integral.m", "at least 1", m)
         if kernel_kind != "volterra_unit":
             try:
@@ -555,39 +572,26 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
     elif "integral" in cfg:
         raise ProblemError("integral block is only meaningful for integral problems")
 
-    M = K = m_star = k_star = None
-    estimate_cfg = None
-    ccfg = cfg.get("constants")
-    if ccfg is not None:
-        if not isinstance(ccfg, dict):
-            raise ProblemError("constants must be a mapping")
-        if "estimate" in ccfg:
-            block = ccfg["estimate"] or {}
-            if not isinstance(block, dict):
-                raise ProblemError("constants.estimate must be a mapping")
-            estimate_cfg = dict(block)
-            for key, convert in _ESTIMATE_KEYS.items():
-                if key in estimate_cfg:
-                    estimate_cfg[key] = _number(estimate_cfg[key], "constants.estimate." + key,
-                                                convert)
+    constants_cfg = None
+    if cfg.get("constants") is not None:
+        constants_cfg = _block(cfg, "constants")
+        if "estimate" in constants_cfg:
+            analytic = set(constants_cfg) - {"estimate"}
+            if analytic:
+                raise ProblemError("constants block gives both estimate and %s; "
+                                   "declare the constants or sample them, not both"
+                                   % _listed(analytic))
+            est = dict(_ESTIMATE_DEFAULTS, **_block(constants_cfg, "constants.estimate"))
             for key, ok, what in (("radius", lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
                                   ("samples", lambda v: v >= 10, "at least 10"),
                                   ("safety", lambda v: v >= 1.0, ">= 1")):
-                if key in estimate_cfg:
-                    _require(ok(estimate_cfg[key]), "constants.estimate." + key, what,
-                             estimate_cfg[key])
-        else:
-            if "M" not in ccfg:
-                raise ProblemError("constants block needs M (or an estimate sub-block)")
-            M = _number(ccfg["M"], "constants.M")
-            K = _number(ccfg.get("K", 0.0), "constants.K")
-            if "M_star" in ccfg:
-                m_star = _number(ccfg["M_star"], "constants.M_star")
-            if "K_star" in ccfg:
-                k_star = _number(ccfg["K_star"], "constants.K_star")
+                _require(ok(est[key]), "constants.estimate." + key, what, est[key])
+            constants_cfg = {"estimate": est}
+        elif "M" not in constants_cfg:
+            raise ProblemError("constants block needs M (or an estimate sub-block)")
 
-    plan = _parse_plan(_mapping(cfg, "perturbation"))
-    stop = _parse_stop(_mapping(cfg, "stop"))
+    plan = _parse_plan(cfg)
+    stop = StopRule(**_block(cfg, "stop"))
     certs = _parse_certs(cfg.get("certificates"))
 
     x0_list = [float(v) for v in x0_cfg]
@@ -604,10 +608,10 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
             identity["gamma"] = gamma_cfg
     return ResolvedProblem(
         name=name, kind=kind, operator=operator, scheme=scheme, norm=norm, x0=x0,
-        plan=plan, stop=stop, M=M, K=K, theta=theta,
-        estimate_cfg=estimate_cfg, cert_requests=certs, integral=integral,
+        plan=plan, stop=stop, theta=theta, constants_cfg=constants_cfg,
+        cert_requests=certs, integral=integral,
         fixed_point=Vector(entry.fixed_point) if entry and entry.fixed_point else None,
-        digest=_digest(plan, stop, integral, **identity), m_star=m_star, k_star=k_star)
+        digest=_digest(plan, stop, integral, **identity))
 
 
 def load_config(source) -> dict:

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import BallDomain, NormKind, OperatorSpec, Vector, norm_of, parse_enum
+from .core import NormKind, OperatorSpec, Vector, norm_of, parse_enum
 from .sequences import ScalarSequence
 
 
@@ -184,17 +184,18 @@ def _solve_affine(D: np.ndarray, rhs: np.ndarray, kind: NormKind,
 
     def solve(b: np.ndarray) -> np.ndarray:
         try:
-            return np.linalg.solve(S, b)
+            x = np.linalg.solve(S, b)
         except np.linalg.LinAlgError as exc:
             raise SingularLinearSystemError("I - D is singular: %s" % exc)
+        if not np.all(np.isfinite(x)):
+            raise SingularLinearSystemError("inner solve produced non-finite iterate")
+        return x
 
     x = solve(rhs)
     defect = norm_of(Vector(rhs - S @ x), kind)
     if defect > inner_tol:
         x = x + solve(rhs - S @ x)
         defect = norm_of(Vector(rhs - S @ x), kind)
-        if defect > inner_tol and not np.all(np.isfinite(x)):
-            raise SingularLinearSystemError("inner solve produced non-finite iterate")
         if defect > inner_tol:
             raise SingularLinearSystemError(
                 "inner defect %.3e above inner_tol %.3e after refinement" % (defect, inner_tol))

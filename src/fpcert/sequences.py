@@ -194,12 +194,18 @@ class ScalarSequence:
         raise SequenceError("summability unavailable for sequence kind %r" % k)
 
 
+# the keys a sequence mapping of each kind takes besides kind
+_KIND_KEYS = {"zero": (), "constant": ("c",), "geometric": ("c", "ratio"),
+              "power": ("c", "p"), "table": ("entries",)}
+
+
 def sequence_from_config(cfg) -> ScalarSequence:
     """Build a sequence from problem-file config.
 
     Accepts a bare number (constant) or a mapping with a 'kind' key:
     {kind: constant, c}, {kind: geometric, c, ratio}, {kind: power, c, p},
-    {kind: table, entries: [...]} (constant beyond the last entry).
+    {kind: table, entries: [...]} (constant beyond the last entry), {kind: zero}.
+    A mapping with any other key is rejected.
     """
     if cfg is None:
         return ScalarSequence.zero()
@@ -208,6 +214,13 @@ def sequence_from_config(cfg) -> ScalarSequence:
     if not isinstance(cfg, dict):
         raise SequenceError("sequence config must be a number or mapping, got %r" % (cfg,))
     kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise SequenceError("unknown sequence kind %r (expected %s)"
+                            % (kind, "|".join(sorted(_KIND_KEYS))))
+    extra = set(cfg) - {"kind", *_KIND_KEYS[kind]}
+    if extra:
+        raise SequenceError("unknown %s sequence keys: %s"
+                            % (kind, ", ".join(sorted(map(str, extra)))))
     if kind == "constant":
         return ScalarSequence.constant(_num(cfg, "c"))
     if kind == "geometric":
@@ -219,10 +232,7 @@ def sequence_from_config(cfg) -> ScalarSequence:
         if not isinstance(entries, list) or not all(isinstance(v, (int, float)) for v in entries):
             raise SequenceError("table sequence needs an entries list of numbers: %r" % (cfg,))
         return ScalarSequence.from_table(entries)
-    if kind == "zero":
-        return ScalarSequence.zero()
-    raise SequenceError("unknown sequence kind %r (expected constant|geometric|power|table|zero)"
-                        % kind)
+    return ScalarSequence.zero()
 
 
 def _num(cfg: dict, key: str) -> float:

@@ -380,6 +380,39 @@ def test_non_string_key_rejected(tmp_path, capsys, text, block):
     assert err.startswith("error: ") and block in err and err.rstrip().endswith(": 1")
 
 
+@pytest.mark.parametrize("text, block, key", [
+    ("operator: 0.5*x1 + 1\nx0: 0.0\nconstants: {M: 0.5, k: 0.1}\n", "constants", "k"),
+    ("operator: 0.5*x1 + 1\nx0: 0.0\nconstants: {estimate: {radus: 0.5}}\n",
+     "constants.estimate", "radus"),
+    ("kind: root\noperator: x1\nx0: 1.0\ngamma: {kind: damped, alpa: 0.5}\n", "gamma", "alpa"),
+    ("kind: integral\noperator: x1 + 1\nx0: 0.0\nintegral: {T_end: 1.0, mm: 50}\n",
+     "integral", "mm"),
+    ("catalog: perturbed-linear\nperturbation: {sed: 3}\n", "perturbation", "sed"),
+    ("operator: 0.5*x1 + 1\nx0: 0.0\n"
+     "perturbation: {mode: additive-deterministic, eps: {kind: constant, c: 0.01, ratio: 0.5}}\n",
+     "constant sequence", "ratio"),
+    ("operator: 0.5*x1 + 1\nx0: 0.0\nconstants: {M: 0.5, estimate: {samples: 20}}\n",
+     "estimate", "M"),
+], ids=["constants", "constants.estimate", "gamma", "integral", "catalog-perturbation",
+        "eps-sequence", "M-and-estimate"])
+def test_unknown_or_ignored_key_rejected(tmp_path, capsys, text, block, key):
+    src = write_yaml(tmp_path, "u.yaml", text)
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and block in err and key in err
+
+
+def test_certify_reports_failed_sampling(tmp_path, capsys):
+    # sqrt leaves its domain on the radius-2 ball around x0 = 1
+    src = write_yaml(tmp_path, "s.yaml", "operator: sqrt(x1)\nx0: 1.0\nstop: {max_n: 5}\n"
+                                         "constants: {estimate: {radius: 2.0}}\n")
+    out = tmp_path / "s"
+    assert run_cli("run", src, "--out", str(out)) == 0
+    assert run_cli("certify", src, "--trace", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: constants.estimate: sampling failed") and "sqrt" in err
+
+
 def test_certify_refuses_catalog_constants_at_overridden_alpha(tmp_path, capsys):
     # damped-root's M = 0.5 holds only at alpha = 0.5; at 0.25 the wrap contracts by 0.75
     src = write_yaml(tmp_path, "a.yaml", "catalog: damped-root\ngamma: {alpha: 0.25}\n")

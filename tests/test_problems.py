@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from fpcert.core import NormKind, Vector
+from fpcert.core import BallDomain, NormKind, Vector
+from fpcert.estimate import (SAFETY_FACTOR, estimate_lipschitz_K, estimate_lipschitz_M,
+                             with_safety)
 from fpcert.problems import (CATALOG, CertRequest, ProblemError,
                              averaged_factory, catalog_names, constants_for,
                              get_entry, load_problem, operator_from_expressions,
@@ -143,8 +145,9 @@ def test_catalog_operators_evaluate_at_start():
 
 def test_cos_entry_constants():
     r = resolve_config({"catalog": "cos-fixed-point"})
-    assert r.M == math.sin(1.0)
-    assert r.K == 1.0
+    assert r.constants_cfg == {"M": math.sin(1.0), "K": 1.0}
+    c = r.constants()
+    assert c.M == math.sin(1.0) and c.K == 1.0
 
 
 def test_catalog_entries_are_problem_files():
@@ -157,7 +160,8 @@ def test_catalog_entries_are_problem_files():
         assert own.operator.apply(own.x0) == cat.operator.apply(cat.x0), name
         assert (own.kind, own.scheme, own.norm, own.x0) == (cat.kind, cat.scheme, cat.norm, cat.x0)
         assert own.plan == cat.plan and own.stop == cat.stop, name
-        assert (own.M, own.K, own.m_star, own.k_star) == (cat.M, cat.K, cat.m_star, cat.k_star)
+        assert own.constants_cfg == cat.constants_cfg, name
+        assert own.constants() == cat.constants(), name
         assert own.integral == cat.integral, name
 
 
@@ -289,20 +293,26 @@ def test_custom_scheme_reserved_for_catalog():
 def test_constants_block_variants():
     r = resolve_config(minimal_cfg(constants={"M": 0.5, "K": 0.1,
                                               "M_star": 0.2, "K_star": 0.3}))
-    assert (r.M, r.K, r.m_star, r.k_star) == (0.5, 0.1, 0.2, 0.3)
+    assert r.constants_cfg == {"M": 0.5, "K": 0.1, "M_star": 0.2, "K_star": 0.3}
     c = r.constants()
-    assert c.M_star == 0.2 and c.K_star == 0.3
+    assert (c.M, c.K, c.M_star, c.K_star) == (0.5, 0.1, 0.2, 0.3)
 
     est = resolve_config(minimal_cfg(constants={"estimate": {"radius": 0.5,
                                                              "samples": 50}}))
-    assert est.M is None
-    assert est.estimate_cfg == {"radius": 0.5, "samples": 50}
-    assert est.estimate_cfg["radius"] == 0.5
-    with pytest.raises(ProblemError):
-        est.constants()
+    # the sampling settings the block leaves out are filled in when it resolves
+    assert est.constants_cfg == {"estimate": {"radius": 0.5, "samples": 50, "seed": 0,
+                                              "safety": SAFETY_FACTOR}}
+    ball = BallDomain(est.x0, 0.5, est.norm)
+    c = est.constants()
+    assert c.M == with_safety(estimate_lipschitz_M(est.operator, ball, 50, 0))
+    assert c.K == with_safety(estimate_lipschitz_K(est.operator, ball, 25, 0))
+    assert c.M == pytest.approx(0.55)     # 0.5 x + 1 has Lipschitz constant 0.5
 
-    with pytest.raises(ProblemError):
-        resolve_config(minimal_cfg(constants={"K": 0.1}))
+    assert resolve_config(minimal_cfg(constants=None)).constants_cfg is None
+
+    for bad in ({"K": 0.1}, {}):
+        with pytest.raises(ProblemError, match="constants block needs M"):
+            resolve_config(minimal_cfg(constants=bad))
 
 
 def test_certificate_requests():

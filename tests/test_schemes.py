@@ -6,8 +6,8 @@ import pytest
 from fpcert.core import NormKind, OperatorSpec, Vector, identity_operator
 from fpcert.schemes import (InjectionMode, InnerDivergenceError,
                             IterationTrace, PerturbationPlan, SchemeError,
-                            SchemeKind, StepFailure, StopRule, run_outer,
-                            step_custom)
+                            SchemeKind, SingularLinearSystemError, StepFailure,
+                            StopRule, _solve_affine, run_outer, step_custom)
 from fpcert.sequences import ScalarSequence
 
 
@@ -143,6 +143,12 @@ def test_newton_singular_system_raises_step_failure():
     with pytest.raises(StepFailure) as exc:
         run_outer(shifted, SchemeKind.NEWTON, Vector([0.0]))
     assert exc.value.step == 1
+
+
+def test_affine_solve_overflow_is_a_singular_system():
+    # I - D = 2^-52 is invertible, but rhs / 2^-52 overflows to inf
+    with pytest.raises(SingularLinearSystemError, match="non-finite"):
+        _solve_affine(np.array([[1 - 2**-52]]), np.array([1e300]), NormKind.SUP, 1e-12)
 
 
 def test_gamma_perturbs_frozen_derivative():
