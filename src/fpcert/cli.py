@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from .greens import GridFunction, IntegralTrace, run_integral_iteration
+from .core import OperatorEvaluationError
+from .greens import GreensError, GridFunction, IntegralTrace, run_integral_iteration
 from .majorant import (MajorantError, certify as run_certificate, majorant_from_constants,
                        precheck, tail_bound)
 from .problems import (CATALOG, CertRequest, ProblemError, ResolvedProblem, load_config,
@@ -141,7 +142,11 @@ def _execute_run(resolved: ResolvedProblem, out_dir: Path, inner_tol: float) -> 
 def _execute_integral(resolved: ResolvedProblem, out_dir: Path) -> Tuple[int, dict]:
     setup = resolved.integral
     x0 = GridFunction.uniform(setup.T_end, setup.m)
-    trace = run_integral_iteration(setup.kernel(), resolved.operator, x0, resolved.stop)
+    try:
+        trace = run_integral_iteration(setup.kernel(), resolved.operator, x0, resolved.stop)
+    except (GreensError, OperatorEvaluationError) as exc:
+        return EXIT_VALIDATION, {"problem": resolved.name, "digest": resolved.digest,
+                                 "error": str(exc)}
     _write_integral_trace_csv(out_dir / "trace.csv", trace)
     _write_solution_csv(out_dir / "solution.csv", trace.grids[-1])
     own = {"m": setup.m, "T_end": setup.T_end}

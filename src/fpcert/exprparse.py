@@ -3,12 +3,21 @@
 Grammar (binding tightest to loosest): ^ (right associative), unary minus,
 * /, + -.  Atoms are decimal literals, variables (x1..xd, t, s), calls of
 sin, cos, exp, log, sqrt, abs, and parenthesized expressions.
+
+`eval_expr` is the one way to evaluate a tree.  It walks a tree the first
+time (`_eval`); from the second evaluation on it runs a Python function
+compiled once from that tree (`_compile`), which does the same floating-point
+operations in the same order and so returns the same bits.  Trees that differ
+only in their literals share one compiled function.  Errors always come from
+the walk: when the compiled code raises or ends non-finite, the walk runs
+again and raises, or returns, exactly what it would have alone.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Tuple, Union
 
 
 class ExprError(ValueError):
@@ -32,28 +41,37 @@ class EvalDomainError(ExprError):
 
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+         "sqrt": math.sqrt, "abs": abs}
+
+
+class _Node:
+    # eval_expr's state for this tree: None before its first evaluation,
+    # _WALKED after it, then the (function, constants) pair from _compile.
+    # A class attribute, not a field: equality, hashing and repr ignore it.
+    _compiled = None
 
 
 @dataclass(frozen=True)
-class Lit:
+class Lit(_Node):
     value: float
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expr"
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str  # + - * / ^
     left: "Expr"
     right: "Expr"
@@ -61,7 +79,7 @@ class Bin:
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: "Expr"
     pos: int = field(default=-1, compare=False)
@@ -211,14 +229,48 @@ def parse_expr(text: str, allowed_vars) -> Expr:
 
 
 def eval_expr(e: Expr, bindings: Dict[str, float]) -> float:
-    """Evaluate a tree on finite bindings; domain trouble raises EvalDomainError."""
-    v = _eval(e, bindings)
+    """Evaluate a tree on finite bindings; domain trouble raises EvalDomainError.
+
+    The first evaluation of a tree walks it; every later one runs the code
+    compiled from it, and falls back to the walk on any exception or a
+    non-finite value, so that the walk alone decides what is an error.
+    """
+    compiled = e._compiled
+    if compiled is None:
+        object.__setattr__(e, "_compiled", _WALKED)
+    else:
+        try:
+            if compiled is _WALKED:
+                compiled = _compile(e)
+                object.__setattr__(e, "_compiled", compiled)
+            v = compiled[0](bindings, compiled[1])
+            if math.isfinite(v):
+                return v
+        except Exception:
+            pass  # the walk below raises the error, with its position
+    return _walk(e, bindings)
+
+
+def _walk(e: Expr, b: Dict[str, float]) -> float:
+    """The tree walk behind eval_expr: its value, or the error it raises."""
+    v = _eval(e, b)
     if not math.isfinite(v):
         raise EvalDomainError("non-finite result %r" % v, getattr(e, "pos", -1))
     return v
 
 
 def _eval(e: Expr, b: Dict[str, float]) -> float:
+    if isinstance(e, Bin):
+        # fold the left spine in a loop, so that a long sum or product costs
+        # one stack frame, not one per term
+        spine = []
+        while isinstance(e, Bin):
+            spine.append(e)
+            e = e.left
+        v = _eval(e, b)
+        for node in reversed(spine):
+            v = _binary(node, v, _eval(node.right, b))
+        return v
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Var):
@@ -230,50 +282,122 @@ def _eval(e: Expr, b: Dict[str, float]) -> float:
         return -_eval(e.operand, b)
     if isinstance(e, Call):
         x = _eval(e.arg, b)
+        if e.fn == "log" and x <= 0.0:
+            raise EvalDomainError("log of nonpositive value %r" % x, e.pos)
+        if e.fn == "sqrt" and x < 0.0:
+            raise EvalDomainError("sqrt of negative value %r" % x, e.pos)
+        if e.fn not in _MATH:
+            raise ExprError("unknown function %r" % e.fn, e.pos)
         try:
-            if e.fn == "sin":
-                return math.sin(x)
-            if e.fn == "cos":
-                return math.cos(x)
-            if e.fn == "exp":
-                return math.exp(x)
-            if e.fn == "log":
-                if x <= 0.0:
-                    raise EvalDomainError("log of nonpositive value %r" % x, e.pos)
-                return math.log(x)
-            if e.fn == "sqrt":
-                if x < 0.0:
-                    raise EvalDomainError("sqrt of negative value %r" % x, e.pos)
-                return math.sqrt(x)
-            if e.fn == "abs":
-                return abs(x)
+            return _MATH[e.fn](x)
         except OverflowError:
             raise EvalDomainError("overflow in %s(%r)" % (e.fn, x), e.pos)
-        raise ExprError("unknown function %r" % e.fn, e.pos)
-    if isinstance(e, Bin):
-        l = _eval(e.left, b)
-        r = _eval(e.right, b)
-        try:
-            if e.op == "+":
-                return l + r
-            if e.op == "-":
-                return l - r
-            if e.op == "*":
-                return l * r
-            if e.op == "/":
-                if r == 0.0:
-                    raise EvalDomainError("division by zero", e.pos)
-                return l / r
-            if e.op == "^":
-                if l == 0.0 and r < 0.0:
-                    raise EvalDomainError("zero raised to negative power", e.pos)
-                if l < 0.0 and r != int(r):
-                    raise EvalDomainError("negative base with non-integer exponent", e.pos)
-                return math.pow(l, r)
-        except OverflowError:
-            raise EvalDomainError("overflow in %r operation" % e.op, e.pos)
-        raise ExprError("unknown operator %r" % e.op, e.pos)
+        except ValueError:  # sin or cos of an infinity
+            raise EvalDomainError("%s of %r is undefined" % (e.fn, x), e.pos)
     raise ExprError("unknown node %r" % (e,))
+
+
+def _binary(e: Bin, l: float, r: float) -> float:
+    try:
+        if e.op == "+":
+            return l + r
+        if e.op == "-":
+            return l - r
+        if e.op == "*":
+            return l * r
+        if e.op == "/":
+            if r == 0.0:
+                raise EvalDomainError("division by zero", e.pos)
+            return l / r
+        if e.op == "^":
+            if l == 0.0 and r < 0.0:
+                raise EvalDomainError("zero raised to negative power", e.pos)
+            # an infinite or NaN exponent is no integer either
+            if l < 0.0 and not float(r).is_integer():
+                raise EvalDomainError("negative base with non-integer exponent", e.pos)
+            return math.pow(l, r)
+    except OverflowError:
+        raise EvalDomainError("overflow in %r operation" % e.op, e.pos)
+    raise ExprError("unknown operator %r" % e.op, e.pos)
+
+
+# -- compiled evaluation ------------------------------------------------
+
+_WALKED = object()
+# Each operator as Python source over its operands, with the walk's domain
+# predicates in front of / and ^; any exception they raise sends eval_expr
+# back to the walk.  log and sqrt need no such line: math raises on exactly
+# the walk's predicates (x <= 0, x < 0).
+_OPS = {"+": "{l} + {r}", "-": "{l} - {r}", "*": "{l} * {r}", "/": "{l} / {r}",
+        "^": "pow({l}, {r})"}
+_GUARDS = {"/": "if {r} == 0.0: raise ZeroDivisionError",
+           "^": "if {l} == 0.0 and {r} < 0.0 or {l} < 0.0 and not float({r}).is_integer():"
+                " raise ValueError"}
+# the globals of every compiled function: the walk's math, and math.pow for ^
+_SCOPE = dict(_MATH, pow=math.pow)
+# generated source -> its function, kept while some tree still uses it
+_SHAPES: "weakref.WeakValueDictionary[str, Callable]" = weakref.WeakValueDictionary()
+
+
+def _compile(e: Expr) -> Tuple[Callable, tuple]:
+    """(fn, consts) with fn(bindings, consts) doing the walk's operations in order.
+
+    The code is straight-line, one assignment per operator or call node, so
+    it compiles however deep the tree.  Literals are read from consts, never
+    written into the source: trees that differ only in literals share one
+    function, and 0.0 and -0.0 keep their own signs.
+    """
+    lines: List[str] = []
+    consts: List[float] = []
+    result = _emit(e, lines, consts)
+    source = "def expr(b, c):\n%s    return %s\n" % ("".join("    %s\n" % s for s in lines),
+                                                     result)
+    fn = _SHAPES.get(source)
+    if fn is None:
+        defined: dict = {}
+        exec(source, _SCOPE, defined)
+        fn = _SHAPES[source] = defined["expr"]
+    return fn, tuple(consts)
+
+
+def _emit(e: Expr, lines: List[str], consts: List[float]) -> str:
+    """Append the statements computing e to lines; return the operand holding it.
+
+    A tree the walk cannot evaluate either (an unknown operator, function or
+    node) raises ExprError, and eval_expr leaves that tree to the walk.
+    """
+    if isinstance(e, Bin):
+        spine = []
+        while isinstance(e, Bin):
+            spine.append(e)
+            e = e.left
+        v = _emit(e, lines, consts)
+        for node in reversed(spine):
+            if node.op not in _OPS:
+                raise ExprError("unknown operator %r" % node.op, node.pos)
+            l, r = v, _emit(node.right, lines, consts)
+            if node.op in _GUARDS:
+                lines.append(_GUARDS[node.op].format(l=l, r=r))
+            v = _assign(lines, _OPS[node.op].format(l=l, r=r))
+        return v
+    if isinstance(e, Lit):
+        consts.append(e.value)
+        return "c[%d]" % (len(consts) - 1)
+    if isinstance(e, Var):
+        return "b[%r]" % e.name
+    if isinstance(e, Neg):
+        return _assign(lines, "-" + _emit(e.operand, lines, consts))
+    if isinstance(e, Call):
+        if e.fn not in _MATH:
+            raise ExprError("unknown function %r" % e.fn, e.pos)
+        return _assign(lines, "%s(%s)" % (e.fn, _emit(e.arg, lines, consts)))
+    raise ExprError("unknown node %r" % (e,))
+
+
+def _assign(lines: List[str], value: str) -> str:
+    name = "v%d" % len(lines)
+    lines.append("%s = %s" % (name, value))
+    return name
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

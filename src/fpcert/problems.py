@@ -557,6 +557,8 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
             raise ProblemError("integral problems need an integral block (kernel, T_end, m)")
         icfg = _block(cfg, "integral")
         kernel_kind = icfg.get("kernel", "volterra_unit")
+        _require(isinstance(kernel_kind, str), "integral.kernel",
+                 "a string (volterra_unit or an expression)", kernel_kind)
         T_end = icfg.get("T_end", 1.0)
         _require(0.0 < T_end < math.inf, "integral.T_end", "positive and finite", T_end)
         m = icfg.get("m", 100)

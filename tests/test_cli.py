@@ -133,6 +133,8 @@ def test_run_integral_problem(tmp_path):
     ("kind: integral\nintegral: {m: 0}\n", "integral.m"),
     ("kind: integral\nintegral: {T_end: -1}\n", "integral.T_end"),
     ("kind: integral\nintegral: {T_end: .inf}\n", "integral.T_end"),
+    ("kind: integral\nintegral: {kernel: 5}\n",
+     "integral.kernel must be a string (volterra_unit or an expression), got 5"),
     ("constants: {estimate: {samples: 3}}\n", "constants.estimate.samples"),
     ("constants: {estimate: {safety: 0.5}}\n", "constants.estimate.safety"),
     ("constants: {estimate: {radius: -1}}\n", "constants.estimate.radius"),
@@ -168,6 +170,24 @@ def test_run_residual_failure_names_the_step(tmp_path, capsys, text, step):
     err = capsys.readouterr().err
     assert err.startswith("error: step %d failed: " % step) and err.count("\n") == 1
     assert "log of nonpositive value" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("operator: [\"sin(x1*1e308*10)\"]\nx0: [0.5]\n",
+     "sin of inf is undefined (at position 0)"),
+    ("operator: [\"(-2)^(x1*1e308*10 - x1*1e308*10)\"]\nx0: [0.5]\n",
+     "negative base with non-integer exponent (at position 4)"),
+    ("kind: integral\noperator: [\"0.5*sin(x1) + 1\"]\nx0: [0.0]\n"
+     "integral: {kernel: \"cos(t*1e308*10)\", m: 10}\n",
+     "kernel failed at (t=0.2, s=0.0): cos of inf is undefined (at position 0)"),
+    ("kind: integral\noperator: [\"log(x1)\"]\nx0: [0.0]\nintegral: {kernel: t*s, m: 10}\n",
+     "log of nonpositive value 0.0 (at position 0)"),
+], ids=["sin-of-inf", "negative-base-nan-exponent", "kernel-cos-of-inf", "integral-operator"])
+def test_run_math_domain_error_is_one_error_line(tmp_path, capsys, text, message):
+    src = write_yaml(tmp_path, "f.yaml", text)
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_run_with_table_perturbation(tmp_path):

@@ -1,11 +1,14 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpcert.exprparse import (Bin, Call, EvalDomainError, ExprSyntaxError,
                               FUNCTIONS, Lit, Neg, UnknownVariableError, Var,
-                              eval_expr, parse_expr, to_text)
+                              _SHAPES, _compile, _walk, eval_expr, parse_expr, to_text)
 
 
 # -- parsing ------------------------------------------------------------
@@ -70,6 +73,21 @@ def test_eval_domain_errors():
         e = parse_expr(text, ("x",))
         with pytest.raises(EvalDomainError):
             eval_expr(e, env)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sin(x*1e308*10)", "sin of inf is undefined (at position 0)"),
+    ("cos(-x*1e308*10)", "cos of -inf is undefined (at position 0)"),
+    ("(-2)^(x*1e308*10 - x*1e308*10)", "negative base with non-integer exponent (at position 4)"),
+    ("(-2)^(x*1e308*10)", "negative base with non-integer exponent (at position 4)"),
+    ("(-0.5)^(-x*1e308*10)", "negative base with non-integer exponent (at position 6)"),
+])
+def test_math_domain_errors_name_the_node(text, message):
+    e = parse_expr(text, ("x",))
+    for _ in range(3):  # the walk, then the compiled code
+        with pytest.raises(EvalDomainError) as exc:
+            eval_expr(e, {"x": 1.0})
+        assert str(exc.value) == message
 
 
 def test_eval_matches_math_library():
@@ -143,3 +161,125 @@ def test_round_trip_preserves_grouping():
         assert again == tree
         env = {"x": 1.3}
         assert eval_expr(again, env) == eval_expr(tree, env)
+
+
+# -- compiled evaluation ---------------------------------------------------
+
+# literals and bindings that reach every edge of the walk: signed zeros, a
+# subnormal, overflow to inf, NaN from inf - inf, negative bases under
+# fractional, huge and infinite exponents
+LITERALS = (0.0, -0.0, 1e-320, 1e308, float("1e999"), -2.0, -0.5, 0.5, 1.5, 2.0, 3.0, 1e300)
+VALUES = (0.0, -0.0, 1e-320, 0.5, -0.5, 2.0, -3.0, 1e308, -1e308)
+POS = st.integers(0, 40)
+TREES = st.recursive(
+    st.builds(Lit, st.sampled_from(LITERALS), POS) | st.builds(Var, st.sampled_from("xy"), POS),
+    lambda sub: (st.builds(Neg, sub, POS)
+                 | st.builds(Bin, st.sampled_from("+-*/^"), sub, sub, POS)
+                 | st.builds(Call, st.sampled_from(FUNCTIONS), sub, POS)
+                 | st.builds(Call, st.sampled_from(("exp", "log", "sqrt")),
+                             st.builds(Call, st.sampled_from(("exp", "log", "sqrt")), sub, POS),
+                             POS)),
+    max_leaves=12)
+
+
+def outcome(fn, *args):
+    """('value', bits) or (exception type, message): what one evaluation gives."""
+    try:
+        return "value", fn(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def check_compiled_matches_walk(e, env):
+    want = outcome(_walk, e, env)
+    # the first call walks, the second compiles, the third reuses the code
+    for _ in range(3):
+        assert outcome(eval_expr, e, env) == want
+    # the compiled code alone gives the walk's bits wherever the walk gives a
+    # value, and never a finite value where the walk raises
+    fn, consts = _compile(e)
+    got = outcome(fn, env, consts)
+    if want[0] == "value":
+        assert got == want
+    else:
+        assert got[0] != "value" or not math.isfinite(float.fromhex(got[1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(e=TREES, x=st.sampled_from(VALUES), y=st.sampled_from(VALUES))
+def test_compiled_evaluation_is_the_walk_bit_for_bit(e, x, y):
+    check_compiled_matches_walk(e, {"x": x, "y": y})
+
+
+EDGES = sorted(set(LITERALS + VALUES) | {-math.inf, math.nan}, key=repr)
+
+
+@pytest.mark.parametrize("op", "+-*/^")
+def test_compiled_operators_match_walk_on_every_edge_pair(op):
+    # 1/(l op r) turns an infinite result finite, as a larger tree would
+    for l in EDGES:
+        for r in EDGES:
+            node = Bin(op, Lit(l), Var("y"), 1)
+            check_compiled_matches_walk(node, {"y": r})
+            check_compiled_matches_walk(Bin("/", Lit(1.0), node, 0), {"y": r})
+
+
+@pytest.mark.parametrize("fn", FUNCTIONS)
+def test_compiled_functions_match_walk_on_every_edge(fn):
+    for x in EDGES:
+        node = Call(fn, Var("x"), 2)
+        check_compiled_matches_walk(node, {"x": x})
+        check_compiled_matches_walk(Bin("/", Lit(1.0), node, 0), {"x": x})
+
+
+@pytest.mark.parametrize("e, env", [
+    # 1000 terms: far deeper than a nested emitter or a recursive walk allows
+    (parse_expr(" + ".join("%d.5*x" % i for i in range(1000)), ("x",)), {"x": 1.0}),
+    # math.pow(-0.5, inf) is 0.0, but the walk refuses a negative base
+    (parse_expr("(-0.5)^(1e308*10)", ()), {}),
+    (parse_expr("1 / (x - x)", ("x",)), {"x": 2.0}),
+    # numpy divides by zero without raising; the guard still refuses it
+    (parse_expr("1 / (1 / x)", ("x",)), {"x": np.float64(0.0)}),
+    (parse_expr("x + y", ("x", "y")), {"x": 1.0}),  # y is unbound
+    (Bin("*", Var("x"), Lit(-0.0)), {"x": 1.0}),
+], ids=["sum-1000", "negative-base-inf", "division-by-zero", "numpy-zero", "unbound",
+        "negative-zero"])
+def test_compiled_evaluation_fixed_cases(e, env):
+    check_compiled_matches_walk(e, env)
+
+
+def test_thousand_term_sum_evaluates():
+    e = parse_expr(" + ".join("%d.5*x" % i for i in range(1000)), ("x",))
+    want = 0.0
+    for i in range(1000):
+        want += (i + 0.5) * 2.0
+    assert [eval_expr(e, {"x": 2.0}) for _ in range(3)] == [want] * 3
+
+
+def test_trees_differing_in_literals_share_one_function():
+    a = parse_expr("0.3*0.25*cos(x1)", ("x1",))
+    b = parse_expr("0.7*0.5*cos(x1)", ("x1",))
+    assert _compile(a)[0] is _compile(b)[0]
+    # equal trees (== ignores pos and 0.0 vs -0.0) still keep their own bits and positions
+    pos, neg = Bin("*", Var("x"), Lit(0.0), 3), Bin("*", Var("x"), Lit(-0.0), 7)
+    assert pos == neg
+    for _ in range(3):
+        assert eval_expr(pos, {"x": 1.0}).hex() == "0x0.0p+0"
+        assert eval_expr(neg, {"x": 1.0}).hex() == "-0x0.0p+0"
+    one, other = parse_expr("1/x", ("x",)), parse_expr("  1/x", ("x",))
+    for _ in range(3):
+        with pytest.raises(EvalDomainError, match="position 1"):
+            eval_expr(one, {"x": 0.0})
+        with pytest.raises(EvalDomainError, match="position 3"):
+            eval_expr(other, {"x": 0.0})
+
+
+def test_compiled_function_is_freed_with_its_trees():
+    e = parse_expr("x*sqrt(x)*sqrt(x)*sqrt(x)*sqrt(x)", ("x",))
+    for _ in range(2):
+        eval_expr(e, {"x": 2.0})
+    fn = weakref.ref(e._compiled[0])
+    assert fn() in _SHAPES.values()
+    del e
+    gc.collect()
+    assert fn() is None
