@@ -1,24 +1,21 @@
 #!/usr/bin/env python3
-"""Benchmark a change against a base commit in alternating pairs; write BENCH_<n>.json.
+"""Benchmark HEAD against a base commit in alternating pairs; write BENCH_<n>.json.
 
-    python3 scripts/bench_pair.py --base REV [--change REV] --out BENCH_<n>.json
-        [--pairs 10] [--first-seed 1] [--traced-seeds 1] [--seconds S]
-        [--workloads a,b]
+    python3 scripts/bench_pair.py --base REV --out BENCH_<n>.json
 
-Each side is the committed files of its revision (the change defaults to
-HEAD), unpacked with `git archive` into its own new temporary directory, so
-that both run from alike directories and the repository's .git gains no
-worktree entry.  Both sides run their own, unmodified `bench/run.py`, each
-in a fresh process, on the same seeds: pair i uses seed first-seed + i, and
-the side that runs first alternates from pair to pair, so that a drift in
-host speed hits both alike.  Each traced seed gets one `--trace 1` run per
-side, in alternating order too.
+Each side is the committed files of its revision, unpacked with `git archive`
+into its own new temporary directory, so that both run from alike
+directories and the repository's .git gains no worktree entry.  Both sides
+run their own, unmodified `bench/run.py`, each in a fresh process, for
+`run_seconds` of BENCHMARK.json on every workload it lists.  Pair i runs
+seed i, for i = 1..PAIRS, and the side that runs first alternates from pair
+to pair, so that a drift in host speed hits both alike.  Each seed in
+TRACED_SEEDS gets one `--trace 1` run per side, in alternating order too.
 
 Per workload the JSON holds, for every end-to-end metric of BENCHMARK.json,
 each side's values with their median and quartiles, and how many pairs the
 change won (ties count for neither side); for the layers in LAYERS, each
-side's traced values and medians.  Runs last `run_seconds` of BENCHMARK.json
-unless --seconds says otherwise.
+side's traced values and medians.
 """
 from __future__ import annotations
 
@@ -34,6 +31,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+PAIRS = 10
+TRACED_SEEDS = (1,)
 
 # the traced layers the expression-evaluation work moves, or must not move
 LAYERS = ("exprparse.eval_calls", "exprparse.eval_s", "greens.kernel_eval_s",
@@ -101,27 +101,18 @@ def compare(spec: dict, plain: dict, traced: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="the commit to compare against")
-    parser.add_argument("--change", default="HEAD", help="the commit to measure")
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--traced-seeds", default="1")
-    parser.add_argument("--seconds", type=float)
-    parser.add_argument("--workloads", help="comma-separated; default: BENCHMARK.json's")
     args = parser.parse_args(argv)
     with open(ROOT / "BENCHMARK.json") as fh:
         spec = json.load(fh)
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    traced_seeds = [int(s) for s in args.traced_seeds.split(",") if s]
+    seconds = spec["run_seconds"]
+    seeds = list(range(1, PAIRS + 1))
     revs = {side: subprocess.run(["git", "-C", str(ROOT), "rev-parse", rev], check=True,
                                  capture_output=True, text=True).stdout.strip()
-            for side, rev in (("base", args.base), ("change", args.change))}
+            for side, rev in (("base", args.base), ("change", "HEAD"))}
     report = {"base": revs["base"], "change": revs["change"],
               "date": time.strftime("%Y-%m-%d"), "python": platform.python_version(),
-              "seconds": seconds, "seeds": seeds, "traced_seeds": traced_seeds,
+              "seconds": seconds, "seeds": seeds, "traced_seeds": list(TRACED_SEEDS),
               "order": "pair i runs base first when i is even, change first when odd",
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
@@ -129,9 +120,9 @@ def main(argv=None) -> int:
         for side, rev in revs.items():
             sides[side].mkdir()
             unpack(rev, sides[side])
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             plain = pairs_of(sides, workload, seeds, seconds, 0)
-            traced = pairs_of(sides, workload, traced_seeds, seconds, 1)
+            traced = pairs_of(sides, workload, TRACED_SEEDS, seconds, 1)
             report["workloads"][workload] = compare(spec, plain, traced)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
