@@ -35,9 +35,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 TRACED_SEEDS = (1,)
 
-# the traced layers the expression-evaluation work moves, or must not move
+# the traced layers recent work moves, or must not move: expression
+# evaluation, and the self times that hold the problem-file load (cli.run,
+# cli.certify) and the kernel-matrix fill (greens.apply)
 LAYERS = ("exprparse.eval_calls", "exprparse.eval_s", "greens.kernel_eval_s",
-          "core.matrix_of_s", "schemes.run_outer_s")
+          "core.matrix_of_s", "schemes.run_outer_s", "cli.run_self_s",
+          "cli.certify_self_s", "greens.apply_self_s")
 
 
 def unpack(rev: str, into: Path) -> None:

@@ -320,16 +320,20 @@ def cmd_sweep(args) -> int:
                for v, resolved in jobs]
 
     with open(out_root / "summary.csv", "w", newline="") as fh:
-        fh.write("param,value,steps,stop_reason,final_residual,final_r,exit\n")
+        # csv quotes only a field that holds a comma, a quote or a newline, such
+        # as an error naming a kernel point (t=..., s=...); other rows stay plain
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["param", "value", "steps", "stop_reason", "final_residual",
+                         "final_r", "exit"])
         for (v, resolved), (code, summary) in zip(jobs, results):
-            fh.write(",".join([
+            writer.writerow([
                 args.param, _fmt(v),
                 str(summary.get("steps", "")),
                 str(summary.get("stop_reason", summary.get("error", "failed"))),
                 _fmt(summary["final_residual"]) if "final_residual" in summary else "",
                 _fmt(summary["final_r"]) if summary.get("final_r") is not None else "",
                 str(code),
-            ]) + "\n")
+            ])
     print("sweep of %s over %d values -> %s" % (args.param, len(jobs), out_root))
     return EXIT_OK
 

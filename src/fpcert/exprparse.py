@@ -41,6 +41,11 @@ class EvalDomainError(ExprError):
 
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
+# The parser refuses deeper nesting (parentheses, function arguments, unary
+# minus and exponents each open a level).  Parsing takes at most six stack
+# frames per level and the walk and the compiler at most three, so a tree
+# that parses stays well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
          "sqrt": math.sqrt, "abs": abs}
 
@@ -151,12 +156,22 @@ class _Parser:
     def __init__(self, text: str, allowed_vars: FrozenSet[str]):
         self.toks = _Tokenizer(text)
         self.vars = allowed_vars
+        self.depth = 0
 
     def parse(self) -> Expr:
         e = self.expr()
         kind, _, pos = self.toks.peek()
         if kind != "end":
             raise ExprSyntaxError("trailing input", pos)
+        return e
+
+    def nested(self, pos: int, parse: Callable[[], Expr]) -> Expr:
+        """parse() one nesting level deeper, a level opened at pos."""
+        if self.depth >= MAX_DEPTH:
+            raise ExprSyntaxError("expression nested more than %d levels deep" % MAX_DEPTH, pos)
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
         return e
 
     def expr(self) -> Expr:
@@ -183,7 +198,7 @@ class _Parser:
         kind, _, pos = self.toks.peek()
         if kind == "-":
             self.toks.next()
-            return Neg(self.unary(), pos)
+            return Neg(self.nested(pos, self.unary), pos)
         return self.power()
 
     def power(self) -> Expr:
@@ -192,7 +207,7 @@ class _Parser:
         if kind == "^":
             self.toks.next()
             # right associative; exponent may carry a unary minus (2^-3)
-            return Bin("^", base, self.unary(), pos)
+            return Bin("^", base, self.nested(pos, self.unary), pos)
         return base
 
     def atom(self) -> Expr:
@@ -200,7 +215,7 @@ class _Parser:
         if kind == "num":
             return Lit(float(value), pos)
         if kind == "(":
-            e = self.expr()
+            e = self.nested(pos, self.expr)
             k2, _, p2 = self.toks.next()
             if k2 != ")":
                 raise ExprSyntaxError("expected ')'", p2)
@@ -210,7 +225,7 @@ class _Parser:
                 k2, _, p2 = self.toks.next()
                 if k2 != "(":
                     raise ExprSyntaxError("function %r needs parentheses" % value, p2)
-                arg = self.expr()
+                arg = self.nested(p2, self.expr)
                 k3, _, p3 = self.toks.next()
                 if k3 != ")":
                     raise ExprSyntaxError("expected ')' after argument of %r" % value, p3)

@@ -122,10 +122,12 @@ def _kernel_quadrature(k: KernelSpec, nodes: np.ndarray, f: np.ndarray,
     if k.kind == "volterra_unit":
         return _cumtrap(nodes, f)
     n = nodes.size
+    ts = nodes.tolist()
     gmat = np.empty((n, n))
-    for i, t in enumerate(nodes):
-        for j, s in enumerate(nodes):
-            gmat[i, j] = k.evaluate(float(t), float(s))
+    # row by row: the evaluations keep their row-major order, and only one
+    # row of Python floats is held at a time
+    for i, t in enumerate(ts):
+        gmat[i] = [k.evaluate(t, s) for s in ts]
     if absolute:
         np.abs(gmat, out=gmat)
     w = np.empty(n)

@@ -616,6 +616,12 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
         digest=_digest(plan, stop, integral, **identity))
 
 
+# libyaml's scanner and parser under PyYAML's safe constructor and resolver:
+# the same values as yaml.safe_load, about ten times faster on large files.
+# A PyYAML built without libyaml has only the pure-Python SafeLoader.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(source) -> dict:
     """The raw problem mapping of a catalog name or a YAML problem file path."""
     text_name = str(source)
@@ -623,7 +629,7 @@ def load_config(source) -> dict:
         return {"catalog": text_name}
     try:
         with open(source, "r") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError:
         raise ProblemError("%r is neither a catalog problem nor a readable file" % text_name)
     except yaml.YAMLError as exc:

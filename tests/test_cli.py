@@ -94,6 +94,23 @@ def test_run_reports_bad_expression_with_position(tmp_path, capsys):
     assert "x9" in err and "position" in err
 
 
+def test_run_reports_deep_nesting_with_position(tmp_path, capsys):
+    depth = 400
+    src = write_yaml(tmp_path, "deep.yaml",
+                     'operator: ["%sx1%s"]\nx0: 0.0\n' % ("(" * depth, ")" * depth))
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested more than 100 levels deep (at position 100)" in err
+
+
+def test_run_reports_malformed_yaml_with_line(tmp_path, capsys):
+    src = write_yaml(tmp_path, "bad.yaml", "operator: [x1\nx0: 1.0\n")
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse %s: " % src) and "line 2" in err
+
+
 def test_run_missing_source(tmp_path, capsys):
     assert run_cli("run", str(tmp_path / "nope.yaml")) == 1
     assert "neither a catalog problem" in capsys.readouterr().err
@@ -452,6 +469,20 @@ def test_sweep_rejects_out_of_range_value(tmp_path, capsys, param, value, key):
                    "--out", str(out)) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_summary_keeps_error_with_comma_in_one_field(tmp_path):
+    src = write_yaml(tmp_path, "k.yaml",
+                     "kind: integral\noperator: [\"0.5*sin(x1) + 1\"]\nx0: [0.0]\n"
+                     "integral: {kernel: \"cos(t*1e308*10)\", m: 10}\n")
+    out = tmp_path / "sw"
+    assert run_cli("sweep", src, "--param", "m", "--values", "10,20", "--out", str(out)) == 0
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [7, 7, 7]
+    for row in rows[1:]:
+        assert row[3].startswith("kernel failed at (t=0.2, s=0.0): ")
+        assert row[4:] == ["", "", "1"]
 
 
 def test_sweep_integral_mesh(tmp_path):

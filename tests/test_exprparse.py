@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpcert.exprparse import (Bin, Call, EvalDomainError, ExprSyntaxError,
+from fpcert.exprparse import (MAX_DEPTH, Bin, Call, EvalDomainError, ExprSyntaxError,
                               FUNCTIONS, Lit, Neg, UnknownVariableError, Var,
                               _SHAPES, _compile, _walk, eval_expr, parse_expr, to_text)
 
@@ -48,6 +48,29 @@ def test_parse_syntax_errors():
     for bad in ("", "  ", "1 +", "(1", "2 ** 3", "sin 3", "1 2"):
         with pytest.raises(ExprSyntaxError):
             parse_expr(bad, ("x",))
+
+
+# each shape nests `depth` levels; the level past MAX_DEPTH opens at `pos(depth)`
+NESTINGS = {
+    "parentheses": (lambda d: "(" * d + "x" + ")" * d, lambda d: d - 1),
+    "function-arguments": (lambda d: "sin(" * d + "x" + ")" * d, lambda d: 4 * d - 1),
+    "unary-minus": (lambda d: "-" * d + "x", lambda d: d - 1),
+    "exponents": (lambda d: "^".join(["x"] * (d + 1)), lambda d: 2 * d - 1),
+    "mixed": (lambda d: "1 + 2*(" * d + "x" + ")" * d, lambda d: 7 * d - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_nesting_is_refused_past_max_depth_with_position(shape):
+    text, pos = NESTINGS[shape]
+    e = parse_expr(text(MAX_DEPTH), ("x",))
+    # walked, then compiled: both stay inside the recursion limit
+    assert eval_expr(e, {"x": 0.5}) == eval_expr(e, {"x": 0.5})
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr(text(MAX_DEPTH + 1), ("x",))
+    assert exc.value.pos == pos(MAX_DEPTH + 1)
+    assert str(exc.value) == ("expression nested more than %d levels deep (at position %d)"
+                              % (MAX_DEPTH, pos(MAX_DEPTH + 1)))
 
 
 def test_equality_ignores_source_position():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpcert.core import OperatorSpec, Vector
-from fpcert.greens import (GreensError, GridFunction, KernelSpec,
+from fpcert.greens import (GreensError, GridFunction, KernelSpec, _kernel_quadrature,
                            apply_integral_operator, bound_propagate,
                            build_volterra_kernel, kernel_from_expression,
                            run_integral_iteration)
@@ -118,6 +118,70 @@ def test_quadrature_error_is_second_order():
         errs.append(abs(out.values[-1] - (math.e - 1.0)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
+
+
+def per_entry_quadrature(k, nodes, f, absolute=False):
+    """_kernel_quadrature as a double loop storing one numpy entry at a time."""
+    n = nodes.size
+    gmat = np.empty((n, n))
+    for i, t in enumerate(nodes):
+        for j, s in enumerate(nodes):
+            gmat[i, j] = k.evaluate(float(t), float(s))
+    if absolute:
+        np.abs(gmat, out=gmat)
+    w = np.empty(n)
+    dn = np.diff(nodes)
+    w[0] = 0.5 * dn[0]
+    w[-1] = 0.5 * dn[-1]
+    w[1:-1] = 0.5 * (dn[1:] + dn[:-1])
+    return gmat @ (w * f)
+
+
+def recorded_points(monkeypatch, run):
+    """The (t, s) arguments of every KernelSpec.evaluate call made by run()."""
+    calls = []
+    evaluate = KernelSpec.evaluate
+
+    def recording(self, t, s):
+        calls.append((t, s))
+        return evaluate(self, t, s)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(KernelSpec, "evaluate", recording)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 7, 50])
+@pytest.mark.parametrize("text", ["0.3*exp(-1.7*(t - s)^2)", "sin(3*t) - cos(2*s)*t"])
+def test_kernel_quadrature_equals_per_entry_loop(monkeypatch, text, m, absolute):
+    k = kernel_from_expression(text, 1.3)
+    nodes = GridFunction.uniform(1.3, m).nodes
+    f = np.cos(3.0 * nodes) - 0.4
+    got, want = [], []
+    got_calls = recorded_points(
+        monkeypatch, lambda: got.append(_kernel_quadrature(k, nodes, f, absolute)))
+    want_calls = recorded_points(
+        monkeypatch, lambda: want.append(per_entry_quadrature(k, nodes, f, absolute)))
+    assert np.array_equal(got[0], want[0])
+    # one evaluation per (t, s), row by row, on the same Python floats
+    assert got_calls == want_calls and len(got_calls) == (m + 1) ** 2
+
+
+def test_kernel_quadrature_names_the_first_failing_point():
+    # 0.5 - t*s < 0 first at row t = 0.6, after six rows evaluate cleanly
+    k = kernel_from_expression("sqrt(0.5 - t*s)", 1.0)
+    nodes = GridFunction.uniform(1.0, 10).nodes
+    f = np.ones_like(nodes)
+    with pytest.raises(GreensError) as got:
+        _kernel_quadrature(k, nodes, f)
+    with pytest.raises(GreensError) as want:
+        per_entry_quadrature(k, nodes, f)
+    first = next((t, s) for t in nodes.tolist() for s in nodes.tolist() if 0.5 - t * s < 0.0)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("kernel failed at (t=%r, s=%r): " % first)
+    assert first[0] > 0.5
 
 
 # -- iteration ---------------------------------------------------------------

@@ -1,14 +1,19 @@
 import copy
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from fpcert.core import BallDomain, NormKind, Vector
 from fpcert.estimate import (SAFETY_FACTOR, estimate_lipschitz_K, estimate_lipschitz_M,
                              with_safety)
 from fpcert.problems import (CATALOG, CertRequest, ProblemError,
                              averaged_factory, catalog_names, constants_for,
-                             get_entry, load_problem, operator_from_expressions,
+                             get_entry, load_config, load_problem, operator_from_expressions,
                              override_param, resolve_config)
 from fpcert.schemes import (InjectionMode, PerturbationPlan, SchemeKind,
                             StopRule, run_outer)
@@ -355,6 +360,65 @@ def test_load_problem_yaml_file(tmp_path):
     path.write_text("operator: 0.5*x1 + 1\nx0: 0.0\nstop: {max_n: 7}\n")
     r = load_problem(str(path))
     assert r.stop.max_n == 7
+
+
+# -- the YAML loader ------------------------------------------------------------
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def bench_workloads():
+    """bench/workloads.py, imported once by its path."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def pure_python_load(path):
+    """The file's mapping as PyYAML's pure-Python SafeLoader reads it."""
+    with open(path) as fh:
+        return yaml.load(fh, Loader=yaml.SafeLoader)
+
+
+def assert_same_values(got, want):
+    # repr tells apart what == does not: 0.0 and -0.0, 1 and 1.0, True and 1,
+    # and the last digit of a float; dicts keep the order of their keys
+    assert type(got) is dict
+    assert repr(got) == repr(want)
+
+
+YAML_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+     1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0, -2.718281828459045e-300])
+YAML_STRINGS = st.text() | st.sampled_from(
+    ["a: b", "key:value", "# not a comment", "x #y", "'single'", '"double"', "it's",
+     'say "hi"', "yes", "no", "on", "null", "~", "", " ", "1e3", "1.5", "0x1f", "0o17",
+     "1_000", ".inf", "-.nan", "2001-12-14", "<<", "- item", "[x1]", "{a: 1}", "x1^2 - 2"])
+YAML_SCALARS = (YAML_FLOATS | st.integers() | YAML_STRINGS | st.booleans() | st.none())
+YAML_VALUES = st.recursive(
+    YAML_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(YAML_STRINGS, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=st.dictionaries(YAML_STRINGS, YAML_VALUES, max_size=6),
+       flow=st.sampled_from([None, True, False]))
+def test_load_config_reads_what_the_pure_python_loader_reads(tmp_path_factory, cfg, flow):
+    path = tmp_path_factory.getbasetemp() / "loader-property.yaml"
+    path.write_text(yaml.safe_dump(cfg, default_flow_style=flow))
+    assert_same_values(load_config(str(path)), pure_python_load(path))
+
+
+@pytest.mark.parametrize("workload", ["newton-dense", "fredholm-sweep", "noisy-certify"])
+def test_load_config_reads_benchmark_problems_like_the_pure_python_loader(tmp_path, workload):
+    inst = bench_workloads().make_instance(workload, 1, 0, tmp_path)
+    path = inst.out / "problem.yaml"
+    assert_same_values(load_config(str(path)), pure_python_load(path))
 
 
 def test_override_param():
