@@ -137,8 +137,8 @@ def per_entry_quadrature(k, nodes, f, absolute=False):
     return gmat @ (w * f)
 
 
-def recorded_points(monkeypatch, run):
-    """The (t, s) arguments of every KernelSpec.evaluate call made by run()."""
+def recorded(monkeypatch, quadrature, *args):
+    """quadrature(*args), and the (t, s) of every KernelSpec.evaluate call it made."""
     calls = []
     evaluate = KernelSpec.evaluate
 
@@ -148,8 +148,7 @@ def recorded_points(monkeypatch, run):
 
     with monkeypatch.context() as patch:
         patch.setattr(KernelSpec, "evaluate", recording)
-        run()
-    return calls
+        return quadrature(*args), calls
 
 
 @pytest.mark.parametrize("absolute", [False, True])
@@ -159,12 +158,9 @@ def test_kernel_quadrature_equals_per_entry_loop(monkeypatch, text, m, absolute)
     k = kernel_from_expression(text, 1.3)
     nodes = GridFunction.uniform(1.3, m).nodes
     f = np.cos(3.0 * nodes) - 0.4
-    got, want = [], []
-    got_calls = recorded_points(
-        monkeypatch, lambda: got.append(_kernel_quadrature(k, nodes, f, absolute)))
-    want_calls = recorded_points(
-        monkeypatch, lambda: want.append(per_entry_quadrature(k, nodes, f, absolute)))
-    assert np.array_equal(got[0], want[0])
+    got, got_calls = recorded(monkeypatch, _kernel_quadrature, k, nodes, f, absolute)
+    want, want_calls = recorded(monkeypatch, per_entry_quadrature, k, nodes, f, absolute)
+    assert np.array_equal(got, want)
     # one evaluation per (t, s), row by row, on the same Python floats
     assert got_calls == want_calls and len(got_calls) == (m + 1) ** 2
 
