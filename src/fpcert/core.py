@@ -42,12 +42,11 @@ class Vector:
     coords: np.ndarray
 
     def __init__(self, coords: Union[Sequence[float], np.ndarray]):
-        arr = np.asarray(coords, dtype=float)
+        arr = np.array(coords, dtype=float)  # a copy: no caller's array can change it
         if arr.ndim != 1 or arr.size < 1:
             raise CoreError("vector must be one-dimensional with d >= 1, got shape %r" % (arr.shape,))
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise CoreError("vector entries must be finite, got %r" % (arr,))
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 

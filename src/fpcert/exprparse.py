@@ -5,16 +5,20 @@ Grammar (binding tightest to loosest): ^ (right associative), unary minus,
 sin, cos, exp, log, sqrt, abs, and parenthesized expressions.
 
 `eval_expr` is the one way to evaluate a tree.  It walks a tree the first
-time (`_eval`); from the second evaluation on it runs a Python function
-compiled once from that tree (`_compile`), which does the same floating-point
-operations in the same order and so returns the same bits.  Trees that differ
-only in their literals share one compiled function.  Errors always come from
-the walk: when the compiled code raises or ends non-finite, the walk runs
-again and raises, or returns, exactly what it would have alone.
+time (`_eval`); from the second evaluation on it calls the tree's own Python
+function, compiled once from that tree (`_compile`), which does the same
+floating-point operations in the same order and so returns the same bits.
+Literals reach that function as default arguments, so trees that differ only
+in their literals share one code object.  A subtree without variables (the
+0.3*W of a Jacobian entry, the -w of a kernel) is computed once, at compile
+time, by the walk's own operations, with the same bits.  Errors always come
+from the walk: when the compiled code raises or ends non-finite, the walk
+runs again and raises, or returns, exactly what it would have alone.
 """
 from __future__ import annotations
 
 import math
+import types
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Tuple, Union
@@ -50,11 +54,18 @@ _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
          "sqrt": math.sqrt, "abs": abs}
 
 
+def _uncompiled(bindings: Dict[str, float]) -> float:
+    """The function of a tree without compiled code: its NaN sends eval_expr to the walk."""
+    return math.nan
+
+
 class _Node:
-    # eval_expr's state for this tree: None before its first evaluation,
-    # _WALKED after it, then the (function, constants) pair from _compile.
-    # A class attribute, not a field: equality, hashing and repr ignore it.
-    _compiled = None
+    # eval_expr's state for this tree, kept out of the dataclass fields so
+    # that equality, hashing and repr ignore it: _walked turns True at the
+    # first evaluation, and the second gives the tree its own _fn, compiled
+    # from it, in place of this stand-in.
+    _walked = False
+    _fn = staticmethod(_uncompiled)
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,18 @@ class Bin(_Node):
     left: "Expr"
     right: "Expr"
     pos: int = field(default=-1, compare=False)
+
+    def __eq__(self, other):
+        # the left spines in a loop, so that comparing long sums costs one
+        # stack frame, not one per term; the fields compared are op, left, right
+        if other.__class__ is not Bin:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is Bin:
+            if b.__class__ is not Bin or a.op != b.op or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a == b
 
 
 @dataclass(frozen=True)
@@ -250,19 +273,32 @@ def eval_expr(e: Expr, bindings: Dict[str, float]) -> float:
     compiled from it, and falls back to the walk on any exception or a
     non-finite value, so that the walk alone decides what is an error.
     """
-    compiled = e._compiled
-    if compiled is None:
-        object.__setattr__(e, "_compiled", _WALKED)
-    else:
+    try:
+        v = e._fn(bindings)
+        if math.isfinite(v):
+            return v
+    except Exception:
+        pass  # the walk in _eval_cold raises the error, with its position
+    return _eval_cold(e, bindings)
+
+
+def _eval_cold(e: Expr, bindings: Dict[str, float]) -> float:
+    """eval_expr where e's own function gave no finite value: at e's first
+    two evaluations, and on an error or a non-finite value."""
+    if not e._walked:
+        object.__setattr__(e, "_walked", True)
+    elif "_fn" not in vars(e):
         try:
-            if compiled is _WALKED:
-                compiled = _compile(e)
-                object.__setattr__(e, "_compiled", compiled)
-            v = compiled[0](bindings, compiled[1])
+            fn = _compile(e)
+        except Exception:
+            fn = _uncompiled  # a tree the compiler refuses stays with the walk
+        object.__setattr__(e, "_fn", fn)
+        try:
+            v = fn(bindings)
             if math.isfinite(v):
                 return v
         except Exception:
-            pass  # the walk below raises the error, with its position
+            pass
     return _walk(e, bindings)
 
 
@@ -296,20 +332,23 @@ def _eval(e: Expr, b: Dict[str, float]) -> float:
     if isinstance(e, Neg):
         return -_eval(e.operand, b)
     if isinstance(e, Call):
-        x = _eval(e.arg, b)
-        if e.fn == "log" and x <= 0.0:
-            raise EvalDomainError("log of nonpositive value %r" % x, e.pos)
-        if e.fn == "sqrt" and x < 0.0:
-            raise EvalDomainError("sqrt of negative value %r" % x, e.pos)
-        if e.fn not in _MATH:
-            raise ExprError("unknown function %r" % e.fn, e.pos)
-        try:
-            return _MATH[e.fn](x)
-        except OverflowError:
-            raise EvalDomainError("overflow in %s(%r)" % (e.fn, x), e.pos)
-        except ValueError:  # sin or cos of an infinity
-            raise EvalDomainError("%s of %r is undefined" % (e.fn, x), e.pos)
+        return _call(e, _eval(e.arg, b))
     raise ExprError("unknown node %r" % (e,))
+
+
+def _call(e: Call, x: float) -> float:
+    if e.fn == "log" and x <= 0.0:
+        raise EvalDomainError("log of nonpositive value %r" % x, e.pos)
+    if e.fn == "sqrt" and x < 0.0:
+        raise EvalDomainError("sqrt of negative value %r" % x, e.pos)
+    if e.fn not in _MATH:
+        raise ExprError("unknown function %r" % e.fn, e.pos)
+    try:
+        return _MATH[e.fn](x)
+    except OverflowError:
+        raise EvalDomainError("overflow in %s(%r)" % (e.fn, x), e.pos)
+    except ValueError:  # sin or cos of an infinity
+        raise EvalDomainError("%s of %r is undefined" % (e.fn, x), e.pos)
 
 
 def _binary(e: Bin, l: float, r: float) -> float:
@@ -338,48 +377,54 @@ def _binary(e: Bin, l: float, r: float) -> float:
 
 # -- compiled evaluation ------------------------------------------------
 
-_WALKED = object()
 # Each operator as Python source over its operands, with the walk's domain
 # predicates in front of / and ^; any exception they raise sends eval_expr
 # back to the walk.  log and sqrt need no such line: math raises on exactly
 # the walk's predicates (x <= 0, x < 0).
 _OPS = {"+": "{l} + {r}", "-": "{l} - {r}", "*": "{l} * {r}", "/": "{l} / {r}",
         "^": "pow({l}, {r})"}
+# {neg} and {frac} test the exponent: see _exponent_tests.
 _GUARDS = {"/": "if {r} == 0.0: raise ZeroDivisionError",
-           "^": "if {l} == 0.0 and {r} < 0.0 or {l} < 0.0 and not float({r}).is_integer():"
-                " raise ValueError"}
+           "^": "if {l} == 0.0 and {neg} or {l} < 0.0 and {frac}: raise ValueError"}
 # the globals of every compiled function: the walk's math, and math.pow for ^
 _SCOPE = dict(_MATH, pow=math.pow)
-# generated source -> its function, kept while some tree still uses it
-_SHAPES: "weakref.WeakValueDictionary[str, Callable]" = weakref.WeakValueDictionary()
+# generated source -> its code object, kept while some tree's function uses it
+_CODES: "weakref.WeakValueDictionary[str, types.CodeType]" = weakref.WeakValueDictionary()
 
 
-def _compile(e: Expr) -> Tuple[Callable, tuple]:
-    """(fn, consts) with fn(bindings, consts) doing the walk's operations in order.
+def _compile(e: Expr) -> Callable[[Dict[str, float]], float]:
+    """A function of the bindings doing the walk's operations on e in order.
 
     The code is straight-line, one assignment per operator or call node, so
-    it compiles however deep the tree.  Literals are read from consts, never
-    written into the source: trees that differ only in literals share one
-    function, and 0.0 and -0.0 keep their own signs.
+    it compiles however deep the tree.  A subtree without variables is
+    computed here, once, by the walk's own operations; a literal or such a
+    value reaches the code as the default of a parameter c<k>, never as
+    source text: trees that differ only in literals share one code object,
+    and 0.0 and -0.0 keep their own signs.
     """
     lines: List[str] = []
     consts: List[float] = []
-    result = _emit(e, lines, consts)
-    source = "def expr(b, c):\n%s    return %s\n" % ("".join("    %s\n" % s for s in lines),
-                                                     result)
-    fn = _SHAPES.get(source)
-    if fn is None:
+    result = _operand(_emit(e, lines, consts), consts)
+    source = "def expr(b%s):\n%s    return %s\n" % (
+        "".join(", c%d" % k for k in range(len(consts))),
+        "".join("    %s\n" % s for s in lines), result)
+    code = _CODES.get(source)
+    if code is None:
         defined: dict = {}
         exec(source, _SCOPE, defined)
-        fn = _SHAPES[source] = defined["expr"]
-    return fn, tuple(consts)
+        code = _CODES[source] = defined["expr"].__code__
+    return types.FunctionType(code, _SCOPE, "expr", tuple(consts))
 
 
-def _emit(e: Expr, lines: List[str], consts: List[float]) -> str:
+def _emit(e: Expr, lines: List[str], consts: List[float]) -> Union[str, float]:
     """Append the statements computing e to lines; return the operand holding it.
 
-    A tree the walk cannot evaluate either (an unknown operator, function or
-    node) raises ExprError, and eval_expr leaves that tree to the walk.
+    A subtree without variables returns its value instead, computed by the
+    walk's operations in the walk's order, so with the walk's bits; where
+    one of them raises, the subtree stays code, and the walk raises its
+    positioned error when the code runs.  A tree the walk cannot evaluate
+    either (an unknown operator, function or node) raises ExprError, and
+    eval_expr leaves that tree to the walk.
     """
     if isinstance(e, Bin):
         spine = []
@@ -391,22 +436,54 @@ def _emit(e: Expr, lines: List[str], consts: List[float]) -> str:
             if node.op not in _OPS:
                 raise ExprError("unknown operator %r" % node.op, node.pos)
             l, r = v, _emit(node.right, lines, consts)
+            if not isinstance(l, str) and not isinstance(r, str):
+                try:
+                    v = _binary(node, l, r)
+                    continue
+                except ExprError:
+                    pass
+            neg, frac = _exponent_tests(r, consts) if node.op == "^" else (None, None)
+            l, r = _operand(l, consts), _operand(r, consts)
             if node.op in _GUARDS:
-                lines.append(_GUARDS[node.op].format(l=l, r=r))
+                lines.append(_GUARDS[node.op].format(l=l, r=r, neg=neg, frac=frac))
             v = _assign(lines, _OPS[node.op].format(l=l, r=r))
         return v
     if isinstance(e, Lit):
-        consts.append(e.value)
-        return "c[%d]" % (len(consts) - 1)
+        if isinstance(e.value, str):  # only code is a str here; leave the tree to the walk
+            raise ExprError("literal %r is no number" % (e.value,), e.pos)
+        return e.value
     if isinstance(e, Var):
         return "b[%r]" % e.name
     if isinstance(e, Neg):
-        return _assign(lines, "-" + _emit(e.operand, lines, consts))
+        x = _emit(e.operand, lines, consts)
+        return _assign(lines, "-" + x) if isinstance(x, str) else -x
     if isinstance(e, Call):
         if e.fn not in _MATH:
             raise ExprError("unknown function %r" % e.fn, e.pos)
-        return _assign(lines, "%s(%s)" % (e.fn, _emit(e.arg, lines, consts)))
+        x = _emit(e.arg, lines, consts)
+        if not isinstance(x, str):
+            try:
+                return _call(e, x)
+            except ExprError:
+                x = _operand(x, consts)
+        return _assign(lines, "%s(%s)" % (e.fn, x))
     raise ExprError("unknown node %r" % (e,))
+
+
+def _exponent_tests(r: Union[str, float], consts: List[float]) -> Tuple[str, str]:
+    """The walk's two tests of the exponent r of ^, r < 0.0 and r not an
+    integer, as operands: computed here, once, when r is a value."""
+    if isinstance(r, str):
+        return "%s < 0.0" % r, "not float(%s).is_integer()" % r
+    return _operand(r < 0.0, consts), _operand(not float(r).is_integer(), consts)
+
+
+def _operand(v: Union[str, float], consts: List[float]) -> str:
+    """v as an operand of the code: a value becomes the next parameter c<k>."""
+    if isinstance(v, str):
+        return v
+    consts.append(v)
+    return "c%d" % (len(consts) - 1)
 
 
 def _assign(lines: List[str], value: str) -> str:
@@ -448,8 +525,15 @@ def _render(e: Expr, parent_prec: int) -> str:
             right = _render(e.right, _PREC["neg"])  # exponent admits unary minus
             s = left + "^" + right
         else:
-            left = _render(e.left, prec)
-            right = _render(e.right, prec + 1)
-            s = "%s %s %s" % (left, e.op, right)
+            # the left spine of a chain at this precedence needs no parentheses;
+            # render it in a loop, so that a long sum costs one stack frame
+            spine = []
+            while isinstance(e, Bin) and e.op != "^" and _PREC[e.op] == prec:
+                spine.append(e)
+                e = e.left
+            parts = [_render(e, prec)]
+            for node in reversed(spine):
+                parts += [node.op, _render(node.right, prec + 1)]
+            s = " ".join(parts)
         return "(" + s + ")" if prec < parent_prec else s
     raise ExprError("unknown node %r" % (e,))

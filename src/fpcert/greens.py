@@ -126,8 +126,9 @@ def _kernel_quadrature(k: KernelSpec, nodes: np.ndarray, f: np.ndarray,
     gmat = np.empty((n, n))
     # row by row: the evaluations keep their row-major order, and only one
     # row of Python floats is held at a time
+    ev = k.evaluate
     for i, t in enumerate(ts):
-        gmat[i] = [k.evaluate(t, s) for s in ts]
+        gmat[i] = [ev(t, s) for s in ts]
     if absolute:
         np.abs(gmat, out=gmat)
     w = np.empty(n)

@@ -64,7 +64,7 @@ def operator_from_expressions(exprs: Sequence[str], dim: int,
     trees = [parse_expr(t, allowed) for t in exprs]
 
     def bindings(x: Vector) -> Dict[str, float]:
-        return {names[i]: x[i] for i in range(dim)}
+        return dict(zip(names, x.coords.tolist()))
 
     def evaluator(x: Vector) -> Vector:
         b = bindings(x)
@@ -77,12 +77,13 @@ def operator_from_expressions(exprs: Sequence[str], dim: int,
     if deriv_exprs is not None:
         if len(deriv_exprs) != dim or any(len(row) != dim for row in deriv_exprs):
             raise ProblemError("derivative must be a %dx%d matrix of expressions" % (dim, dim))
-        jac_trees = [[parse_expr(t, allowed) for t in row] for row in deriv_exprs]
+        # row-major, so that the entries evaluate, and fail, in matrix order
+        jac_trees = [parse_expr(t, allowed) for row in deriv_exprs for t in row]
 
         def derivative(x: Vector, h: Vector) -> Vector:
             b = bindings(x)
             try:
-                jac = np.array([[eval_expr(t, b) for t in row] for row in jac_trees])
+                jac = np.array([eval_expr(t, b) for t in jac_trees]).reshape(dim, dim)
             except ExprError as exc:
                 raise OperatorEvaluationError("derivative of %s: %s" % (name or "?", exc)) from exc
             return Vector(jac @ h.coords)

@@ -32,6 +32,31 @@ def test_vector_is_immutable():
     v = Vector([1.0, 2.0])
     with pytest.raises(ValueError):
         v.coords[0] = 5.0
+    assert not v.coords.flags.writeable
+    # the vector keeps its own copy of an ndarray it is built from
+    src = np.array([1.0, 2.0])
+    w = Vector(src)
+    src[0] = 5.0
+    assert w.coords.tolist() == [1.0, 2.0]
+
+
+def test_vector_accepts_lists_tuples_arrays_and_numpy_scalars():
+    want = [1.0, -2.5, 0.0]
+    for coords in (want, tuple(want), np.array(want), [np.float64(1.0), np.float32(-2.5), 0],
+                   np.array([1, -2.5, 0], dtype=np.float32)):
+        v = Vector(coords)
+        assert v.coords.dtype == np.float64
+        assert v.coords.tolist() == want
+
+
+def test_vector_error_messages():
+    with pytest.raises(CoreError, match=r"^vector entries must be finite, got array\(\[ 1., nan\]\)$"):
+        Vector([1.0, math.nan])
+    with pytest.raises(CoreError, match=r"^vector must be one-dimensional with d >= 1, "
+                                        r"got shape \(0,\)$"):
+        Vector([])
+    with pytest.raises(CoreError, match=r"got shape \(2, 1\)$"):
+        Vector([[1.0], [2.0]])
 
 
 def test_norm_examples():

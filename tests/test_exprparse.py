@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fpcert.exprparse import (MAX_DEPTH, Bin, Call, EvalDomainError, ExprSyntaxError,
                               FUNCTIONS, Lit, Neg, UnknownVariableError, Var,
-                              _SHAPES, _compile, _walk, eval_expr, parse_expr, to_text)
+                              _CODES, _compile, _walk, eval_expr, parse_expr, to_text)
 
 
 # -- parsing ------------------------------------------------------------
@@ -220,8 +220,7 @@ def check_compiled_matches_walk(e, env):
         assert outcome(eval_expr, e, env) == want
     # the compiled code alone gives the walk's bits wherever the walk gives a
     # value, and never a finite value where the walk raises
-    fn, consts = _compile(e)
-    got = outcome(fn, env, consts)
+    got = outcome(_compile(e), env)
     if want[0] == "value":
         assert got == want
     else:
@@ -234,7 +233,9 @@ def test_compiled_evaluation_is_the_walk_bit_for_bit(e, x, y):
     check_compiled_matches_walk(e, {"x": x, "y": y})
 
 
-EDGES = sorted(set(LITERALS + VALUES) | {-math.inf, math.nan}, key=repr)
+# keyed by repr, so that -0.0 is not merged into 0.0
+EDGES = sorted({repr(v): v for v in LITERALS + VALUES + (-math.inf, math.nan)}.values(),
+               key=repr)
 
 
 @pytest.mark.parametrize("op", "+-*/^")
@@ -245,6 +246,18 @@ def test_compiled_operators_match_walk_on_every_edge_pair(op):
             node = Bin(op, Lit(l), Var("y"), 1)
             check_compiled_matches_walk(node, {"y": r})
             check_compiled_matches_walk(Bin("/", Lit(1.0), node, 0), {"y": r})
+
+
+@pytest.mark.parametrize("op", "+-*/^")
+def test_compiled_literal_operands_match_walk_on_every_edge_pair(op):
+    # a literal on the right (a literal exponent has its tests precomputed),
+    # and two literals, which fold at compile time; y + (...) keeps a folded
+    # value inside code
+    for l in EDGES:
+        for r in EDGES:
+            for node in (Bin(op, Var("y"), Lit(r), 1), Bin(op, Lit(l), Lit(r), 1)):
+                for e in (node, Bin("/", Lit(1.0), node, 0), Bin("+", Var("y"), node, 0)):
+                    check_compiled_matches_walk(e, {"y": l})
 
 
 @pytest.mark.parametrize("fn", FUNCTIONS)
@@ -265,8 +278,16 @@ def test_compiled_functions_match_walk_on_every_edge(fn):
     (parse_expr("1 / (1 / x)", ("x",)), {"x": np.float64(0.0)}),
     (parse_expr("x + y", ("x", "y")), {"x": 1.0}),  # y is unbound
     (Bin("*", Var("x"), Lit(-0.0)), {"x": 1.0}),
+    # literal-only subtrees the walk refuses stay code, so that the walk
+    # raises its own positioned error at every evaluation
+    (parse_expr("x + 1/0", ("x",)), {"x": 1.0}),
+    (parse_expr("x*(-8)^(1/3)", ("x",)), {"x": 1.0}),
+    (parse_expr("x*(0^-1)", ("x",)), {"x": 1.0}),
+    # an infinite literal product whose reciprocal folds to 0.0
+    (parse_expr("x + 1/(1e308*10)", ("x",)), {"x": 1.0}),
 ], ids=["sum-1000", "negative-base-inf", "division-by-zero", "numpy-zero", "unbound",
-        "negative-zero"])
+        "negative-zero", "refused-division", "refused-root", "refused-power",
+        "overflow-folds"])
 def test_compiled_evaluation_fixed_cases(e, env):
     check_compiled_matches_walk(e, env)
 
@@ -280,9 +301,9 @@ def test_thousand_term_sum_evaluates():
 
 
 def test_trees_differing_in_literals_share_one_function():
-    a = parse_expr("0.3*0.25*cos(x1)", ("x1",))
-    b = parse_expr("0.7*0.5*cos(x1)", ("x1",))
-    assert _compile(a)[0] is _compile(b)[0]
+    a = parse_expr("x1*0.25 + 2", ("x1",))
+    b = parse_expr("x1*-0.5 + 7", ("x1",))
+    assert _compile(a).__code__ is _compile(b).__code__
     # equal trees (== ignores pos and 0.0 vs -0.0) still keep their own bits and positions
     pos, neg = Bin("*", Var("x"), Lit(0.0), 3), Bin("*", Var("x"), Lit(-0.0), 7)
     assert pos == neg
@@ -301,8 +322,40 @@ def test_compiled_function_is_freed_with_its_trees():
     e = parse_expr("x*sqrt(x)*sqrt(x)*sqrt(x)*sqrt(x)", ("x",))
     for _ in range(2):
         eval_expr(e, {"x": 2.0})
-    fn = weakref.ref(e._compiled[0])
-    assert fn() in _SHAPES.values()
+    code = weakref.ref(e._fn.__code__)
+    assert code() in _CODES.values()
     del e
     gc.collect()
-    assert fn() is None
+    assert code() is None
+
+
+def test_literal_only_subtrees_fold_to_one_parameter():
+    # Jacobian entries 0.3*W*cos(x): the sign of W folds away with the product
+    pos, neg = parse_expr("0.3*0.5*cos(x1)", ("x1",)), parse_expr("0.3*-0.12*cos(x1)", ("x1",))
+    assert _compile(pos).__code__ is _compile(neg).__code__
+    assert _compile(pos).__defaults__ == (0.3 * 0.5,)
+    assert _compile(neg).__defaults__ == (0.3 * -0.12,)
+    # a kernel's literal exponent: the guard of ^ tests precomputed values
+    kernel = _compile(parse_expr("0.83*exp(-3.7*(t - s)^2)", ("t", "s")))
+    assert "is_integer" not in kernel.__code__.co_names
+    assert kernel({"t": 0.7, "s": 0.2}) == _walk(parse_expr("0.83*exp(-3.7*(t - s)^2)",
+                                                            ("t", "s")), {"t": 0.7, "s": 0.2})
+
+
+def test_code_of_many_shapes_is_freed_with_their_trees():
+    # every problem instance brings its own shapes; none may outlive its trees
+    before = set(_CODES)
+    trees = [parse_expr(" - ".join(["abs(x)"] * (i + 1)) + " * 2", ("x",)) for i in range(200)]
+    for e in trees:
+        for _ in range(3):
+            eval_expr(e, {"x": 1.5})
+    sources = set(_CODES) - before
+    assert len(sources) == 200
+    del trees, e
+    gc.collect()
+    assert not sources & set(_CODES)
+
+
+def test_thousand_term_sum_round_trips_through_text():
+    e = parse_expr(" + ".join("%d.5*x" % i for i in range(1000)), ("x",))
+    assert parse_expr(to_text(e), ("x",)) == e
