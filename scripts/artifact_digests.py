@@ -21,7 +21,7 @@ lines.  The pipelines are:
   `derivative`, and a geometric request whose witness grid overflows;
 - file problems that between them set every key of every problem-file block
   (`constants` with `M_star`/`K_star`, an estimate block with all four
-  settings, `stop.r_tol`, `perturbation.eps0`, a damped root `gamma` with
+  settings, `stop.r_tol`, a damped root `gamma` with
   `alpha`, an integral block with an expression kernel), each `run` then
   `certify` with all five regimes at horizon 200.
 
@@ -99,7 +99,7 @@ def every_key_problems():
         "derivative": [["0", "-0.3*sin(x2)"], ["0.3*cos(x1)", "0"]],
         "x0": [0.0, 0.0], "norm": "euclidean", "scheme": "modified_newton",
         "constants": {"M": 0.3, "K": 0.3, "M_star": 0.35, "K_star": 0.3},
-        "perturbation": dict(BUDGETS, mode="additive-seeded-random", seed=5, eps0=0.5),
+        "perturbation": dict(BUDGETS, mode="additive-seeded-random", seed=5),
         "stop": stop}
     yield "file-estimate-every-setting", {
         "operator": "0.5*x1 + 1", "x0": 0.0, "scheme": "newton", "stop": stop,

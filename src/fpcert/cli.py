@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .core import OperatorEvaluationError
 from .greens import GreensError, GridFunction, IntegralTrace, run_integral_iteration
@@ -50,48 +50,51 @@ def _load(source: str, seed: Optional[int]) -> dict:
 # artifact writers/readers
 
 
+def _write_csv(path: Path, header: List[str], rows: Iterable[list]):
+    """Write a header and rows; a float cell goes through _fmt and None is an empty field.
+
+    csv quotes only a field that holds a comma, a quote or a newline, such as
+    an error naming a kernel point (t=..., s=...); rows of numbers stay plain.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else _fmt(v) if isinstance(v, float) else v
+                             for v in row])
+
+
 def _write_trace_csv(path: Path, trace: IterationTrace):
     sums = trace.partial_sums()
-    with open(path, "w", newline="") as fh:
-        fh.write("n,r_n,R_n,r_tilde_n,residual_n,inner_defect_n,injected_n\n")
-        for n in range(trace.steps + 1):
-            row = [str(n)]
-            if n < len(trace.r):
-                row += [_fmt(trace.r[n]), _fmt(sums[n])]
-            else:
-                row += ["", ""]
-            row += [_fmt(trace.r_tilde[n]), _fmt(trace.residual[n])]
-            if n >= 1:
-                row += [_fmt(trace.inner_defect[n - 1]), _fmt(trace.injected[n - 1])]
-            else:
-                row += ["", ""]
-            fh.write(",".join(row) + "\n")
+    _write_csv(path, ["n", "r_n", "R_n", "r_tilde_n", "residual_n", "inner_defect_n",
+                      "injected_n"],
+               ([n,
+                 trace.r[n] if n < len(trace.r) else None,
+                 sums[n] if n < len(trace.r) else None,
+                 trace.r_tilde[n],
+                 trace.residual[n],
+                 trace.inner_defect[n - 1] if n >= 1 else None,
+                 trace.injected[n - 1] if n >= 1 else None]
+                for n in range(trace.steps + 1)))
 
 
 def _write_iterates_csv(path: Path, trace: IterationTrace):
     dim = trace.iterates[0].dim
-    with open(path, "w", newline="") as fh:
-        fh.write("n," + ",".join("x%d" % (i + 1) for i in range(dim)) + "\n")
-        for n, x in enumerate(trace.iterates):
-            fh.write(",".join([str(n)] + [_fmt(x[i]) for i in range(dim)]) + "\n")
+    _write_csv(path, ["n"] + ["x%d" % (i + 1) for i in range(dim)],
+               ([n] + [x[i] for i in range(dim)] for n, x in enumerate(trace.iterates)))
 
 
 def _write_integral_trace_csv(path: Path, trace: IntegralTrace):
-    with open(path, "w", newline="") as fh:
-        fh.write("n,r_n,r_tilde_n,residual_n\n")
-        for n in range(trace.steps + 1):
-            row = [str(n),
-                   _fmt(trace.r[n]) if n < len(trace.r) else "",
-                   _fmt(trace.r_tilde[n]),
-                   _fmt(trace.residual[n])]
-            fh.write(",".join(row) + "\n")
+    _write_csv(path, ["n", "r_n", "r_tilde_n", "residual_n"],
+               ([n,
+                 trace.r[n] if n < len(trace.r) else None,
+                 trace.r_tilde[n],
+                 trace.residual[n]]
+                for n in range(trace.steps + 1)))
 
 
 def _write_solution_csv(path: Path, g: GridFunction):
-    with open(path, "w", newline="") as fh:
-        fh.write("node,value\n")
-        for t, v in zip(g.nodes, g.values):
-            fh.write("%s,%s\n" % (_fmt(t), _fmt(v)))
+    _write_csv(path, ["node", "value"], zip(g.nodes, g.values))
 
 
 def _read_trace_r(path: Path) -> List[float]:
@@ -319,21 +322,15 @@ def cmd_sweep(args) -> int:
     results = [_execute_run(resolved, out_root / _value_label(args.param, v), args.inner_tol)
                for v, resolved in jobs]
 
-    with open(out_root / "summary.csv", "w", newline="") as fh:
-        # csv quotes only a field that holds a comma, a quote or a newline, such
-        # as an error naming a kernel point (t=..., s=...); other rows stay plain
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["param", "value", "steps", "stop_reason", "final_residual",
-                         "final_r", "exit"])
-        for (v, resolved), (code, summary) in zip(jobs, results):
-            writer.writerow([
-                args.param, _fmt(v),
-                str(summary.get("steps", "")),
-                str(summary.get("stop_reason", summary.get("error", "failed"))),
-                _fmt(summary["final_residual"]) if "final_residual" in summary else "",
-                _fmt(summary["final_r"]) if summary.get("final_r") is not None else "",
-                str(code),
-            ])
+    _write_csv(out_root / "summary.csv",
+               ["param", "value", "steps", "stop_reason", "final_residual", "final_r", "exit"],
+               ([args.param, v,
+                 summary.get("steps"),
+                 summary.get("stop_reason", summary.get("error", "failed")),
+                 summary.get("final_residual"),
+                 summary.get("final_r"),
+                 code]
+                for v, (code, summary) in zip(values, results)))
     print("sweep of %s over %d values -> %s" % (args.param, len(jobs), out_root))
     return EXIT_OK
 

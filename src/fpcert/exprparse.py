@@ -119,7 +119,6 @@ Expr = Union[Lit, Var, Neg, Bin, Call]
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.i = 0
         self.tokens: List[Tuple[str, str, int]] = []  # (kind, value, pos)
         self._scan()
         self.k = 0

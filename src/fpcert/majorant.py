@@ -124,15 +124,10 @@ def recurrence_step(r_prev: float, eta: float, lam: float, rho: float) -> float:
 
 def simulate_recurrence(p: MajorantParams, N: int) -> List[float]:
     """Equality simulation r_0..r_N; overflow raises RecurrenceOverflowError."""
-    if N < 0:
-        raise PreconditionError("N must be >= 0")
-    values = [p.r0]
-    for n in range(1, N + 1):
-        nxt = recurrence_step(values[-1], p.eta, p.lam(n - 1), p.rho(n - 1))
-        if not math.isfinite(nxt) or nxt > _OVERFLOW_CAP:
-            raise RecurrenceOverflowError(n, values)
-        values.append(nxt)
-    return values
+    vals, diverged = simulate_capped(p, N)
+    if diverged is not None:
+        raise RecurrenceOverflowError(diverged, vals[:diverged])
+    return vals
 
 
 def simulate_capped(p: MajorantParams, N: int) -> Tuple[List[float], Optional[int]]:
@@ -140,19 +135,18 @@ def simulate_capped(p: MajorantParams, N: int) -> Tuple[List[float], Optional[in
 
     Returns (values of length N+1, index of first overflow or None).
     """
-    try:
-        return simulate_recurrence(p, N), None
-    except RecurrenceOverflowError as exc:
-        vals = list(exc.partial)
-        vals.extend([math.inf] * (N + 1 - len(vals)))
-        return vals, exc.index
+    if N < 0:
+        raise PreconditionError("N must be >= 0")
+    h = _horizon(p, N)
+    return list(h.sim), h.diverged
 
 
 class _Horizon(NamedTuple):
     """What every certificate reads over a horizon N, whatever its witnesses.
 
     lam and rho hold indices 0..N+1 (ratio premises look one index ahead);
-    sim is simulate_capped(p, N) and diverged its first overflow index.
+    sim is the horizon's own equality simulation r_0..r_N, run over lam and
+    rho and padded with +inf from diverged, its first overflow index.
     """
 
     lam: Tuple[float, ...]
@@ -164,10 +158,17 @@ class _Horizon(NamedTuple):
 def _horizon(p: MajorantParams, N: int) -> _Horizon:
     h = p._horizons.get(N)
     if h is None:
-        lam, rho = p.lam.values(0, N + 1), p.rho.values(0, N + 1)
-        sim, diverged = simulate_capped(p, N)
+        lam, rho = tuple(p.lam.values(0, N + 1)), tuple(p.rho.values(0, N + 1))
+        sim, diverged = [p.r0], None
+        for n in range(1, N + 1):
+            nxt = recurrence_step(sim[-1], p.eta, lam[n - 1], rho[n - 1])
+            if not math.isfinite(nxt) or nxt > _OVERFLOW_CAP:
+                diverged = n
+                sim.extend([math.inf] * (N + 1 - n))
+                break
+            sim.append(nxt)
         # tuples: every certificate of p reads the same horizon
-        h = p._horizons[N] = _Horizon(tuple(lam), tuple(rho), tuple(sim), diverged)
+        h = p._horizons[N] = _Horizon(lam, rho, tuple(sim), diverged)
     return h
 
 

@@ -29,7 +29,7 @@ from .greens import KernelSpec, build_volterra_kernel, kernel_from_expression
 from .majorant import REGIMES, ProblemConstants
 from .rootfind import GammaSpec, RootfindError, wrap_root_problem
 from .schemes import InjectionMode, PerturbationPlan, SchemeError, SchemeKind, StopRule
-from .sequences import ScalarSequence, SequenceError, sequence_from_config
+from .sequences import ScalarSequence, SequenceError, sequence_from_config, sequence_to_config
 
 
 class ProblemError(ValueError):
@@ -331,25 +331,12 @@ class ResolvedProblem:
                              self.theta, m_star=c.get("M_star"), k_star=c.get("K_star"))
 
 
-def _seq_to_config(seq: ScalarSequence):
-    k = seq.kind
-    if k == "zero":
-        return {"kind": "zero"}
-    if k == "constant":
-        return {"kind": "constant", "c": seq.c}
-    if k == "geometric":
-        return {"kind": "geometric", "c": seq.c, "ratio": seq.ratio}
-    if k == "power":
-        return {"kind": "power", "c": seq.c, "p": seq.p}
-    if k == "table":
-        return {"kind": "table", "entries": list(seq.entries)}
-    return {"kind": k}
-
-
 def _plan_config(plan: PerturbationPlan) -> dict:
-    return {"mode": plan.mode.value, "seed": plan.seed, "eps0": plan.eps0,
-            "eps": _seq_to_config(plan.eps), "sigma": _seq_to_config(plan.sigma),
-            "gamma": _seq_to_config(plan.gamma)}
+    # eps0 is not a problem-file key: every problem that still resolves had 0.0
+    # here, so hashing 0.0 changes no digest and written traces still certify
+    return {"mode": plan.mode.value, "seed": plan.seed, "eps0": 0.0,
+            "eps": sequence_to_config(plan.eps), "sigma": sequence_to_config(plan.sigma),
+            "gamma": sequence_to_config(plan.gamma)}
 
 
 def _digest(plan: PerturbationPlan, stop: StopRule, integral: Optional[IntegralSetup],
@@ -406,8 +393,7 @@ _CATALOG_OVERRIDES = {"scheme", "perturbation", "stop", "certificates", "integra
 # the problem-file schema below the top level: each block's keys, and the
 # type _number converts a key's value to (None: checked where it is used)
 _KEYS = {
-    "perturbation": {"mode": None, "seed": int, "eps0": float,
-                     "eps": None, "sigma": None, "gamma": None},
+    "perturbation": {"mode": None, "seed": int, "eps": None, "sigma": None, "gamma": None},
     "stop": {"max_n": int, "r_tol": float, "residual_tol": float},
     "gamma": {"kind": None, "alpha": float},
     "integral": {"kernel": None, "T_end": float, "m": int},

@@ -25,17 +25,9 @@ class SchemeError(ValueError):
 class SingularLinearSystemError(SchemeError):
     """The inner linear system I - D is singular or numerically hopeless."""
 
-    def __init__(self, msg: str, x: Optional[Vector] = None):
-        super().__init__(msg)
-        self.x = x
-
 
 class InnerDivergenceError(SchemeError):
     """The inner fixed-point solve for a custom B failed to settle."""
-
-    def __init__(self, msg: str, last_defect: float = math.nan):
-        super().__init__(msg)
-        self.last_defect = last_defect
 
 
 class StepFailure(SchemeError):
@@ -44,7 +36,6 @@ class StepFailure(SchemeError):
     def __init__(self, step: int, cause: Exception):
         super().__init__("step %d failed: %s" % (step, cause))
         self.step = step
-        self.cause = cause
 
 
 class SchemeKind(enum.Enum):
@@ -72,14 +63,12 @@ class InjectionMode(enum.Enum):
 class PerturbationPlan:
     """Declared inexactness budgets plus how to exercise them.
 
-    eps0 is a declared bound for ||A(x0) - x0|| (0 means "use the measured
-    residual").  eps, sigma, gamma are per-step budgets; injection draws
-    perturbations of exactly the budgeted size (deterministic mode points the
-    additive noise against the current step direction, the worst case for a
-    contraction; random mode uses the seeded generator).
+    eps, sigma, gamma are per-step budgets; injection draws perturbations of
+    exactly the budgeted size (deterministic mode points the additive noise
+    against the current step direction, the worst case for a contraction;
+    random mode uses the seeded generator).
     """
 
-    eps0: float = 0.0
     eps: ScalarSequence = field(default_factory=ScalarSequence.zero)
     sigma: ScalarSequence = field(default_factory=ScalarSequence.zero)
     gamma: ScalarSequence = field(default_factory=ScalarSequence.zero)

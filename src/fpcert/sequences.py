@@ -194,9 +194,14 @@ class ScalarSequence:
         raise SequenceError("summability unavailable for sequence kind %r" % k)
 
 
-# the keys a sequence mapping of each kind takes besides kind
-_KIND_KEYS = {"zero": (), "constant": ("c",), "geometric": ("c", "ratio"),
-              "power": ("c", "p"), "table": ("entries",)}
+# each kind a problem-file mapping can name: its constructor, and the keys the
+# mapping takes besides kind, which are the constructor's arguments in order
+# and the names of the fields that hold them
+_KINDS = {"zero": (ScalarSequence.zero, ()),
+          "constant": (ScalarSequence.constant, ("c",)),
+          "geometric": (ScalarSequence.geometric, ("c", "ratio")),
+          "power": (ScalarSequence.power, ("c", "p")),
+          "table": (ScalarSequence.from_table, ("entries",))}
 
 
 def sequence_from_config(cfg) -> ScalarSequence:
@@ -214,25 +219,36 @@ def sequence_from_config(cfg) -> ScalarSequence:
     if not isinstance(cfg, dict):
         raise SequenceError("sequence config must be a number or mapping, got %r" % (cfg,))
     kind = cfg.get("kind")
-    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SequenceError("unknown sequence kind %r (expected %s)"
-                            % (kind, "|".join(sorted(_KIND_KEYS))))
-    extra = set(cfg) - {"kind", *_KIND_KEYS[kind]}
+                            % (kind, "|".join(sorted(_KINDS))))
+    make, keys = _KINDS[kind]
+    extra = set(cfg) - {"kind", *keys}
     if extra:
         raise SequenceError("unknown %s sequence keys: %s"
                             % (kind, ", ".join(sorted(map(str, extra)))))
-    if kind == "constant":
-        return ScalarSequence.constant(_num(cfg, "c"))
-    if kind == "geometric":
-        return ScalarSequence.geometric(_num(cfg, "c"), _num(cfg, "ratio"))
-    if kind == "power":
-        return ScalarSequence.power(_num(cfg, "c"), _num(cfg, "p"))
-    if kind == "table":
-        entries = cfg.get("entries")
-        if not isinstance(entries, list) or not all(isinstance(v, (int, float)) for v in entries):
-            raise SequenceError("table sequence needs an entries list of numbers: %r" % (cfg,))
-        return ScalarSequence.from_table(entries)
-    return ScalarSequence.zero()
+    return make(*(_entries(cfg) if k == "entries" else _num(cfg, k) for k in keys))
+
+
+def sequence_to_config(seq: ScalarSequence) -> dict:
+    """The problem-file mapping that sequence_from_config reads back as seq.
+
+    The affine and pairsum combinators have no file form; they are written as
+    their kind alone.
+    """
+    keys = _KINDS[seq.kind][1] if seq.kind in _KINDS else ()
+    cfg = {"kind": seq.kind}
+    for k in keys:
+        v = getattr(seq, k)
+        cfg[k] = list(v) if k == "entries" else v
+    return cfg
+
+
+def _entries(cfg: dict) -> list:
+    entries = cfg.get("entries")
+    if not isinstance(entries, list) or not all(isinstance(v, (int, float)) for v in entries):
+        raise SequenceError("table sequence needs an entries list of numbers: %r" % (cfg,))
+    return entries
 
 
 def _num(cfg: dict, key: str) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -142,7 +143,7 @@ def test_run_integral_problem(tmp_path):
     ("constants: {M: x}\n", "constants.M"),
     ("certificates: [{regime: sandwich, witnesses: {C1: abc, C2: 1.0}}]\n", "C1"),
     ("constants: {estimate: {samples: abc}}\n", "constants.estimate.samples"),
-    ("perturbation: {eps0: abc}\n", "perturbation.eps0"),
+    ("perturbation: {eps0: 0.5}\n", "unknown perturbation keys: eps0"),
     ("perturbation: {seed: abc}\n", "perturbation.seed"),
     ("kind: root\ngamma: {kind: damped, alpha: abc}\n", "gamma.alpha"),
     ("kind: integral\nintegral: {T_end: abc}\n", "integral.T_end"),
@@ -492,6 +493,32 @@ def test_sweep_integral_mesh(tmp_path):
     rows = read_rows(out / "summary.csv")
     assert [r["value"] for r in rows] == ["50", "100"]
     assert (out / "m=50" / "solution.csv").exists()
+
+
+# -- artifact bytes ----------------------------------------------------------------
+
+# CSV artifacts pinned byte for byte, so that any change to how the writers
+# frame a file (quoting, empty fields, float format) shows.  These runs use
+# only IEEE + - * /, abs, max and a sequential cumulative sum, with no libm
+# call and no BLAS, so their bytes are the same on any host.
+CSV_DATA = Path(__file__).parent / "data" / "csv"
+
+
+def test_csv_artifacts_are_byte_identical(tmp_path):
+    lin, sweep, volterra = tmp_path / "lin", tmp_path / "sweep", tmp_path / "volterra"
+    assert run_cli("run", "linear-contraction", "--out", str(lin)) == 0
+    assert run_cli("sweep", "linear-contraction", "--param", "eps", "--values", "0,0.25",
+                   "--out", str(sweep)) == 0
+    src = write_yaml(tmp_path, "v.yaml", "catalog: volterra-exp\nintegral: {m: 4}\n")
+    assert run_cli("run", src, "--out", str(volterra)) == 0
+    assert read_json(volterra / "run.json")["steps"] == 23
+    written = {"linear-contraction-trace.csv": lin / "trace.csv",
+               "linear-contraction-iterates.csv": lin / "iterates.csv",
+               "linear-contraction-eps-sweep-summary.csv": sweep / "summary.csv",
+               "volterra-exp-m4-trace.csv": volterra / "trace.csv",
+               "volterra-exp-m4-solution.csv": volterra / "solution.csv"}
+    for name, path in written.items():
+        assert path.read_bytes() == (CSV_DATA / name).read_bytes(), name
 
 
 # -- catalog and usage -----------------------------------------------------------

@@ -56,6 +56,33 @@ def test_recurrence_overflow():
     assert len(vals) == 51
     assert first_bad == exc.value.index
     assert vals[-1] == math.inf
+    assert exc.value.partial == vals[:first_bad]
+    vals[0] = -1.0     # each call hands out its own list
+    assert simulate_capped(p, 50)[0][0] == 2.0
+
+
+def test_a_horizon_evaluates_each_sequence_once_per_index():
+    calls = []
+
+    class Counting(ScalarSequence):
+        def __call__(self, n):
+            calls.append((self.kind, n))
+            return super().__call__(n)
+
+    def fresh():
+        return MajorantParams(eta=0.1, lam=Counting("constant", c=0.5),
+                              rho=Counting("geometric", c=0.1, ratio=0.5), r0=1.0)
+
+    # indices 0..N+1 of lam and of rho, once each: 2·(20+2) = 44 calls
+    once = sorted((kind, n) for kind in ("constant", "geometric") for n in range(22))
+    certify(fresh(), "bounded", 20)
+    assert sorted(calls) == once
+    calls.clear()
+    p = fresh()
+    sim = simulate_recurrence(p, 20)
+    certify(p, "bounded", 20)      # reads the horizon the simulation built
+    assert sorted(calls) == once
+    assert sim == own_sim(p, 20)
 
 
 def test_recurrence_step_rejects_negative():

@@ -348,6 +348,56 @@ def test_digest_separates_problems_but_not_certificates():
     assert plain.digest != seeded.digest
 
 
+# The digest is the sha256 of the resolved problem's JSON, so these values hold
+# on any host.  A change that moves one invalidates every trace already written
+# for that problem.
+PINNED_CATALOG_DIGESTS = {
+    "linear-contraction": "61cacae60cf13568925624c247a8646c0ee42a85dced40dce7b64784f2f41adb",
+    "cos-fixed-point": "576c0358d7da82e41b2d35a63ca15dd0b2c55c771fe80d32b27a8fe6b9f8c7a5",
+    "two-dim-system": "a631c57697ff84c875d16b931b779ed529997d2e6a075453bbbb66019254a561",
+    "gentle-newton": "f1263a49450465d15deae7ea81672062724fa37a78680766e877ddc4ca378f88",
+    "sqrt2-root": "2b0504e94c2cdc46c904a715e548bdf58a039a73674a0b9e448acd46c4de8cd6",
+    "damped-root": "a7885be001eb9890470f51b5836306bbb88026956dc8ef2b5e7315017a711c1b",
+    "volterra-exp": "4dd86b0f9d53961b0b39eed3dce7f8f8775c03fc55da3e8aca8cd5a335bc9326",
+    "expanding": "a0b3d6b70b34aef0209a2d15d4f12c766f39c575a64eba8bb083644747162228",
+    "perturbed-linear": "ad5bf8dbe87d1e488e31efad87146a196c15f2c027aebe022158614acfd6d9d7",
+    "perturbed-linear-random":
+        "a77f15ef0ea496e3292d4d550676240a4d2b31b1b6ba83475d96b6c8a17260db",
+    "averaged-linear": "24636f50439d433a43bbfd2480f738a7188407b289c62edc37f78c03b1232799",
+    "averaged-cos": "0e8576462fc22c4312ad0a21c2df61533d7838e137dcef669e3e7a5df6e21c44",
+    "averaged-twodim": "2fdfc9eed672b91c481a6d67cd49f6ba531282e0cb1337c2efe2d4f56f3f0281",
+}
+
+# file problems whose perturbation budgets between them use every sequence
+# form (a bare number, zero, constant, geometric, power, table), and an
+# integral problem with an expression kernel
+PINNED_FILE_DIGESTS = [
+    (minimal_cfg(perturbation={"eps": 0.001, "sigma": {"kind": "zero"},
+                               "gamma": {"kind": "constant", "c": 0.002}}),
+     "ae62b5659820ebb0d35ed75c725a07bc4d4f774d31ebe86df0dc74fe966ba40d"),
+    (minimal_cfg(scheme="newton",
+                 perturbation={"eps": {"kind": "geometric", "c": 0.01, "ratio": 0.5},
+                               "sigma": {"kind": "power", "c": 0.1, "p": 2},
+                               "gamma": {"kind": "table", "entries": [0.3, 0.2, 0]}}),
+     "4b598b5e45585b87e1e27850ff834a027015707bcd4ad2319d79d0f37e94ef10"),
+    ({"name": "kernel", "kind": "integral", "operator": "x1 + 1", "x0": 0.0,
+      "integral": {"kernel": "0.5*exp(-(t - s)^2)", "T_end": 1.0, "m": 20}},
+     "6dc993a288918aedf379b7a0ce74ba5b3f1336b6660b9fa74c41b8c90483e5d2"),
+]
+
+
+def test_catalog_digests_are_pinned():
+    assert {name: resolve_config({"catalog": name}).digest
+            for name in CATALOG} == PINNED_CATALOG_DIGESTS
+
+
+@pytest.mark.parametrize("cfg, digest", PINNED_FILE_DIGESTS,
+                         ids=["number-zero-constant", "geometric-power-table",
+                              "expression-kernel"])
+def test_file_problem_digests_are_pinned(cfg, digest):
+    assert resolve_config(cfg).digest == digest
+
+
 def test_load_problem_catalog_and_missing_file():
     r = load_problem("linear-contraction")
     assert r.name == "linear-contraction"

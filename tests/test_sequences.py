@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fpcert.sequences import ScalarSequence, SequenceError, sequence_from_config
+from fpcert.sequences import (ScalarSequence, SequenceError, sequence_from_config,
+                              sequence_to_config)
 
 
 def brute_tail(seq, n0, terms=4000):
@@ -140,3 +142,27 @@ def test_sequence_from_config_forms():
         sequence_from_config({"kind": "fourier"})
     with pytest.raises(SequenceError):
         sequence_from_config("not a sequence")
+
+
+_NONNEG = st.floats(min_value=0.0, max_value=1e300)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FILE_SEQUENCES = st.one_of(
+    st.just(ScalarSequence.zero()),
+    st.builds(ScalarSequence.constant, _NONNEG),
+    st.builds(ScalarSequence.geometric, _NONNEG, _NONNEG),
+    st.builds(ScalarSequence.power, _NONNEG, _FINITE),
+    st.builds(ScalarSequence.from_table, st.lists(_NONNEG, min_size=1, max_size=8)))
+
+
+@given(seq=FILE_SEQUENCES)
+def test_sequence_config_round_trip(seq):
+    cfg = sequence_to_config(seq)
+    assert sequence_from_config(cfg) == seq
+    if seq.kind == "table":
+        assert cfg["entries"] == list(seq.entries)     # a list, as a problem file has it
+
+
+def test_combinators_are_written_as_their_kind_alone():
+    base = ScalarSequence.geometric(0.5, 0.5)
+    assert sequence_to_config(base.affine(2.0, 0.1)) == {"kind": "affine"}
+    assert sequence_to_config(ScalarSequence.pair_sum(base, 0.5)) == {"kind": "pairsum"}
