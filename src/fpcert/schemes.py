@@ -240,10 +240,10 @@ def step_custom(B: OperatorSpec, x_prev: Vector, noise: np.ndarray, norm: NormKi
             return y, defect
         if norm_of(y, norm) > guard:
             raise InnerDivergenceError(
-                "inner iterate left the guard ball (defect %.3e)" % defect, defect)
+                "inner iterate left the guard ball (defect %.3e)" % defect)
     raise InnerDivergenceError(
         "inner solve did not reach %.1e in %d iterations (defect %.3e)"
-        % (inner_tol, MAX_INNER, defect), defect)
+        % (inner_tol, MAX_INNER, defect))
 
 
 def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,

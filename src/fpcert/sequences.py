@@ -107,7 +107,14 @@ class ScalarSequence:
         raise SequenceError("unknown sequence kind %r" % k)
 
     def values(self, n0: int, n1: int) -> list:
-        return [self(n) for n in range(n0, n1 + 1)]
+        """Terms n0..n1; a term past the float range reads +inf, as IEEE overflow does."""
+        out = []
+        for n in range(n0, n1 + 1):
+            try:
+                out.append(self(n))
+            except OverflowError:
+                out.append(math.inf)
+        return out
 
     # -- tail analytics -----------------------------------------------
 

@@ -61,6 +61,20 @@ def test_recurrence_overflow():
     assert simulate_capped(p, 50)[0][0] == 2.0
 
 
+def test_budget_past_the_float_range_is_a_recurrence_overflow():
+    # rho_n = 2^n + 2^(n+1) leaves the float range at n = 1023, inside the lam
+    # and rho a horizon of 1100 reads; the recurrence escapes the cap first
+    p = params(lam=0.5, rho=ScalarSequence.pair_sum(ScalarSequence.geometric(1.0, 2.0), 1.0),
+               r0=0.0)
+    with pytest.raises(RecurrenceOverflowError) as exc:
+        simulate_recurrence(p, 1100)
+    assert exc.value.index == 996
+    vals, first_bad = simulate_capped(p, 1100)
+    assert first_bad == 996 and vals[996:] == [math.inf] * 105
+    assert exc.value.partial == vals[:996]
+    assert cert_bounded(p, 1100).valid is False
+
+
 def test_a_horizon_evaluates_each_sequence_once_per_index():
     calls = []
 

@@ -231,6 +231,20 @@ def test_step_custom_detects_inner_divergence():
         step_custom(B, Vector([1.0]), np.zeros(1), NormKind.SUP, 1e-12)
 
 
+@pytest.mark.parametrize("slope, message", [
+    (2.0, "step 1 failed: inner iterate left the guard ball (defect 1.049e+06)"),
+    (-1.0, "step 1 failed: inner solve did not reach 1.0e-12 in 5000 iterations"
+           " (defect 1.000e+00)"),
+])
+def test_inner_divergence_message_is_the_step_failure_text(slope, message):
+    # the CLI error line, run.json and summary.csv print this text as it is
+    B = OperatorSpec(dim=1, evaluator=lambda x: Vector([slope * x[0] + 1.0]))
+    with pytest.raises(StepFailure) as exc:
+        run_outer(linear_half(), SchemeKind.CUSTOM, Vector([1.0]),
+                  custom_factory=lambda n, x_prev, x0: B)
+    assert str(exc.value) == message
+
+
 def test_custom_requires_factory():
     with pytest.raises(SchemeError):
         run_outer(linear_half(), SchemeKind.CUSTOM, Vector([0.0]))

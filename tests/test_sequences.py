@@ -36,6 +36,13 @@ def test_geometric_ratio_one_or_more_diverges():
     assert g.is_summable() is False
 
 
+def test_values_read_a_term_past_the_float_range_as_inf():
+    g = ScalarSequence.geometric(1.0, 2.0)
+    with pytest.raises(OverflowError):
+        g(1024)
+    assert g.values(1022, 1024) == [2.0 ** 1022, 2.0 ** 1023, math.inf]
+
+
 def test_power_sequence():
     p = ScalarSequence.power(1.0, 2.0)   # 1/n^2, value at n=0 is c by convention
     assert p(0) == 1.0
