@@ -36,11 +36,13 @@ PAIRS = 10
 TRACED_SEEDS = (1,)
 
 # the traced layers recent work moves, or must not move: expression
-# evaluation, and the self times that hold the problem-file load (cli.run,
-# cli.certify) and the kernel-matrix fill (greens.apply)
+# evaluation, the self times that hold the problem-file load (cli.run,
+# cli.certify) and the kernel-matrix fill (greens.apply), and the tail bounds
+# and certificates of the majorant
 LAYERS = ("exprparse.eval_calls", "exprparse.eval_s", "greens.kernel_eval_s",
           "core.matrix_of_s", "schemes.run_outer_s", "cli.run_self_s",
-          "cli.certify_self_s", "greens.apply_self_s")
+          "cli.certify_self_s", "greens.apply_self_s", "majorant.tail_bound_s",
+          "majorant.cert_calls", "majorant.cert_self_s")
 
 
 def unpack(rev: str, into: Path) -> None:

@@ -103,11 +103,14 @@ class MajorantParams:
     lam: ScalarSequence
     rho: ScalarSequence
     r0: float
-    # horizons built so far, by N.  They live on the instance and go with it;
-    # a cache keyed by params equality would hold every params object it saw
-    # for the life of the process.
+    # horizons built so far, and the uniform-cap certificates tail_bound
+    # checked, by N.  They live on the instance and go with it; a cache keyed
+    # by params equality would hold every params object it saw for the life
+    # of the process.
     _horizons: Dict[int, "_Horizon"] = field(default_factory=dict, init=False, repr=False,
                                              compare=False)
+    _caps: Dict[int, "Certificate"] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.eta) or self.eta < 0:
@@ -146,13 +149,25 @@ class _Horizon(NamedTuple):
 
     lam and rho hold indices 0..N+1 (ratio premises look one index ahead);
     sim is the horizon's own equality simulation r_0..r_N, run over lam and
-    rho and padded with +inf from diverged, its first overflow index.
+    rho and padded with +inf from diverged, its first overflow index.  The
+    rest are premise facts no witness changes, each over the slice its
+    certificate reads: the first negative lambda_0..lambda_N (None if none),
+    their sup, whether one is <= 0, whether any rho_0..rho_{N+1} is <= 0,
+    theta^(2^j) with theta = eta r0, the products prod_{k<j} lambda_k and
+    r0 times them, for j = 0..N.
     """
 
     lam: Tuple[float, ...]
     rho: Tuple[float, ...]
     sim: Tuple[float, ...]
     diverged: Optional[int]
+    lam_neg: Optional[float]
+    lam_sup: float
+    lam_nonpos: bool
+    rho_nonpos: bool
+    theta_pow: Tuple[float, ...]
+    prefix: Tuple[float, ...]
+    r0_prefix: Tuple[float, ...]
 
 
 def _horizon(p: MajorantParams, N: int) -> _Horizon:
@@ -167,8 +182,21 @@ def _horizon(p: MajorantParams, N: int) -> _Horizon:
                 sim.extend([math.inf] * (N + 1 - n))
                 break
             sim.append(nxt)
+        theta_pow, t = [], p.eta * p.r0   # underflow to 0 is fine
+        for _ in range(N + 1):
+            theta_pow.append(t)
+            t = t * t
+        prefix = [1.0]
+        for k in range(N):
+            prefix.append(prefix[-1] * lam[k])
+        head = lam[:N + 1]
         # tuples: every certificate of p reads the same horizon
-        h = p._horizons[N] = _Horizon(lam, rho, tuple(sim), diverged)
+        h = p._horizons[N] = _Horizon(
+            lam, rho, tuple(sim), diverged,
+            lam_neg=next((v for v in head if v < 0), None), lam_sup=max(head),
+            lam_nonpos=any(v <= 0.0 for v in head), rho_nonpos=any(v <= 0.0 for v in rho),
+            theta_pow=tuple(theta_pow), prefix=tuple(prefix),
+            r0_prefix=tuple(p.r0 * v for v in prefix))
     return h
 
 
@@ -275,14 +303,13 @@ def _finish(regime: str, h: _Horizon, witnesses: Dict[str, float], premises: boo
                        bounds_ok, lower, upper, margin, detail)
 
 
-def _lambda_blanket(lam_vals: Sequence[float], detail: List[str]) -> bool:
-    bad = [v for v in lam_vals if v < 0]
-    if bad:
-        detail.append("negative lambda value %r" % bad[0])
+def _lambda_blanket(h: _Horizon, detail: List[str]) -> bool:
+    """0 <= lambda_n < 1 for n = 0..N."""
+    if h.lam_neg is not None:
+        detail.append("negative lambda value %r" % h.lam_neg)
         return False
-    sup = max(lam_vals)
-    if sup >= 1.0:
-        detail.append("sup lambda = %r >= 1 over the horizon" % sup)
+    if h.lam_sup >= 1.0:
+        detail.append("sup lambda = %r >= 1 over the horizon" % h.lam_sup)
         return False
     return True
 
@@ -321,7 +348,7 @@ def cert_bounded(p: MajorantParams, N: int) -> Certificate:
     h = _horizon(p, N)
     lam, rho = h.lam[:N + 1], h.rho[:N + 1]
     detail: List[str] = []
-    premises = _lambda_blanket(lam, detail)
+    premises = _lambda_blanket(h, detail)
     sup_low, inf_up = 0.0, math.inf
     if premises:
         for k in range(N):
@@ -350,7 +377,7 @@ def cert_uniform_max(p: MajorantParams, N: int) -> Certificate:
     h = _horizon(p, N)
     lam, rho = h.lam[:N + 1], h.rho[:N + 1]
     detail: List[str] = []
-    premises = _lambda_blanket(lam, detail)
+    premises = _lambda_blanket(h, detail)
     for name, vals in (("lambda", lam), ("rho", rho)):
         if premises and any(cur > prev for prev, cur in zip(vals, vals[1:])):
             detail.append("%s sequence is not nonincreasing" % name)
@@ -389,15 +416,16 @@ def cert_sandwich(p: MajorantParams, N: int, C1: float, C2: float) -> Certificat
     h = _horizon(p, N)
     lam, rho = h.lam, h.rho
     detail: List[str] = []
-    premises = _lambda_blanket(lam[:N + 1], detail)
+    premises = _lambda_blanket(h, detail)
     if not (0.0 <= C1 < 1.0):
         detail.append("need 0 <= C1 < 1, got %r" % C1)
         premises = False
     disc_w = (1.0 - C1) ** 2 - 4.0 * p.eta * C2
-    if C2 < 0.0 or disc_w < 0.0:
+    # not >=: an infinite C2 makes disc_w NaN when eta = 0
+    if C2 < 0.0 or not disc_w >= 0.0:
         detail.append("need 0 <= C2 <= (1-C1)^2/(4 eta), got C2 = %r" % C2)
         premises = False
-    if premises and any(v <= 0.0 for v in rho):
+    if premises and h.rho_nonpos:
         detail.append("rho must stay positive for ratio conditions")
         premises = False
     C_rho = math.nan
@@ -425,7 +453,7 @@ def cert_sandwich(p: MajorantParams, N: int, C1: float, C2: float) -> Certificat
             detail.append("start window fails: r_1 value %r above C_rho*rho_0 = %r"
                           % (start, C_rho * rho[0]))
             premises = False
-    lower = [0.0] + [rho[j - 1] for j in range(1, N + 1)]
+    lower = [0.0, *rho[:N]]
     upper = [p.r0] + [(C_rho * rho[j - 1]) if premises else math.nan for j in range(1, N + 1)]
     return _finish("sandwich", h, {"C1": C1, "C2": C2, "C_rho": C_rho}, premises, detail,
                    lower, upper)
@@ -443,11 +471,11 @@ def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
     h = _horizon(p, N)
     lam, rho = h.lam, h.rho
     detail: List[str] = []
-    premises = _lambda_blanket(lam[:N + 1], detail)
-    if premises and any(v <= 0.0 for v in lam[:N + 1]):
+    premises = _lambda_blanket(h, detail)
+    if premises and h.lam_nonpos:
         detail.append("lambda must stay positive (products enter denominators)")
         premises = False
-    lam_bar = max(lam[:N + 1])
+    lam_bar = h.lam_sup
     if not (0.0 <= chi <= 1.0):
         detail.append("need chi in [0,1], got %r" % chi)
         premises = False
@@ -459,10 +487,7 @@ def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
         detail.append("witnesses must be nonnegative")
         premises = False
     z = lambda0_tilde * C_mu
-    # prefix[j] = prod_{k=0}^{j-1} lambda_k
-    prefix = [1.0]
-    for k in range(N):
-        prefix.append(prefix[-1] * lam[k])
+    prefix = h.prefix
     r1_value = p.eta * p.r0 ** 2 + lam[0] * p.r0 + rho[0]
     if premises:
         if not _le(r1_value, (1.0 + mu) * z):
@@ -506,7 +531,7 @@ def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
                     detail.append("anchored rho budget fails at n = %d" % n)
                     premises = False
                     break
-    lower = [p.r0 * prefix[j] for j in range(N + 1)]
+    lower = list(h.r0_prefix)
     wit = {"chi": chi, "mu": mu, "lambda0_tilde": lambda0_tilde, "C_mu": C_mu}
     return _finish("geometric", h, wit, premises, detail, lower, upper)
 
@@ -531,12 +556,8 @@ def cert_quadratic(p: MajorantParams, N: int, chi: float, mu: float) -> Certific
     if not (0.0 <= chi <= 1.0) or mu < 0.0:
         detail.append("need chi in [0,1] and mu >= 0")
         premises = False
-    theta_pow = []  # theta^(2^j), underflow to 0 is fine
+    theta_pow = h.theta_pow
     if premises:
-        t = theta
-        for _ in range(N + 1):
-            theta_pow.append(t)
-            t = t * t
         for n in range(1, N + 1):
             if not _le(lam[n - 1], chi * mu * theta_pow[n - 1]):
                 detail.append("lambda budget fails at index %d" % (n - 1))
@@ -565,7 +586,8 @@ def cert_quadratic(p: MajorantParams, N: int, chi: float, mu: float) -> Certific
 
 def _needed_c2(p: MajorantParams, N: int) -> float:
     rho = _horizon(p, N).rho
-    vals = [rho[k] ** 2 / rho[k + 1] for k in range(N - 1) if rho[k + 1] > 0]
+    # rho_k * rho_k, not rho_k ** 2: a float ** raises OverflowError past 1e154
+    vals = [rho[k] * rho[k] / rho[k + 1] for k in range(N - 1) if rho[k + 1] > 0]
     return max(vals) * (1.0 + 1e-9) if vals else 0.0
 
 
@@ -576,6 +598,8 @@ def _sandwich_grid(p: MajorantParams, N: int, grid: int) -> Iterator[Dict[str, f
         return
     need_c1 = max((lam[k + 1] * rho[k] / rho[k + 1] for k in range(N - 1)), default=0.0)
     need_c2 = _needed_c2(p, N)
+    if not math.isfinite(need_c2):
+        return
     for c1 in [min(need_c1 * (1.0 + 1e-9), 0.999999)] + [i / grid for i in range(grid)]:
         if not 0.0 <= c1 < 1.0:
             continue
@@ -697,7 +721,10 @@ def tail_bound(trace_r: Sequence[float], p: MajorantParams, n: int,
     lam_sup = p.lam.sup_tail(n - 1)
     lam_eff = lam_sup
     if p.eta > 0.0:
-        cap = cert_bounded(p, horizon)
+        # one cap per params and horizon: every step of a trace reads the same one
+        cap = p._caps.get(horizon)
+        if cap is None:
+            cap = p._caps[horizon] = cert_bounded(p, horizon)
         if not cap.valid:
             raise NoValidMajorantError(
                 "eta > 0 and no uniform cap certificate: %s" % "; ".join(cap.detail))

@@ -329,6 +329,24 @@ def test_certify_overflowing_geometric_bound_is_invalid(tmp_path):
     assert rep["certificates"][0]["valid"] is False
 
 
+def test_certify_sandwich_search_over_a_growing_budget_is_invalid(tmp_path, capsys):
+    # rho passes 1e154 inside horizon 1100, so the C2 the ratio premise needs
+    # (rho_k^2 / rho_{k+1}) is +inf: the search has no candidate and the
+    # fallback report names C2
+    src, out, rc = certified_setup(tmp_path, (
+        "catalog: linear-contraction\n"
+        "perturbation: {eps: {kind: geometric, c: 1.0e-30, ratio: 2.0}}\n"
+        "certificates: [{regime: sandwich, witnesses: search}]\n"))
+    assert rc == 0
+    capsys.readouterr()
+    assert run_cli("certify", src, "--trace", str(out), "--horizon", "1100") == 1
+    assert "Traceback" not in capsys.readouterr().err
+    entry = read_json(out / "certify.json")["certificates"][0]
+    assert entry["regime"] == "sandwich" and entry["valid"] is False
+    assert entry["witnesses"]["C2"] == float("inf")
+    assert any("C2" in line for line in entry["detail"])
+
+
 # -- sweep ---------------------------------------------------------------------
 
 

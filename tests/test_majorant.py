@@ -6,6 +6,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpcert import majorant
 from fpcert.majorant import (Certificate, MajorantError, MajorantParams,
                              NoValidMajorantError, PreconditionError,
                              ProblemConstants, RecurrenceOverflowError,
@@ -407,6 +408,17 @@ def cert_fields(p, regime, N):
     return [repr(getattr(cert, f.name)) for f in dataclasses.fields(Certificate)]
 
 
+def tail_outcomes(p, N, trace=(1.0, 0.5, 0.25)):
+    """repr of each tail bound over trace at horizon N, or of the error raised."""
+    out = []
+    for n in range(1, len(trace) + 1):
+        try:
+            out.append(repr(tail_bound(trace, p, n, horizon=N)))
+        except MajorantError as exc:
+            out.append(repr(exc))
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(eta=st.just(0.0) | st.floats(0.0, 2.0),
        lam_c=st.floats(0.0, 0.99), lam_ratio=st.none() | st.floats(0.0, 1.0),
@@ -431,14 +443,15 @@ def test_horizon_reuse_matches_fresh_params(eta, lam_c, lam_ratio, rho_c, rho_ra
                     search_witnesses(p, regime, N, grid=4)
                 except ArithmeticError:
                     pass
-        try:
-            tail_bound([r0], used, 1, horizon=N)
-        except MajorantError:
-            pass
+        for p in (used, twin, decoy):
+            tail_outcomes(p, N)
     for N in horizons:
         for regime in FIXED_WITNESSES:
             assert cert_fields(used, regime, N) == cert_fields(fresh(), regime, N)
             assert cert_fields(twin, regime, N) == cert_fields(fresh(), regime, N)
+        assert tail_outcomes(used, N) == tail_outcomes(fresh(), N)
+        assert tail_outcomes(twin, N) == tail_outcomes(fresh(), N)
+        assert tail_outcomes(decoy, N) == tail_outcomes(fresh(0.5), N)
         # lower bounds read the horizon's coefficients: check them against the
         # sequences themselves, with no memo in the way
         for p in (used, twin, decoy):
@@ -478,6 +491,31 @@ def test_tail_bound_uses_uniform_cap_when_eta_positive():
     got = tail_bound(trace, p, 3)
     assert got == pytest.approx(trace[2], rel=1e-15)
     assert got >= sum(trace[3:])
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3])   # the cap holds; its discriminant is < 0
+def test_tail_bounds_check_one_cap_per_params_and_horizon(monkeypatch, rho):
+    checked = []
+
+    def counting(p, N):
+        checked.append(N)
+        return cert_bounded(p, N)
+
+    monkeypatch.setattr(majorant, "cert_bounded", counting)
+    p = params(eta=1.0, lam=0.0, rho=rho, r0=0.1)
+    first = tail_outcomes(p, 20)
+    assert checked == [20]
+    assert tail_outcomes(p, 20) == first
+    assert checked == [20]
+    tail_outcomes(p, 30)
+    assert checked == [20, 30]
+    # the same values, or the same error text, as on an instance with no memo
+    assert first == tail_outcomes(params(eta=1.0, lam=0.0, rho=rho, r0=0.1), 20)
+    if rho:
+        cap = cert_bounded(p, 20)
+        assert not cap.valid
+        assert first == [repr(NoValidMajorantError(
+            "eta > 0 and no uniform cap certificate: %s" % "; ".join(cap.detail)))] * 3
 
 
 def test_tail_bound_argument_validation():
