@@ -394,6 +394,246 @@ def test_search_witnesses_none_when_impossible():
     assert search_witnesses(params(lam=1.2), "bounded", 10) is None
 
 
+# -- detail text ------------------------------------------------------------
+# Certificate calls that between them reach every detail line majorant writes
+# (premise failures, notes and closings), with the outcome each gave before
+# the regimes shared one premise log; a refactor keeps every one.
+
+GEO, RHO_GEO = ScalarSequence.geometric, ScalarSequence.geometric(0.1, 0.5)
+STEP = ScalarSequence.from_table([0.5, 0.5, 0.5, 0.001])
+# lambda_3 < 0, past the constructor's check and beyond what a 3-step simulation reads
+NEG_LAM = ScalarSequence("table", entries=(0.5, 0.5, 0.5, -0.1))
+
+DETAIL_CASES = {
+    "bounded-held": lambda: cert_bounded(params(lam=0.5, rho=0.1, r0=0.1), 10),
+    "bounded-negative-lambda": lambda: cert_bounded(params(lam=NEG_LAM), 3),
+    "bounded-sup-lambda": lambda: cert_bounded(params(lam=1.2), 10),
+    "bounded-discriminant": lambda: cert_bounded(params(eta=1.0, rho=1.0), 10),
+    "bounded-no-cap": lambda: cert_bounded(params(eta=1.0, lam=0.0, rho=0.1, r0=2.0), 10),
+    "uniform-max-lambda-rises": lambda: cert_uniform_max(params(lam=GEO(0.1, 1.1)), 5),
+    "uniform-max-rho-rises": lambda: cert_uniform_max(params(rho=GEO(0.01, 2.0)), 5),
+    "uniform-max-discriminant": lambda: cert_uniform_max(params(eta=1.0, rho=1.0), 10),
+    "uniform-max-limit-root": lambda: cert_uniform_max(params(rho=0.1, r0=0.1), 10),
+    "uniform-max-escapes": lambda: cert_uniform_max(
+        params(eta=1.0, lam=0.0, rho=0.1, r0=2.0), 10),
+    "uniform-max-eta": lambda: cert_uniform_max(params(eta=0.1, rho=0.01, r0=0.1), 10),
+    "sandwich-C1-range": lambda: cert_sandwich(params(0.0, 0.2, RHO_GEO, 0.1), 10, 1.5, 0.25),
+    "sandwich-C2-range": lambda: cert_sandwich(params(0.0, 0.2, RHO_GEO, 0.1), 10, 0.5, -1.0),
+    "sandwich-C2-infinite": lambda: cert_sandwich(params(0.0, 0.2, RHO_GEO, 0.1), 10,
+                                                  0.5, math.inf),
+    "sandwich-rho-zero": lambda: cert_sandwich(params(0.0, 0.2, 0.0, 0.1), 10, 0.5, 0.25),
+    "sandwich-limit-root": lambda: cert_sandwich(params(0.0, 0.2, RHO_GEO, 0.1), 10, 0.5, 0.25),
+    "sandwich-lambda-ratio": lambda: cert_sandwich(params(0.0, 0.2, RHO_GEO, 0.1), 10,
+                                                   0.1, 0.25),
+    "sandwich-rho-ratio": lambda: cert_sandwich(params(0.0, 0.2, RHO_GEO, 0.1), 10, 0.5, 0.1),
+    "sandwich-start-window": lambda: cert_sandwich(params(0.0, 0.2, RHO_GEO, 10.0), 10,
+                                                   0.5, 0.25),
+    "sandwich-eta": lambda: cert_sandwich(params(0.1, 0.2, RHO_GEO, 0.1), 10, 0.5, 0.25),
+    "sandwich-blanket-and-C1": lambda: cert_sandwich(params(0.0, 1.2, RHO_GEO, 0.1), 10,
+                                                     1.5, 0.25),
+    "geometric-lambda-zero": lambda: cert_geometric(params(lam=0.0), 8, 0.5, 0.0, 1.0, 1.0),
+    "geometric-chi": lambda: cert_geometric(params(), 8, 2.0, 0.0, 1.0, 1.0),
+    "geometric-mu": lambda: cert_geometric(params(lam=0.9), 8, 0.5, 0.5, 1.0, 1.0),
+    "geometric-negative-witness": lambda: cert_geometric(params(), 8, 0.5, 0.0, 1.0, -1.0),
+    "geometric-blanket-chi-witness": lambda: cert_geometric(params(lam=1.2), 8,
+                                                            2.0, 0.0, 1.0, -1.0),
+    "geometric-published-base": lambda: cert_geometric(params(r0=0.01), 8,
+                                                       0.0, 0.0, 1.0, 1e-3),
+    "geometric-published-eta-1": lambda: cert_geometric(params(eta=0.01, r0=0.01), 8,
+                                                        0.0, 0.0, 1.0, 0.01),
+    "geometric-published-rho-1": lambda: cert_geometric(params(rho=1e-3, r0=0.01), 8,
+                                                        0.0, 0.0, 1.0, 0.01),
+    "geometric-published-rho-3": lambda: cert_geometric(params(rho=1e-3, r0=0.01), 8,
+                                                        0.5, 0.1, 1.0, 0.1),
+    "geometric-published-eta-2": lambda: cert_geometric(params(0.01, STEP, 0.0, 0.01), 8,
+                                                        0.0, 0.1, 1.0, 0.1),
+    "geometric-inflation-overflow": lambda: cert_geometric(params(lam=1e-70), 10,
+                                                           0.5, 1e60, 1.0, 1.0),
+    "geometric-anchor": lambda: cert_geometric(params(0.0, 0.5, GEO(1e-3, 0.5), 0.01), 8,
+                                               1.0, 0.1, 1.0, 0.01),
+    "geometric-anchored-rho": lambda: cert_geometric(params(0.0, 0.5, GEO(0.1, 0.3), 0.01), 8,
+                                                     1.0, 0.1, 1.0, 1.0),
+    "geometric-anchored-eta": lambda: cert_geometric(params(0.01, STEP, 0.0, 0.01), 8,
+                                                     0.5, 0.5, 1.0, 0.1),
+    "geometric-valid": lambda: cert_geometric(params(r0=0.01), 8, 0.0, 0.0, 1.0, 0.01),
+    "quadratic-eta": lambda: cert_quadratic(params(), 5, 0.5, 0.0),
+    "quadratic-theta": lambda: cert_quadratic(params(eta=1.0, r0=2.0), 5, 0.5, 0.0),
+    "quadratic-chi": lambda: cert_quadratic(params(eta=1.0, r0=0.5), 5, 2.0, 0.0),
+    "quadratic-eta-and-mu": lambda: cert_quadratic(params(), 5, 0.5, -1.0),
+    "quadratic-lambda-budget": lambda: cert_quadratic(params(eta=1.0, r0=0.5), 5, 0.5, 0.5),
+    "quadratic-rho-budget": lambda: cert_quadratic(params(1.0, 0.0, 0.1, 0.5), 5, 0.5, 0.5),
+    "quadratic-inflation-overflow": lambda: cert_quadratic(params(1.0, 0.0, 0.0, 0.5), 3,
+                                                           0.5, 1e300),
+    "quadratic-broke": lambda: cert_quadratic(params(1.0, 0.05, 0.0, 0.9), 3, 1.0, 0.1),
+    "quadratic-valid": lambda: cert_quadratic(params(1.0, 0.0, 0.0, 0.5), 5, 0.5, 0.0),
+    "certify-sandwich-fallback": lambda: certify(params(lam=1.2, rho=RHO_GEO), "sandwich", 10),
+    "certify-geometric-search": lambda: certify(params(rho=RHO_GEO, r0=0.1), "geometric", 10),
+    "certify-quadratic-witnesses": lambda: certify(params(1.0, 0.0, 0.0, 0.5), "quadratic", 5,
+                                                   {"chi": 0.5, "mu": 0.0}),
+}
+
+nan, inf = math.nan, math.inf
+DETAIL_EXPECTED = {
+    'bounded-held':
+        (True, True, True, {'C': 0.2},
+         ['uniform cap C = 0.2 holds on the simulation']),
+    'bounded-negative-lambda':
+        (False, False, False, {'C': 1.0},
+         ['negative lambda value -0.1']),
+    'bounded-sup-lambda':
+        (False, False, False, {'C': 1.0},
+         ['sup lambda = 1.2 >= 1 over the horizon']),
+    'bounded-discriminant':
+        (False, False, False, {'C': 1.0},
+         ['discriminant (1-lambda_0)^2 - 4*eta*rho_0 = -3.75 not positive']),
+    'bounded-no-cap':
+        (False, False, False, {'C': 2.0},
+         ['no admissible C: need 2.0 <= C <= 0.8872983346207417']),
+    'uniform-max-lambda-rises':
+        (False, False, False, {'max_bound': nan},
+         ['lambda sequence is not nonincreasing']),
+    'uniform-max-rho-rises':
+        (False, False, False, {'max_bound': nan},
+         ['rho sequence is not nonincreasing']),
+    'uniform-max-discriminant':
+        (False, False, False, {'max_bound': nan},
+         ['discriminant at index 0 is -3.75 < 0']),
+    'uniform-max-limit-root':
+        (True, True, True, {'max_bound': 0.2},
+         ['eta = 0: upper root degenerates, using the finite limit root']),
+    'uniform-max-escapes':
+        (False, False, False, {'max_bound': 2.0},
+         ['r0 = 2.0 exceeds the upper root 0.8872983346207417: recurrence escapes']),
+    'uniform-max-eta':
+        (True, True, True, {'max_bound': 4.979919353527449},
+         []),
+    'sandwich-C1-range':
+        (False, False, False, {'C1': 1.5, 'C2': 0.25, 'C_rho': nan},
+         ['need 0 <= C1 < 1, got 1.5']),
+    'sandwich-C2-range':
+        (False, False, False, {'C1': 0.5, 'C2': -1.0, 'C_rho': nan},
+         ['need 0 <= C2 <= (1-C1)^2/(4 eta), got C2 = -1.0']),
+    'sandwich-C2-infinite':
+        (False, False, False, {'C1': 0.5, 'C2': inf, 'C_rho': nan},
+         ['need 0 <= C2 <= (1-C1)^2/(4 eta), got C2 = inf']),
+    'sandwich-rho-zero':
+        (False, False, False, {'C1': 0.5, 'C2': 0.25, 'C_rho': nan},
+         ['rho must stay positive for ratio conditions']),
+    'sandwich-limit-root':
+        (True, True, True, {'C1': 0.5, 'C2': 0.25, 'C_rho': 2.0},
+         ['eta*C2 = 0: using the finite limit root 1/(1-C1)']),
+    'sandwich-lambda-ratio':
+        (False, False, False, {'C1': 0.1, 'C2': 0.25, 'C_rho': 1.1111111111111112},
+         ['eta*C2 = 0: using the finite limit root 1/(1-C1)',
+          'lambda_1 = 0.2 above C1*rho_1/rho_0 = 0.05']),
+    'sandwich-rho-ratio':
+        (False, False, False, {'C1': 0.5, 'C2': 0.1, 'C_rho': 2.0},
+         ['eta*C2 = 0: using the finite limit root 1/(1-C1)',
+          'rho_0 = 0.1 above C2*rho_1/rho_0 = 0.05']),
+    'sandwich-start-window':
+        (False, False, False, {'C1': 0.5, 'C2': 0.25, 'C_rho': 2.0},
+         ['eta*C2 = 0: using the finite limit root 1/(1-C1)',
+          'start window fails: r_1 value 2.1 above C_rho*rho_0 = 0.2']),
+    'sandwich-eta':
+        (True, True, True, {'C1': 0.5, 'C2': 0.25, 'C_rho': 17.745966692414832},
+         []),
+    'sandwich-blanket-and-C1':
+        (False, False, False, {'C1': 1.5, 'C2': 0.25, 'C_rho': nan},
+         ['sup lambda = 1.2 >= 1 over the horizon', 'need 0 <= C1 < 1, got 1.5']),
+    'geometric-lambda-zero':
+        (False, False, False, {'chi': 0.5, 'mu': 0.0, 'lambda0_tilde': 1.0, 'C_mu': 1.0},
+         ['lambda must stay positive (products enter denominators)']),
+    'geometric-chi':
+        (False, False, False, {'chi': 2.0, 'mu': 0.0, 'lambda0_tilde': 1.0, 'C_mu': 1.0},
+         ['need chi in [0,1], got 2.0']),
+    'geometric-mu':
+        (False, False, False, {'chi': 0.5, 'mu': 0.5, 'lambda0_tilde': 1.0, 'C_mu': 1.0},
+         ['need mu in [0, 1/sup(lambda) - 1] = [0, 0.11111111111111116], got 0.5']),
+    'geometric-negative-witness':
+        (False, False, False, {'chi': 0.5, 'mu': 0.0, 'lambda0_tilde': 1.0, 'C_mu': -1.0},
+         ['witnesses must be nonnegative']),
+    'geometric-blanket-chi-witness':
+        (False, False, False, {'chi': 2.0, 'mu': 0.0, 'lambda0_tilde': 1.0, 'C_mu': -1.0},
+         ['sup lambda = 1.2 >= 1 over the horizon',
+          'need chi in [0,1], got 2.0',
+          'witnesses must be nonnegative']),
+    'geometric-published-base':
+        (False, False, False, {'chi': 0.0, 'mu': 0.0, 'lambda0_tilde': 1.0, 'C_mu': 0.001},
+         ['published base premise fails: 0.005 > (1+mu)*lt0*C_mu = 0.001']),
+    'geometric-published-eta-1':
+        (False, False, False, {'chi': 0.0, 'mu': 0.0, 'lambda0_tilde': 1.0, 'C_mu': 0.01},
+         ['published eta premise fails at n = 1']),
+    'geometric-published-rho-1':
+        (False, False, False, {'chi': 0.0, 'mu': 0.0, 'lambda0_tilde': 1.0, 'C_mu': 0.01},
+         ['published rho premise fails at n = 1']),
+    'geometric-published-rho-3':
+        (False, False, False, {'chi': 0.5, 'mu': 0.1, 'lambda0_tilde': 1.0, 'C_mu': 0.1},
+         ['published rho premise fails at n = 3']),
+    'geometric-published-eta-2':
+        (False, False, False, {'chi': 0.0, 'mu': 0.1, 'lambda0_tilde': 1.0, 'C_mu': 0.1},
+         ['published eta premise fails at n = 2']),
+    'geometric-inflation-overflow':
+        (False, False, False, {'chi': 0.5, 'mu': 1e+60, 'lambda0_tilde': 1.0, 'C_mu': 1.0},
+         ['printed bound overflows at n = 6: (1+mu)^6 with mu = 1e+60']),
+    'geometric-anchor':
+        (False, False, False, {'chi': 1.0, 'mu': 0.1, 'lambda0_tilde': 1.0, 'C_mu': 0.01},
+         ['anchor fails: r_1 value 0.006 above the printed bound 0.0055000000000000005']),
+    'geometric-anchored-rho':
+        (False, False, False, {'chi': 1.0, 'mu': 0.1, 'lambda0_tilde': 1.0, 'C_mu': 1.0},
+         ['anchored rho budget fails at n = 1']),
+    'geometric-anchored-eta':
+        (False, False, False, {'chi': 0.5, 'mu': 0.5, 'lambda0_tilde': 1.0, 'C_mu': 0.1},
+         ['anchored eta budget fails at n = 3']),
+    'geometric-valid':
+        (True, True, True, {'chi': 0.0, 'mu': 0.0, 'lambda0_tilde': 1.0, 'C_mu': 0.01},
+         []),
+    'quadratic-eta':
+        (False, False, False, {'chi': 0.5, 'mu': 0.0},
+         ['quadratic regime needs eta > 0, got 0.0']),
+    'quadratic-theta':
+        (False, False, False, {'chi': 0.5, 'mu': 0.0},
+         ['needs eta*r0 < 1, got 2.0']),
+    'quadratic-chi':
+        (False, False, False, {'chi': 2.0, 'mu': 0.0},
+         ['need chi in [0,1] and mu >= 0']),
+    'quadratic-eta-and-mu':
+        (False, False, False, {'chi': 0.5, 'mu': -1.0},
+         ['quadratic regime needs eta > 0, got 0.0', 'need chi in [0,1] and mu >= 0']),
+    'quadratic-lambda-budget':
+        (False, False, False, {'chi': 0.5, 'mu': 0.5},
+         ['lambda budget fails at index 0']),
+    'quadratic-rho-budget':
+        (False, False, False, {'chi': 0.5, 'mu': 0.5},
+         ['rho budget fails at index 0']),
+    'quadratic-inflation-overflow':
+        (False, False, False, {'chi': 0.5, 'mu': 1e+300},
+         ['printed bound overflows at n = 2: (1+mu)^2 with mu = 1e+300']),
+    'quadratic-broke':
+        (False, True, False, {'chi': 1.0, 'mu': 0.1},
+         ['printed inflation (1+mu)^n did not hold on the simulation']),
+    'quadratic-valid':
+        (True, True, True, {'chi': 0.5, 'mu': 0.0},
+         []),
+    'certify-sandwich-fallback':
+        (False, False, False, {'C1': 0.5, 'C2': 0.20000000020000006, 'C_rho': nan},
+         ['sup lambda = 1.2 >= 1 over the horizon']),
+    'certify-geometric-search':
+        (True, True, True,
+         {'chi': 0.6875, 'mu': 0.125, 'lambda0_tilde': 1.0, 'C_mu': 2.1333333354666673},
+         []),
+    'certify-quadratic-witnesses':
+        (True, True, True, {'chi': 0.5, 'mu': 0.0},
+         []),
+}
+
+
+@pytest.mark.parametrize("case", DETAIL_CASES)
+def test_detail_text_is_pinned(case):
+    cert = DETAIL_CASES[case]()
+    got = (cert.valid, cert.premises_ok, cert.bounds_ok, cert.witnesses, cert.detail)
+    assert repr(got) == repr(DETAIL_EXPECTED[case])  # repr: NaN equals NaN
+
+
 FIXED_WITNESSES = {"bounded": {}, "uniform_max": {}, "sandwich": {"C1": 0.5, "C2": 0.1},
                    "geometric": {"chi": 0.5, "mu": 0.2, "lambda0_tilde": 1.0, "C_mu": 2.0},
                    "quadratic": {"chi": 0.5, "mu": 0.5}}
