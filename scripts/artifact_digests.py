@@ -18,7 +18,8 @@ lines.  The pipelines are:
   regimes at horizon 200: newton and modified_newton overrides with eps, sigma
   and gamma budgets in both injection modes, file problems with an `estimate`
   constants block, a file root problem with the newton gamma and no
-  `derivative`, and a geometric request whose witness grid overflows;
+  `derivative`, a geometric request whose witness grid overflows, and a run
+  whose start step of 5e199 has a square past the float range;
 - file problems that between them set every key of every problem-file block
   (`constants` with `M_star`/`K_star`, an estimate block with all four
   settings, `stop.r_tol`, a damped root `gamma` with
@@ -88,6 +89,9 @@ def extra_problems():
         "catalog": "linear-contraction", "scheme": "newton",
         "perturbation": {"mode": "additive-deterministic", "eps": BUDGETS["eps"],
                          "sigma": BUDGETS["sigma"]}}
+    # r0^2 is past the float range: no certificate may square the start step
+    yield "huge-r0", {"operator": "0.5*x1 + 1", "x0": [1.0e200], "stop": {"max_n": 50},
+                      "constants": {"M": 0.5}}
 
 
 def every_key_problems():

@@ -105,6 +105,38 @@ class Bin(_Node):
             a, b = a.left, b.left
         return a == b
 
+    # hash and repr walk the left spine in a loop too, and give the values the
+    # dataclass would generate: hash((op, left, right)) and Bin(op=..., pos=...)
+    def __hash__(self):
+        spine, node = [], self
+        while node.__class__ is Bin:
+            spine.append(node)
+            node = node.left
+        h = hash(node)
+        for node in reversed(spine):
+            h = hash((node.op, _Hashed(h), node.right))
+        return h
+
+    def __repr__(self):
+        spine, node = [], self
+        while node.__class__ is Bin:
+            spine.append(node)
+            node = node.left
+        return "".join(["Bin(op=%r, left=" % n.op for n in spine] + [repr(node)]
+                       + [", right=%r, pos=%r)" % (n.right, n.pos) for n in reversed(spine)])
+
+
+class _Hashed:
+    """Stands in for a subtree in a tuple, hashing to that subtree's hash."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
 
 @dataclass(frozen=True)
 class Call(_Node):

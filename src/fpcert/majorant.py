@@ -154,7 +154,8 @@ class _Horizon(NamedTuple):
     certificate reads: the first negative lambda_0..lambda_N (None if none),
     their sup, whether one is <= 0, whether any rho_0..rho_{N+1} is <= 0,
     theta^(2^j) with theta = eta r0, the products prod_{k<j} lambda_k and
-    r0 times them, for j = 0..N.
+    r0 times them, for j = 0..N.  r1 is eta r0^2 + lambda_0 r0 + rho_0 in
+    recurrence_step's order, +inf (never OverflowError) past the float range.
     """
 
     lam: Tuple[float, ...]
@@ -168,6 +169,7 @@ class _Horizon(NamedTuple):
     theta_pow: Tuple[float, ...]
     prefix: Tuple[float, ...]
     r0_prefix: Tuple[float, ...]
+    r1: float
 
 
 def _horizon(p: MajorantParams, N: int) -> _Horizon:
@@ -196,7 +198,8 @@ def _horizon(p: MajorantParams, N: int) -> _Horizon:
             lam_neg=next((v for v in head if v < 0), None), lam_sup=max(head),
             lam_nonpos=any(v <= 0.0 for v in head), rho_nonpos=any(v <= 0.0 for v in rho),
             theta_pow=tuple(theta_pow), prefix=tuple(prefix),
-            r0_prefix=tuple(p.r0 * v for v in prefix))
+            r0_prefix=tuple(p.r0 * v for v in prefix),
+            r1=p.eta * p.r0 * p.r0 + lam[0] * p.r0 + rho[0])
     return h
 
 
@@ -285,33 +288,45 @@ def _verify_bounds(sim: Sequence[float], lower: List[float], upper: List[float],
     return ok, margin
 
 
-def _finish(regime: str, h: _Horizon, witnesses: Dict[str, float], premises: bool,
-            detail: List[str], lower: List[float], upper: List[float], first: int = 1,
+class _Premises:
+    """One certificate's premise log: ok until the first fail(line), and every
+    detail line in the order it was written (notes go straight to detail)."""
+
+    __slots__ = ("ok", "detail")
+
+    def __init__(self):
+        self.ok = True
+        self.detail: List[str] = []
+
+    def fail(self, line: str) -> None:
+        self.detail.append(line)
+        self.ok = False
+
+
+def _finish(regime: str, h: _Horizon, witnesses: Dict[str, float], log: _Premises,
+            lower: List[float], upper: List[float], first: int = 1,
             held: str = "", broke: str = "") -> Certificate:
     """Verify the asserted bounds (only if the premises held) and build the report.
 
     held/broke is the regime's closing detail line when the bounds held/failed.
     """
     bounds_ok, margin = False, -math.inf
-    if premises:
+    if log.ok:
         bounds_ok, margin = _verify_bounds(h.sim, lower, upper, first)
         bounds_ok = bounds_ok and h.diverged is None
         closing = held if bounds_ok else broke
         if closing:
-            detail.append(closing)
-    return Certificate(regime, witnesses, len(h.sim) - 1, premises and bounds_ok, premises,
-                       bounds_ok, lower, upper, margin, detail)
+            log.detail.append(closing)
+    return Certificate(regime, witnesses, len(h.sim) - 1, log.ok and bounds_ok, log.ok,
+                       bounds_ok, lower, upper, margin, log.detail)
 
 
-def _lambda_blanket(h: _Horizon, detail: List[str]) -> bool:
+def _lambda_blanket(h: _Horizon, log: _Premises) -> None:
     """0 <= lambda_n < 1 for n = 0..N."""
     if h.lam_neg is not None:
-        detail.append("negative lambda value %r" % h.lam_neg)
-        return False
-    if h.lam_sup >= 1.0:
-        detail.append("sup lambda = %r >= 1 over the horizon" % h.lam_sup)
-        return False
-    return True
+        log.fail("negative lambda value %r" % h.lam_neg)
+    elif h.lam_sup >= 1.0:
+        log.fail("sup lambda = %r >= 1 over the horizon" % h.lam_sup)
 
 
 def _roots(eta: float, lam: float, rho: float) -> Tuple[float, float, float]:
@@ -330,15 +345,14 @@ def _roots(eta: float, lam: float, rho: float) -> Tuple[float, float, float]:
     return low, up, disc
 
 
-def _inflation(mu: float, N: int, detail: List[str]) -> Optional[List[float]]:
-    """(1+mu)^j for j = 0..N; None, with a detail line naming j, once that overflows."""
+def _inflation(mu: float, N: int, log: _Premises) -> Optional[List[float]]:
+    """(1+mu)^j for j = 0..N; None, failing the log at j, once that overflows."""
     powers = []
     for j in range(N + 1):
         try:
             powers.append((1.0 + mu) ** j)
         except OverflowError:
-            detail.append("printed bound overflows at n = %d: (1+mu)^%d with mu = %r"
-                          % (j, j, mu))
+            log.fail("printed bound overflows at n = %d: (1+mu)^%d with mu = %r" % (j, j, mu))
             return None
     return powers
 
@@ -346,25 +360,22 @@ def _inflation(mu: float, N: int, detail: List[str]) -> Optional[List[float]]:
 def cert_bounded(p: MajorantParams, N: int) -> Certificate:
     """Uniform cap: r_n <= C with C between every lower root and every upper root."""
     h = _horizon(p, N)
-    lam, rho = h.lam[:N + 1], h.rho[:N + 1]
-    detail: List[str] = []
-    premises = _lambda_blanket(h, detail)
+    log = _Premises()
+    _lambda_blanket(h, log)
     sup_low, inf_up = 0.0, math.inf
-    if premises:
+    if log.ok:
         for k in range(N):
-            low, up, disc = _roots(p.eta, lam[k], rho[k])
+            low, up, disc = _roots(p.eta, h.lam[k], h.rho[k])
             if disc <= 0.0:
-                detail.append("discriminant (1-lambda_%d)^2 - 4*eta*rho_%d = %r not positive"
-                              % (k, k, disc))
-                premises = False
+                log.fail("discriminant (1-lambda_%d)^2 - 4*eta*rho_%d = %r not positive"
+                         % (k, k, disc))
                 break
             sup_low = max(sup_low, low)
             inf_up = min(inf_up, up)
     C = max(p.r0, sup_low)
-    if premises and not _le(C, inf_up):
-        detail.append("no admissible C: need %r <= C <= %r" % (max(p.r0, sup_low), inf_up))
-        premises = False
-    return _finish("bounded", h, {"C": C}, premises, detail, [0.0] * (N + 1), [C] * (N + 1),
+    if log.ok and not _le(C, inf_up):
+        log.fail("no admissible C: need %r <= C <= %r" % (C, inf_up))
+    return _finish("bounded", h, {"C": C}, log, [0.0] * (N + 1), [C] * (N + 1),
                    first=0, held="uniform cap C = %r holds on the simulation" % C)
 
 
@@ -376,32 +387,28 @@ def cert_uniform_max(p: MajorantParams, N: int) -> Certificate:
     """
     h = _horizon(p, N)
     lam, rho = h.lam[:N + 1], h.rho[:N + 1]
-    detail: List[str] = []
-    premises = _lambda_blanket(h, detail)
+    log = _Premises()
+    _lambda_blanket(h, log)
     for name, vals in (("lambda", lam), ("rho", rho)):
-        if premises and any(cur > prev for prev, cur in zip(vals, vals[1:])):
-            detail.append("%s sequence is not nonincreasing" % name)
-            premises = False
+        if log.ok and any(cur > prev for prev, cur in zip(vals, vals[1:])):
+            log.fail("%s sequence is not nonincreasing" % name)
     bound = math.nan
-    if premises:
-        low0, up0, disc0 = _roots(p.eta, lam[0], rho[0])
+    if log.ok:
+        _, up0, disc0 = _roots(p.eta, lam[0], rho[0])
         # monotone sequences push later discriminants up, so index 0 decides
         if disc0 < 0.0:
-            detail.append("discriminant at index 0 is %r < 0" % disc0)
-            premises = False
+            log.fail("discriminant at index 0 is %r < 0" % disc0)
         else:
             if p.eta == 0.0:
                 bound = max(p.r0, rho[0] / (1.0 - lam[0]) if rho[0] else 0.0)
-                detail.append("eta = 0: upper root degenerates, using the finite limit root")
+                log.detail.append("eta = 0: upper root degenerates, using the finite limit root")
             else:
                 bound = max(p.r0, up0)
             if not _le(p.r0, up0):
-                detail.append("r0 = %r exceeds the upper root %r: recurrence escapes"
-                              % (p.r0, up0))
-                premises = False
-    upper = [bound if premises else math.nan] * (N + 1)
-    return _finish("uniform_max", h, {"max_bound": bound}, premises, detail,
-                   [0.0] * (N + 1), upper, first=0)
+                log.fail("r0 = %r exceeds the upper root %r: recurrence escapes" % (p.r0, up0))
+    upper = [bound if log.ok else math.nan] * (N + 1)
+    return _finish("uniform_max", h, {"max_bound": bound}, log, [0.0] * (N + 1), upper,
+                   first=0)
 
 
 def cert_sandwich(p: MajorantParams, N: int, C1: float, C2: float) -> Certificate:
@@ -415,48 +422,39 @@ def cert_sandwich(p: MajorantParams, N: int, C1: float, C2: float) -> Certificat
     """
     h = _horizon(p, N)
     lam, rho = h.lam, h.rho
-    detail: List[str] = []
-    premises = _lambda_blanket(h, detail)
+    log = _Premises()
+    _lambda_blanket(h, log)
     if not (0.0 <= C1 < 1.0):
-        detail.append("need 0 <= C1 < 1, got %r" % C1)
-        premises = False
+        log.fail("need 0 <= C1 < 1, got %r" % C1)
     disc_w = (1.0 - C1) ** 2 - 4.0 * p.eta * C2
     # not >=: an infinite C2 makes disc_w NaN when eta = 0
     if C2 < 0.0 or not disc_w >= 0.0:
-        detail.append("need 0 <= C2 <= (1-C1)^2/(4 eta), got C2 = %r" % C2)
-        premises = False
-    if premises and h.rho_nonpos:
-        detail.append("rho must stay positive for ratio conditions")
-        premises = False
+        log.fail("need 0 <= C2 <= (1-C1)^2/(4 eta), got C2 = %r" % C2)
+    if log.ok and h.rho_nonpos:
+        log.fail("rho must stay positive for ratio conditions")
     C_rho = math.nan
-    if premises:
+    if log.ok:
         if p.eta * C2 == 0.0:
             C_rho = 1.0 / (1.0 - C1)
-            detail.append("eta*C2 = 0: using the finite limit root 1/(1-C1)")
+            log.detail.append("eta*C2 = 0: using the finite limit root 1/(1-C1)")
         else:
             C_rho = ((1.0 - C1) + math.sqrt(disc_w)) / (2.0 * p.eta * C2)
         for k in range(N):
             ratio = rho[k + 1] / rho[k]
             if not _le(lam[k + 1], C1 * ratio):
-                detail.append("lambda_%d = %r above C1*rho_%d/rho_%d = %r"
-                              % (k + 1, lam[k + 1], k + 1, k, C1 * ratio))
-                premises = False
+                log.fail("lambda_%d = %r above C1*rho_%d/rho_%d = %r"
+                         % (k + 1, lam[k + 1], k + 1, k, C1 * ratio))
                 break
             if not _le(rho[k], C2 * ratio):
-                detail.append("rho_%d = %r above C2*rho_%d/rho_%d = %r"
-                              % (k, rho[k], k + 1, k, C2 * ratio))
-                premises = False
+                log.fail("rho_%d = %r above C2*rho_%d/rho_%d = %r"
+                         % (k, rho[k], k + 1, k, C2 * ratio))
                 break
-    if premises:
-        start = p.eta * p.r0 ** 2 + lam[0] * p.r0 + rho[0]
-        if not _le(start, C_rho * rho[0]):
-            detail.append("start window fails: r_1 value %r above C_rho*rho_0 = %r"
-                          % (start, C_rho * rho[0]))
-            premises = False
+    if log.ok and not _le(h.r1, C_rho * rho[0]):
+        log.fail("start window fails: r_1 value %r above C_rho*rho_0 = %r"
+                 % (h.r1, C_rho * rho[0]))
     lower = [0.0, *rho[:N]]
-    upper = [p.r0] + [(C_rho * rho[j - 1]) if premises else math.nan for j in range(1, N + 1)]
-    return _finish("sandwich", h, {"C1": C1, "C2": C2, "C_rho": C_rho}, premises, detail,
-                   lower, upper)
+    upper = [p.r0] + [(C_rho * rho[j - 1]) if log.ok else math.nan for j in range(1, N + 1)]
+    return _finish("sandwich", h, {"C1": C1, "C2": C2, "C_rho": C_rho}, log, lower, upper)
 
 
 def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
@@ -470,70 +468,54 @@ def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
     """
     h = _horizon(p, N)
     lam, rho = h.lam, h.rho
-    detail: List[str] = []
-    premises = _lambda_blanket(h, detail)
-    if premises and h.lam_nonpos:
-        detail.append("lambda must stay positive (products enter denominators)")
-        premises = False
+    log = _Premises()
+    _lambda_blanket(h, log)
+    if log.ok and h.lam_nonpos:
+        log.fail("lambda must stay positive (products enter denominators)")
     lam_bar = h.lam_sup
     if not (0.0 <= chi <= 1.0):
-        detail.append("need chi in [0,1], got %r" % chi)
-        premises = False
-    if premises and not (0.0 <= mu <= 1.0 / lam_bar - 1.0):
-        detail.append("need mu in [0, 1/sup(lambda) - 1] = [0, %r], got %r"
-                      % (1.0 / lam_bar - 1.0, mu))
-        premises = False
+        log.fail("need chi in [0,1], got %r" % chi)
+    if log.ok and not (0.0 <= mu <= 1.0 / lam_bar - 1.0):
+        log.fail("need mu in [0, 1/sup(lambda) - 1] = [0, %r], got %r"
+                 % (1.0 / lam_bar - 1.0, mu))
     if lambda0_tilde < 0 or C_mu < 0:
-        detail.append("witnesses must be nonnegative")
-        premises = False
+        log.fail("witnesses must be nonnegative")
     z = lambda0_tilde * C_mu
-    prefix = h.prefix
-    r1_value = p.eta * p.r0 ** 2 + lam[0] * p.r0 + rho[0]
-    if premises:
-        if not _le(r1_value, (1.0 + mu) * z):
-            detail.append("published base premise fails: %r > (1+mu)*lt0*C_mu = %r"
-                          % (r1_value, (1.0 + mu) * z))
-            premises = False
+    if log.ok:
+        if not _le(h.r1, (1.0 + mu) * z):
+            log.fail("published base premise fails: %r > (1+mu)*lt0*C_mu = %r"
+                     % (h.r1, (1.0 + mu) * z))
         elif not _le(p.eta * z, (1.0 - chi) * mu * lam[1]):
-            detail.append("published eta premise fails at n = 1")
-            premises = False
-    if premises:
+            log.fail("published eta premise fails at n = 1")
+    if log.ok:
         prod1n = 1.0  # prod_{k=1}^{n} lambda_k
         for n in range(1, N):
             prod1n *= lam[n]
             if not _le(rho[n], chi * mu * z * prod1n):
-                detail.append("published rho premise fails at n = %d" % n)
-                premises = False
+                log.fail("published rho premise fails at n = %d" % n)
                 break
             if not _le(p.eta * z * prod1n, (1.0 - chi) * mu * lam[n + 1]):
-                detail.append("published eta premise fails at n = %d" % n)
-                premises = False
+                log.fail("published eta premise fails at n = %d" % n)
                 break
-    inflation = _inflation(mu, N, detail)
+    inflation = _inflation(mu, N, log)
     if inflation is None:
-        premises = False
         upper = [p.r0] + [math.inf] * N
     else:
-        upper = [p.r0] + [z * inflation[j] * prefix[j] for j in range(1, N + 1)]
-    if premises:
+        upper = [p.r0] + [z * inflation[j] * h.prefix[j] for j in range(1, N + 1)]
+    if log.ok:
         # anchored set: the induction that the printed bound actually needs
-        if not _le(r1_value, upper[1]):
-            detail.append("anchor fails: r_1 value %r above the printed bound %r"
-                          % (r1_value, upper[1]))
-            premises = False
+        if not _le(h.r1, upper[1]):
+            log.fail("anchor fails: r_1 value %r above the printed bound %r" % (h.r1, upper[1]))
         else:
             for n in range(1, N):
                 if not _le(p.eta * upper[n], (1.0 - chi) * mu * lam[n]):
-                    detail.append("anchored eta budget fails at n = %d" % n)
-                    premises = False
+                    log.fail("anchored eta budget fails at n = %d" % n)
                     break
                 if not _le(rho[n], chi * mu * lam[n] * upper[n]):
-                    detail.append("anchored rho budget fails at n = %d" % n)
-                    premises = False
+                    log.fail("anchored rho budget fails at n = %d" % n)
                     break
-    lower = list(h.r0_prefix)
     wit = {"chi": chi, "mu": mu, "lambda0_tilde": lambda0_tilde, "C_mu": C_mu}
-    return _finish("geometric", h, wit, premises, detail, lower, upper)
+    return _finish("geometric", h, wit, log, list(h.r0_prefix), upper)
 
 
 def cert_quadratic(p: MajorantParams, N: int, chi: float, mu: float) -> Certificate:
@@ -543,40 +525,31 @@ def cert_quadratic(p: MajorantParams, N: int, chi: float, mu: float) -> Certific
     it is not inductively stable for mu > 0; valid reports what actually held.
     """
     h = _horizon(p, N)
-    lam, rho = h.lam, h.rho
-    detail: List[str] = []
-    premises = True
+    lam, rho, theta_pow = h.lam, h.rho, h.theta_pow
+    log = _Premises()
     if p.eta <= 0.0:
-        detail.append("quadratic regime needs eta > 0, got %r" % p.eta)
-        premises = False
+        log.fail("quadratic regime needs eta > 0, got %r" % p.eta)
     theta = p.eta * p.r0
-    if premises and not theta < 1.0:
-        detail.append("needs eta*r0 < 1, got %r" % theta)
-        premises = False
+    if log.ok and not theta < 1.0:
+        log.fail("needs eta*r0 < 1, got %r" % theta)
     if not (0.0 <= chi <= 1.0) or mu < 0.0:
-        detail.append("need chi in [0,1] and mu >= 0")
-        premises = False
-    theta_pow = h.theta_pow
-    if premises:
+        log.fail("need chi in [0,1] and mu >= 0")
+    if log.ok:
         for n in range(1, N + 1):
             if not _le(lam[n - 1], chi * mu * theta_pow[n - 1]):
-                detail.append("lambda budget fails at index %d" % (n - 1))
-                premises = False
+                log.fail("lambda budget fails at index %d" % (n - 1))
                 break
             if not _le(p.eta * rho[n - 1], (1.0 - chi) * mu * theta_pow[n]):
-                detail.append("rho budget fails at index %d" % (n - 1))
-                premises = False
+                log.fail("rho budget fails at index %d" % (n - 1))
                 break
-    if premises:
-        inflation = _inflation(mu, N, detail)
-        premises = inflation is not None
-    if premises:
-        lower = [theta_pow[j] / p.eta for j in range(N + 1)]
-        upper = [inflation[j] * theta_pow[j] / p.eta for j in range(N + 1)]
-    else:
+    inflation = _inflation(mu, N, log) if log.ok else None
+    if inflation is None:
         lower = [0.0] * (N + 1)
         upper = [math.nan] * (N + 1)
-    return _finish("quadratic", h, {"chi": chi, "mu": mu}, premises, detail, lower, upper,
+    else:
+        lower = [theta_pow[j] / p.eta for j in range(N + 1)]
+        upper = [inflation[j] * theta_pow[j] / p.eta for j in range(N + 1)]
+    return _finish("quadratic", h, {"chi": chi, "mu": mu}, log, lower, upper,
                    first=0, broke="printed inflation (1+mu)^n did not hold on the simulation")
 
 
@@ -618,16 +591,15 @@ def _geometric_grid(p: MajorantParams, N: int, grid: int) -> Iterator[Dict[str, 
     if any(v <= 0 for v in lam) or max(lam) >= 1.0:
         return
     mu_max = 1.0 / max(lam) - 1.0
-    r1_value = p.eta * p.r0 ** 2 + lam[0] * p.r0 + h.rho[0]
     for i in range(1, grid + 1):
         mu = mu_max * i / grid
         # anchor decides the smallest usable witness product
-        z = r1_value / ((1.0 + mu) * lam[0]) * (1.0 + 1e-9)
+        z = h.r1 / ((1.0 + mu) * lam[0]) * (1.0 + 1e-9)
         for j in range(1, grid):
             for scale in (1.0, 2.0, 4.0, 8.0):
                 yield {"chi": j / grid, "mu": mu, "lambda0_tilde": 1.0, "C_mu": z * scale}
     if p.eta == 0.0 and all(v == 0.0 for v in h.rho[:N + 1]):
-        z = max(p.r0, r1_value / lam[0] if lam[0] else 0.0)
+        z = max(p.r0, h.r1 / lam[0] if lam[0] else 0.0)
         yield {"chi": 0.0, "mu": 0.0, "lambda0_tilde": 1.0, "C_mu": z}
 
 
@@ -638,30 +610,30 @@ def _quadratic_grid(p: MajorantParams, N: int, grid: int) -> Iterator[Dict[str, 
             yield {"chi": j / grid, "mu": i / grid}
 
 
+def _no_witnesses(p: MajorantParams, N: int, grid: int) -> Iterable[Dict[str, float]]:
+    return ({},)
+
+
 class _Regime(NamedTuple):
-    """run: the certificate for a witness mapping; grid: the search candidates
-    in order; fallback: the witnesses whose failure certify reports when the
-    search finds nothing, None for witness-free regimes (run directly).
+    """witnesses: the names cert_<regime> takes after (p, N), in its argument
+    order; grid: the search candidates in order; fallback: the witnesses whose
+    failure certify reports when the search finds nothing (a witness-free
+    regime has none: certify runs it directly).
     """
 
-    run: Callable[[MajorantParams, int, Dict[str, float]], Certificate]
+    witnesses: Tuple[str, ...]
     grid: Callable[[MajorantParams, int, int], Iterable[Dict[str, float]]]
     fallback: Optional[Callable[[MajorantParams, int], Dict[str, float]]] = None
 
 
-# the lambdas look the cert functions up at call time, so wrappers installed
-# on the module names (tracing, mocking) see every call
 REGIMES: Dict[str, _Regime] = {
-    "bounded": _Regime(lambda p, N, w: cert_bounded(p, N), lambda p, N, grid: ({},)),
-    "uniform_max": _Regime(lambda p, N, w: cert_uniform_max(p, N), lambda p, N, grid: ({},)),
-    "sandwich": _Regime(lambda p, N, w: cert_sandwich(p, N, w["C1"], w["C2"]),
-                        _sandwich_grid, lambda p, N: {"C1": 0.5, "C2": _needed_c2(p, N)}),
-    "geometric": _Regime(lambda p, N, w: cert_geometric(p, N, w["chi"], w["mu"],
-                                                        w["lambda0_tilde"], w["C_mu"]),
-                         _geometric_grid,
+    "bounded": _Regime((), _no_witnesses),
+    "uniform_max": _Regime((), _no_witnesses),
+    "sandwich": _Regime(("C1", "C2"), _sandwich_grid,
+                        lambda p, N: {"C1": 0.5, "C2": _needed_c2(p, N)}),
+    "geometric": _Regime(("chi", "mu", "lambda0_tilde", "C_mu"), _geometric_grid,
                          lambda p, N: {"chi": 0.5, "mu": 0.0, "lambda0_tilde": 1.0, "C_mu": 1.0}),
-    "quadratic": _Regime(lambda p, N, w: cert_quadratic(p, N, w["chi"], w["mu"]),
-                         _quadratic_grid, lambda p, N: {"chi": 0.5, "mu": 0.0}),
+    "quadratic": _Regime(("chi", "mu"), _quadratic_grid, lambda p, N: {"chi": 0.5, "mu": 0.0}),
 }
 
 
@@ -671,6 +643,19 @@ def _regime(regime: str) -> _Regime:
     except KeyError:
         raise MajorantError("unknown regime %r (expected one of %s)"
                             % (regime, ", ".join(REGIMES))) from None
+
+
+def _run(regime: str, p: MajorantParams, N: int,
+         witnesses: Optional[Dict[str, float]]) -> Certificate:
+    """cert_<regime> on a witness mapping.  The function is looked up at call
+    time, so wrappers installed on the module names (tracing, mocking) see
+    every call."""
+    args = []
+    for name in REGIMES[regime].witnesses:
+        if name not in witnesses:
+            raise MajorantError("regime %r missing witness %r" % (regime, name))
+        args.append(witnesses[name])
+    return globals()["cert_" + regime](p, N, *args)
 
 
 def certify(p: MajorantParams, regime: str, N: int,
@@ -683,18 +668,14 @@ def certify(p: MajorantParams, regime: str, N: int,
             return found
         # report the failure of a fixed fallback witness set rather than nothing
         witnesses = spec.fallback(p, N)
-    try:
-        return spec.run(p, N, witnesses)
-    except KeyError as exc:
-        raise MajorantError("regime %r missing witness %s" % (regime, exc))
+    return _run(regime, p, N, witnesses)
 
 
 def search_witnesses(p: MajorantParams, regime: str, N: int,
                      grid: int = 16) -> Optional[Certificate]:
     """Coarse witness search; returns the first valid certificate or None."""
-    spec = _regime(regime)
-    for witnesses in spec.grid(p, N, grid):
-        cert = spec.run(p, N, witnesses)
+    for witnesses in _regime(regime).grid(p, N, grid):
+        cert = _run(regime, p, N, witnesses)
         if cert.valid:
             return cert
     return None

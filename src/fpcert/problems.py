@@ -369,6 +369,9 @@ def _parse_certs(cfg) -> List[CertRequest]:
     for item in cfg:
         if not isinstance(item, dict) or "regime" not in item:
             raise ProblemError("each certificate request needs a regime key: %r" % (item,))
+        extra = set(item) - {"regime", "witnesses"}
+        if extra:
+            raise ProblemError("unknown certificate request keys: %s" % _listed(extra))
         regime = item["regime"]
         if regime not in REGIMES:
             raise ProblemError("unknown certificate regime %r (expected one of %s)"
@@ -379,6 +382,13 @@ def _parse_certs(cfg) -> List[CertRequest]:
         if wit is not None:
             if not isinstance(wit, dict):
                 raise ProblemError("witnesses must be a mapping or \"search\"")
+            names = REGIMES[regime].witnesses
+            unknown = _listed(set(wit) - set(names))
+            missing = ", ".join(k for k in names if k not in wit)
+            if unknown or missing:
+                raise ProblemError("%s witnesses are %s; unknown: %s; missing: %s"
+                                   % (regime, ", ".join(names) or "none", unknown or "none",
+                                      missing or "none"))
             wit = {k: _number(v, "%s witness %s" % (regime, k)) for k, v in wit.items()}
         out.append(CertRequest(regime=regime, witnesses=wit))
     return out
@@ -522,6 +532,8 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
         raise ProblemError("problem needs an x0 start point")
     if isinstance(x0_cfg, (int, float)):
         x0_cfg = [x0_cfg]
+    elif not isinstance(x0_cfg, list):
+        raise ProblemError("x0 must be a number or a list of numbers, got %r" % (x0_cfg,))
     if len(x0_cfg) != dim:
         raise ProblemError("x0 has %d coordinates, dim is %d" % (len(x0_cfg), dim))
     x0 = Vector([_number(v, "x0") for v in x0_cfg])

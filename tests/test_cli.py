@@ -142,6 +142,15 @@ def test_run_integral_problem(tmp_path):
     ("x0: [abc]\n", "x0"),
     ("constants: {M: x}\n", "constants.M"),
     ("certificates: [{regime: sandwich, witnesses: {C1: abc, C2: 1.0}}]\n", "C1"),
+    # witness keys are checked before the run, not when certify reaches the request
+    ("certificates: [{regime: quadratic, witnesses: {chi: 0.5, mu: 0.1, typo: 3}}]\n",
+     "quadratic witnesses are chi, mu; unknown: typo; missing: none"),
+    ("certificates: [{regime: sandwich, witnesses: {C1: 0.5}}]\n",
+     "sandwich witnesses are C1, C2; unknown: none; missing: C2"),
+    ("certificates: [{regime: bounded, witnesses: {C: 1.0}}]\n",
+     "bounded witnesses are none; unknown: C; missing: none"),
+    ("certificates: [{regime: sandwich, witness: {C1: 0.5, C2: 9.0}}]\n",
+     "unknown certificate request keys: witness"),
     ("constants: {estimate: {samples: abc}}\n", "constants.estimate.samples"),
     ("perturbation: {eps0: 0.5}\n", "unknown perturbation keys: eps0"),
     ("perturbation: {seed: abc}\n", "perturbation.seed"),
@@ -165,6 +174,14 @@ def test_run_bad_enum_value_is_a_validation_error(tmp_path, capsys, text, key):
     assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+def test_run_scalar_string_x0_is_named(tmp_path, capsys):
+    # YAML 1.1 reads a float only with a signed exponent, so 1.0e200 is a string
+    src = write_yaml(tmp_path, "x0.yaml", "operator: 0.5*x1 + 1\nx0: 1.0e200\n")
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        "error: x0 must be a number or a list of numbers, got '1.0e200'\n")
 
 
 def test_run_step_failure_is_reported_once(tmp_path, capsys):

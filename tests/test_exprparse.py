@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -357,3 +358,37 @@ def test_code_of_many_shapes_is_freed_with_their_trees():
 def test_thousand_term_sum_round_trips_through_text():
     e = parse_expr(" + ".join("%d.5*x" % i for i in range(1000)), ("x",))
     assert parse_expr(to_text(e), ("x",)) == e
+
+
+# the methods a frozen dataclass with Bin's fields generates, for comparison
+GeneratedBin = dataclasses.make_dataclass(
+    "Bin", [("op", str), ("left", object), ("right", object),
+            ("pos", int, dataclasses.field(default=-1, compare=False))], frozen=True)
+
+
+def generated(e):
+    """e with every Bin node replaced by a GeneratedBin."""
+    if isinstance(e, Bin):
+        return GeneratedBin(e.op, generated(e.left), generated(e.right), e.pos)
+    if isinstance(e, Neg):
+        return Neg(generated(e.operand), e.pos)
+    if isinstance(e, Call):
+        return Call(e.fn, generated(e.arg), e.pos)
+    return e
+
+
+@pytest.mark.parametrize("text", ["1 + x", "x*2 - 3/x + sin(x)^2", "-(x + 1)*(2 - x)",
+                                  "((x + 1) + (x + 2)) + (x + 3)", "x^-2"])
+def test_bin_hash_and_repr_match_the_generated_methods(text):
+    e = parse_expr(text, ("x",))
+    assert hash(e) == hash(generated(e))
+    assert repr(e) == repr(generated(e))
+
+
+def test_thousand_term_sum_hashes_and_prints():
+    text = " + ".join("%d.5*x" % i for i in range(1000))
+    e = parse_expr(text, ("x",))
+    assert hash(e) == hash(parse_expr("  " + text, ("x",)))
+    assert len({e, parse_expr(text, ("x",))}) == 1
+    assert repr(e).startswith("Bin(op='+', left=Bin(op='+', left=")
+    assert repr(e).count("Bin(") == 1999

@@ -634,6 +634,20 @@ def test_detail_text_is_pinned(case):
     assert repr(got) == repr(DETAIL_EXPECTED[case])  # repr: NaN equals NaN
 
 
+def test_huge_r0_with_eta_zero_does_not_overflow():
+    # r0^2 is past the float range, but with eta = 0, r_1 = lambda_0 r0 + rho_0 is not
+    p = params(0.0, 0.2, RHO_GEO, 1e200)
+    assert cert_sandwich(p, 10, 0.5, 0.25).detail[-1] == (
+        "start window fails: r_1 value 2e+199 above C_rho*rho_0 = 0.2")
+    assert cert_geometric(p, 10, 0.5, 0.0, 1.0, 1e200).detail == [
+        "published rho premise fails at n = 1"]
+    assert certify(p, "geometric", 10).valid
+    # the shape of a contraction trace that starts at 1e200 (rho = 0)
+    p = params(0.0, 0.5, 0.0, 1e200)
+    assert cert_geometric(p, 10, 0.5, 0.0, 1.0, 1e200).valid
+    assert certify(p, "geometric", 10).valid
+
+
 FIXED_WITNESSES = {"bounded": {}, "uniform_max": {}, "sandwich": {"C1": 0.5, "C2": 0.1},
                    "geometric": {"chi": 0.5, "mu": 0.2, "lambda0_tilde": 1.0, "C_mu": 2.0},
                    "quadratic": {"chi": 0.5, "mu": 0.5}}
