@@ -301,6 +301,15 @@ def test_certify_invalid_regime_exits_1(tmp_path):
     assert rep["certificates"][0]["valid"] is False
 
 
+def test_certify_negative_horizon_is_a_validation_error(tmp_path, capsys):
+    src, out, rc = certified_setup(tmp_path, "catalog: linear-contraction\n")
+    assert rc == 0
+    capsys.readouterr()
+    assert run_cli("certify", src, "--trace", str(out), "--horizon", "-1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "horizon" in err
+
+
 def test_certify_integral_unsupported(tmp_path, capsys):
     out = tmp_path / "vol"
     assert run_cli("run", "volterra-exp", "--out", str(out)) == 0

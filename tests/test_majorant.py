@@ -88,8 +88,8 @@ def test_a_horizon_evaluates_each_sequence_once_per_index():
         return MajorantParams(eta=0.1, lam=Counting("constant", c=0.5),
                               rho=Counting("geometric", c=0.1, ratio=0.5), r0=1.0)
 
-    # indices 0..N+1 of lam and of rho, once each: 2·(20+2) = 44 calls
-    once = sorted((kind, n) for kind in ("constant", "geometric") for n in range(22))
+    # indices 0..N of lam and of rho, once each: 2·(20+1) = 42 calls
+    once = sorted((kind, n) for kind in ("constant", "geometric") for n in range(21))
     certify(fresh(), "bounded", 20)
     assert sorted(calls) == once
     calls.clear()
@@ -98,6 +98,65 @@ def test_a_horizon_evaluates_each_sequence_once_per_index():
     certify(p, "bounded", 20)      # reads the horizon the simulation built
     assert sorted(calls) == once
     assert sim == own_sim(p, 20)
+
+
+# -- the horizon contract: a horizon-N certificate reads lambda, rho at 0..N ----
+
+
+def outcome(p, regime, N):
+    """repr of what certify reports (exact floats, NaN equal to NaN)."""
+    cert = certify(p, regime, N)
+    return repr((cert.valid, cert.premises_ok, cert.bounds_ok, cert.witnesses, cert.detail))
+
+
+LAM_ENTRY = st.floats(0.0, 0.95)
+RHO_ENTRY = st.floats(0.0, 0.1)
+PAST_ENTRY = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), N=st.integers(1, 6), eta=st.just(0.0) | st.floats(0.0, 2.0),
+       r0=st.floats(0.0, 0.2) | st.floats(0.0, 2.0))
+def test_no_certificate_reads_past_the_horizon(data, N, eta, r0):
+    lam = data.draw(st.lists(LAM_ENTRY, min_size=N + 1, max_size=N + 1))
+    rho = data.draw(st.lists(RHO_ENTRY, min_size=N + 1, max_size=N + 1))
+    past = [data.draw(st.lists(PAST_ENTRY, min_size=2, max_size=2)) for _ in range(2)]
+
+    def with_past(i):
+        # index N+1 onwards, as a table repeats its last entry
+        return MajorantParams(eta, ScalarSequence.from_table(lam + [past[i][0]]),
+                              ScalarSequence.from_table(rho + [past[i][1]]), r0)
+
+    for regime in majorant.REGIMES:
+        assert outcome(with_past(0), regime, N) == outcome(with_past(1), regime, N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), N=st.integers(1, 8), eta=st.just(0.0) | st.floats(0.0, 0.5),
+       r0=st.floats(0.0, 0.1))
+def test_sandwich_search_finds_the_least_witnesses(data, N, eta, r0):
+    lam = data.draw(st.lists(st.floats(0.0, 0.9), min_size=N + 2, max_size=N + 2))
+    rho = data.draw(st.lists(st.floats(1e-6, 0.1), min_size=N + 2, max_size=N + 2))
+    p = MajorantParams(eta, ScalarSequence.from_table(lam), ScalarSequence.from_table(rho), r0)
+    # the least C1 and C2 the ratio premises of k = 0..N-1 admit
+    C1 = max(lam[k + 1] * rho[k] / rho[k + 1] for k in range(N)) * (1.0 + 1e-9)
+    C2 = max(rho[k] * rho[k] / rho[k + 1] for k in range(N)) * (1.0 + 1e-9)
+    if cert_sandwich(p, N, C1, C2).valid:
+        assert certify(p, "sandwich", N).valid
+
+
+def test_geometric_search_ignores_lambda_past_the_horizon():
+    p = MajorantParams(0.0, ScalarSequence.from_table([0.5] * 11 + [0.0]),
+                       ScalarSequence.zero(), 10.0)
+    assert certify(p, "geometric", 10).valid
+
+
+@pytest.mark.parametrize("regime", sorted(majorant.REGIMES))
+def test_a_negative_horizon_is_a_precondition_error(regime):
+    with pytest.raises(PreconditionError, match="horizon"):
+        certify(params(rho=0.1), regime, -1)
+    with pytest.raises(PreconditionError, match="horizon"):
+        simulate_capped(params(rho=0.1), -1)
 
 
 def test_recurrence_step_rejects_negative():

@@ -290,6 +290,20 @@ def test_integral_block_gatekeeping():
     assert r.integral.m == 50
 
 
+@pytest.mark.parametrize("kernel", ["volterra_unit", "0.5*exp(-(t - s)^2)"])
+def test_integral_kernel_is_built_once(kernel):
+    r = resolve_config({"kind": "integral", "operator": "x1 + 1", "x0": 0.0,
+                        "integral": {"kernel": kernel, "T_end": 1.0, "m": 10}})
+    assert r.integral.kernel() is r.integral.kernel()
+    assert r.integral.kernel().T_end == 1.0
+
+
+def test_bad_kernel_expression_is_named():
+    with pytest.raises(ProblemError, match=r"^bad kernel expression: "):
+        resolve_config({"kind": "integral", "operator": "x1 + 1", "x0": 0.0,
+                        "integral": {"kernel": "exp(t - ", "T_end": 1.0, "m": 10}})
+
+
 def test_custom_scheme_reserved_for_catalog():
     with pytest.raises(ProblemError):
         resolve_config(minimal_cfg(scheme="custom"))
