@@ -18,8 +18,10 @@ lines.  The pipelines are:
   regimes at horizon 200: newton and modified_newton overrides with eps, sigma
   and gamma budgets in both injection modes, file problems with an `estimate`
   constants block, a file root problem with the newton gamma and no
-  `derivative`, a geometric request whose witness grid overflows, and a run
-  whose start step of 5e199 has a square past the float range;
+  `derivative`, a geometric request whose witness grid overflows, a run
+  whose start step of 5e199 has a square past the float range, and a newton
+  sigma and a contraction eps table whose entry past horizon 200 is zero,
+  which no certificate at that horizon may read;
 - file problems that between them set every key of every problem-file block
   (`constants` with `M_star`/`K_star`, an estimate block with all four
   settings, `stop.r_tol`, a damped root `gamma` with
@@ -92,6 +94,14 @@ def extra_problems():
     # r0^2 is past the float range: no certificate may square the start step
     yield "huge-r0", {"operator": "0.5*x1 + 1", "x0": [1.0e200], "stop": {"max_n": 50},
                       "constants": {"M": 0.5}}
+    # lambda_201 = 0 and rho_201 = 0, one index past what horizon 200 reads
+    yield "sigma-zero-past-horizon", {
+        "operator": "0.5*x1 + 1", "derivative": [["0.5"]], "x0": 0.0, "scheme": "newton",
+        "constants": {"M": 0.5, "K": 0.0},
+        "perturbation": {"sigma": {"kind": "table", "entries": [0.01] * 201 + [0.0]}}}
+    yield "eps-zero-past-horizon", {
+        "operator": "0.2*x1 + 1", "x0": 0.0, "constants": {"M": 0.2},
+        "perturbation": {"eps": {"kind": "table", "entries": [0.1] * 201 + [0.0]}}}
 
 
 def every_key_problems():

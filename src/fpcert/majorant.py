@@ -138,8 +138,6 @@ def simulate_capped(p: MajorantParams, N: int) -> Tuple[List[float], Optional[in
 
     Returns (values of length N+1, index of first overflow or None).
     """
-    if N < 0:
-        raise PreconditionError("N must be >= 0")
     h = _horizon(p, N)
     return list(h.sim), h.diverged
 
@@ -147,15 +145,15 @@ def simulate_capped(p: MajorantParams, N: int) -> Tuple[List[float], Optional[in
 class _Horizon(NamedTuple):
     """What every certificate reads over a horizon N, whatever its witnesses.
 
-    lam and rho hold indices 0..N+1 (ratio premises look one index ahead);
-    sim is the horizon's own equality simulation r_0..r_N, run over lam and
-    rho and padded with +inf from diverged, its first overflow index.  The
-    rest are premise facts no witness changes, each over the slice its
-    certificate reads: the first negative lambda_0..lambda_N (None if none),
-    their sup, whether one is <= 0, whether any rho_0..rho_{N+1} is <= 0,
-    theta^(2^j) with theta = eta r0, the products prod_{k<j} lambda_k and
-    r0 times them, for j = 0..N.  r1 is eta r0^2 + lambda_0 r0 + rho_0 in
-    recurrence_step's order, +inf (never OverflowError) past the float range.
+    lam and rho hold indices 0..N, all that a horizon-N certificate, its
+    witness search and its fallback read; sim is the horizon's own equality
+    simulation r_0..r_N, run over lam and rho and padded with +inf from
+    diverged, its first overflow index.  The rest are premise facts no witness
+    changes: the first negative lambda (None if none), the sup of lambda,
+    whether a lambda is <= 0, whether a rho is <= 0, theta^(2^j) with
+    theta = eta r0, the products prod_{k<j} lambda_k and r0 times them, for
+    j = 0..N.  r1 is eta r0^2 + lambda_0 r0 + rho_0 in recurrence_step's
+    order, +inf (never OverflowError) past the float range.
     """
 
     lam: Tuple[float, ...]
@@ -175,7 +173,9 @@ class _Horizon(NamedTuple):
 def _horizon(p: MajorantParams, N: int) -> _Horizon:
     h = p._horizons.get(N)
     if h is None:
-        lam, rho = tuple(p.lam.values(0, N + 1)), tuple(p.rho.values(0, N + 1))
+        if N < 0:
+            raise PreconditionError("horizon N must be >= 0, got %d" % N)
+        lam, rho = tuple(p.lam.values(0, N)), tuple(p.rho.values(0, N))
         sim, diverged = [p.r0], None
         for n in range(1, N + 1):
             nxt = recurrence_step(sim[-1], p.eta, lam[n - 1], rho[n - 1])
@@ -191,12 +191,11 @@ def _horizon(p: MajorantParams, N: int) -> _Horizon:
         prefix = [1.0]
         for k in range(N):
             prefix.append(prefix[-1] * lam[k])
-        head = lam[:N + 1]
         # tuples: every certificate of p reads the same horizon
         h = p._horizons[N] = _Horizon(
             lam, rho, tuple(sim), diverged,
-            lam_neg=next((v for v in head if v < 0), None), lam_sup=max(head),
-            lam_nonpos=any(v <= 0.0 for v in head), rho_nonpos=any(v <= 0.0 for v in rho),
+            lam_neg=next((v for v in lam if v < 0), None), lam_sup=max(lam),
+            lam_nonpos=any(v <= 0.0 for v in lam), rho_nonpos=any(v <= 0.0 for v in rho),
             theta_pow=tuple(theta_pow), prefix=tuple(prefix),
             r0_prefix=tuple(p.r0 * v for v in prefix),
             r1=p.eta * p.r0 * p.r0 + lam[0] * p.r0 + rho[0])
@@ -386,7 +385,7 @@ def cert_uniform_max(p: MajorantParams, N: int) -> Certificate:
     escapes and no uniform bound of this shape exists.
     """
     h = _horizon(p, N)
-    lam, rho = h.lam[:N + 1], h.rho[:N + 1]
+    lam, rho = h.lam, h.rho
     log = _Premises()
     _lambda_blanket(h, log)
     for name, vals in (("lambda", lam), ("rho", rho)):
@@ -485,7 +484,7 @@ def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
         if not _le(h.r1, (1.0 + mu) * z):
             log.fail("published base premise fails: %r > (1+mu)*lt0*C_mu = %r"
                      % (h.r1, (1.0 + mu) * z))
-        elif not _le(p.eta * z, (1.0 - chi) * mu * lam[1]):
+        elif N >= 1 and not _le(p.eta * z, (1.0 - chi) * mu * lam[1]):
             log.fail("published eta premise fails at n = 1")
     if log.ok:
         prod1n = 1.0  # prod_{k=1}^{n} lambda_k
@@ -560,20 +559,20 @@ def cert_quadratic(p: MajorantParams, N: int, chi: float, mu: float) -> Certific
 def _needed_c2(p: MajorantParams, N: int) -> float:
     rho = _horizon(p, N).rho
     # rho_k * rho_k, not rho_k ** 2: a float ** raises OverflowError past 1e154
-    vals = [rho[k] * rho[k] / rho[k + 1] for k in range(N - 1) if rho[k + 1] > 0]
+    vals = [rho[k] * rho[k] / rho[k + 1] for k in range(N) if rho[k + 1] > 0]
     return max(vals) * (1.0 + 1e-9) if vals else 0.0
 
 
 def _sandwich_grid(p: MajorantParams, N: int, grid: int) -> Iterator[Dict[str, float]]:
     h = _horizon(p, N)
     lam, rho = h.lam, h.rho
-    if any(v <= 0 for v in rho[:N + 1]):
+    if h.rho_nonpos:
         return
-    need_c1 = max((lam[k + 1] * rho[k] / rho[k + 1] for k in range(N - 1)), default=0.0)
+    need_c1 = max((lam[k + 1] * rho[k] / rho[k + 1] for k in range(N)), default=0.0)
     need_c2 = _needed_c2(p, N)
     if not math.isfinite(need_c2):
         return
-    for c1 in [min(need_c1 * (1.0 + 1e-9), 0.999999)] + [i / grid for i in range(grid)]:
+    for c1 in [need_c1 * (1.0 + 1e-9)] + [i / grid for i in range(grid)]:
         if not 0.0 <= c1 < 1.0:
             continue
         hi = math.inf if p.eta == 0.0 else (1.0 - c1) ** 2 / (4.0 * p.eta)
@@ -588,9 +587,9 @@ def _sandwich_grid(p: MajorantParams, N: int, grid: int) -> Iterator[Dict[str, f
 def _geometric_grid(p: MajorantParams, N: int, grid: int) -> Iterator[Dict[str, float]]:
     h = _horizon(p, N)
     lam = h.lam
-    if any(v <= 0 for v in lam) or max(lam) >= 1.0:
+    if h.lam_nonpos or h.lam_sup >= 1.0:
         return
-    mu_max = 1.0 / max(lam) - 1.0
+    mu_max = 1.0 / h.lam_sup - 1.0
     for i in range(1, grid + 1):
         mu = mu_max * i / grid
         # anchor decides the smallest usable witness product
@@ -598,7 +597,7 @@ def _geometric_grid(p: MajorantParams, N: int, grid: int) -> Iterator[Dict[str, 
         for j in range(1, grid):
             for scale in (1.0, 2.0, 4.0, 8.0):
                 yield {"chi": j / grid, "mu": mu, "lambda0_tilde": 1.0, "C_mu": z * scale}
-    if p.eta == 0.0 and all(v == 0.0 for v in h.rho[:N + 1]):
+    if p.eta == 0.0 and all(v == 0.0 for v in h.rho):
         z = max(p.r0, h.r1 / lam[0] if lam[0] else 0.0)
         yield {"chi": 0.0, "mu": 0.0, "lambda0_tilde": 1.0, "C_mu": z}
 

@@ -127,12 +127,11 @@ class IntegralSetup:
     kernel_kind: str     # volterra_unit | expression text
     T_end: float
     m: int
+    spec: KernelSpec = field(compare=False, repr=False)   # built once by the resolver
     exact: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
     def kernel(self) -> KernelSpec:
-        if self.kernel_kind == "volterra_unit":
-            return build_volterra_kernel(self.T_end)
-        return kernel_from_expression(self.kernel_kind, self.T_end)
+        return self.spec
 
 
 @dataclass(frozen=True)
@@ -562,14 +561,17 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
         _require(0.0 < T_end < math.inf, "integral.T_end", "positive and finite", T_end)
         m = icfg.get("m", 100)
         _require(m >= 1, "integral.m", "at least 1", m)
-        if kernel_kind != "volterra_unit":
+        if kernel_kind == "volterra_unit":
+            spec = build_volterra_kernel(T_end)
+        else:
             try:
-                parse_expr(kernel_kind, {"t", "s"})
+                spec = kernel_from_expression(kernel_kind, T_end)
             except ExprError as exc:
                 raise ProblemError("bad kernel expression: %s" % exc)
         if dim != 1:
             raise ProblemError("integral problems are scalar (dim 1) in this version")
-        integral = IntegralSetup(kernel_kind, T_end, m, exact=entry.exact if entry else None)
+        integral = IntegralSetup(kernel_kind, T_end, m, spec,
+                                 exact=entry.exact if entry else None)
     elif "integral" in cfg:
         raise ProblemError("integral block is only meaningful for integral problems")
 

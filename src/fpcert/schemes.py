@@ -100,9 +100,6 @@ class IterationTrace:
     inner_defect: List[float]      # defect of the step producing x_n, n = 1..steps
     injected: List[float]          # additive noise norm of that step, n = 1..steps
     stop_reason: str
-    norm: NormKind
-    scheme: SchemeKind
-    seed: int
 
     @property
     def steps(self) -> int:
@@ -276,8 +273,7 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
     except Exception as exc:
         raise StepFailure(1, exc) from exc
     trace = IterationTrace(iterates=[x0], r=[], r_tilde=[0.0], residual=[residual0],
-                           inner_defect=[], injected=[], stop_reason="max_n",
-                           norm=norm, scheme=scheme, seed=plan.seed)
+                           inner_defect=[], injected=[], stop_reason="max_n")
     guard_radius = 1e6 * (1.0 + norm_of(x0, norm))
 
     if stop.residual_tol > 0.0 and trace.residual[0] <= stop.residual_tol:
