@@ -501,7 +501,7 @@ def cert_geometric(p: MajorantParams, N: int, chi: float, mu: float,
         upper = [p.r0] + [math.inf] * N
     else:
         upper = [p.r0] + [z * inflation[j] * h.prefix[j] for j in range(1, N + 1)]
-    if log.ok:
+    if log.ok and N >= 1:
         # anchored set: the induction that the printed bound actually needs
         if not _le(h.r1, upper[1]):
             log.fail("anchor fails: r_1 value %r above the printed bound %r" % (h.r1, upper[1]))

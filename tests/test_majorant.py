@@ -115,7 +115,7 @@ PAST_ENTRY = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 2.0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), N=st.integers(1, 6), eta=st.just(0.0) | st.floats(0.0, 2.0),
+@given(data=st.data(), N=st.integers(0, 6), eta=st.just(0.0) | st.floats(0.0, 2.0),
        r0=st.floats(0.0, 0.2) | st.floats(0.0, 2.0))
 def test_no_certificate_reads_past_the_horizon(data, N, eta, r0):
     lam = data.draw(st.lists(LAM_ENTRY, min_size=N + 1, max_size=N + 1))
@@ -145,10 +145,26 @@ def test_sandwich_search_finds_the_least_witnesses(data, N, eta, r0):
         assert certify(p, "sandwich", N).valid
 
 
+def test_sandwich_search_tries_a_least_C1_near_one():
+    # the least C1 is 0.9999995 (1 + 1e-9): a grid that capped it at 0.999999
+    # failed the lambda_1 ratio premise with every C1 it tried
+    p = MajorantParams(0.0, ScalarSequence.from_table([0.5, 0.9999995]),
+                       ScalarSequence.constant(0.1), 0.01)
+    assert certify(p, "sandwich", 1).valid
+
+
 def test_geometric_search_ignores_lambda_past_the_horizon():
     p = MajorantParams(0.0, ScalarSequence.from_table([0.5] * 11 + [0.0]),
                        ScalarSequence.zero(), 10.0)
     assert certify(p, "geometric", 10).valid
+
+
+@pytest.mark.parametrize("regime", sorted(majorant.REGIMES))
+def test_every_regime_checks_a_horizon_of_zero(regime):
+    # no certificate reads r_1's bound at N = 0: the geometric anchor raised IndexError
+    for p in (params(), params(eta=0.1, rho=0.01, r0=0.1)):
+        cert = certify(p, regime, 0)
+        assert cert.checked_horizon == 0 and len(cert.upper) == 1
 
 
 @pytest.mark.parametrize("regime", sorted(majorant.REGIMES))
