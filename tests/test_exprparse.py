@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import math
 import weakref
 
@@ -51,6 +52,88 @@ def test_parse_syntax_errors():
             parse_expr(bad, ("x",))
 
 
+_DEEP = "(" * (MAX_DEPTH + 1) + "x1" + ")" * (MAX_DEPTH + 1)
+
+# The parser's contract over the variables x1, x2: each input with the error
+# it raises (type, message, position) or the repr of its tree, which holds
+# every node's position.  Non-ASCII characters: ² superscript two (a digit
+# to str.isdigit, yet no number to float), ½ one half (numeric, yet no
+# letter), ١ Arabic-Indic one and ２ fullwidth two (decimal digits), é (a
+# letter) and \u2003, the em space (whitespace).
+CONTRACT = [
+    ("", (ExprSyntaxError, "empty expression", 0)),
+    ("  \t", (ExprSyntaxError, "empty expression", 0)),
+    ("1..2", (ExprSyntaxError, "bad number literal '1..2'", 0)),
+    ("1.2.3", (ExprSyntaxError, "bad number literal '1.2.3'", 0)),
+    ("2²", (ExprSyntaxError, "bad number literal '2²'", 0)),
+    (".²", (ExprSyntaxError, "bad number literal '.²'", 0)),
+    ("x1 + (1..2", (ExprSyntaxError, "bad number literal '1..2'", 6)),
+    ("1 # 2", (ExprSyntaxError, "unexpected character '#'", 2)),
+    ("½", (ExprSyntaxError, "unexpected character '½'", 0)),
+    ("..5", (ExprSyntaxError, "unexpected character '.'", 0)),
+    ("1 + ) $", (ExprSyntaxError, "unexpected character '$'", 6)),
+    ("sin 3", (ExprSyntaxError, "function 'sin' needs parentheses", 4)),
+    ("exp", (ExprSyntaxError, "function 'exp' needs parentheses", 3)),
+    ("(1", (ExprSyntaxError, "expected ')'", 2)),
+    ("(1 2", (ExprSyntaxError, "expected ')'", 3)),
+    ("sin(1", (ExprSyntaxError, "expected ')' after argument of 'sin'", 5)),
+    ("sqrt(x1 x2)", (ExprSyntaxError, "expected ')' after argument of 'sqrt'", 8)),
+    ("1 +", (ExprSyntaxError, "expected a value", 3)),
+    (")", (ExprSyntaxError, "expected a value", 0)),
+    ("2 ** 3", (ExprSyntaxError, "expected a value", 3)),
+    ("exp(", (ExprSyntaxError, "expected a value", 4)),
+    ("1 2", (ExprSyntaxError, "trailing input", 2)),
+    ("x1)", (ExprSyntaxError, "trailing input", 2)),
+    ("1e", (ExprSyntaxError, "trailing input", 1)),
+    ("1e+", (ExprSyntaxError, "trailing input", 1)),
+    ("2e3.5", (ExprSyntaxError, "trailing input", 3)),
+    (_DEEP, (ExprSyntaxError, "expression nested more than %d levels deep" % MAX_DEPTH,
+             MAX_DEPTH)),
+    ("x9", (UnknownVariableError, "unknown variable 'x9'", 0)),
+    ("x1²", (UnknownVariableError, "unknown variable 'x1²'", 0)),
+    ("é", (UnknownVariableError, "unknown variable 'é'", 0)),
+    ("SIN(x1)", (UnknownVariableError, "unknown variable 'SIN'", 0)),
+    (".5", "Lit(value=0.5, pos=0)"),
+    ("5.", "Lit(value=5.0, pos=0)"),
+    ("1E-3", "Lit(value=0.001, pos=0)"),
+    ("١ + x1",
+     "Bin(op='+', left=Lit(value=1.0, pos=0), right=Var(name='x1', pos=4), pos=2)"),
+    ("x1 + ２",
+     "Bin(op='+', left=Var(name='x1', pos=0), right=Lit(value=2.0, pos=5), pos=3)"),
+    ("x1\u2003+ 1",
+     "Bin(op='+', left=Var(name='x1', pos=0), right=Lit(value=1.0, pos=5), pos=3)"),
+    ("x1 +\n2", "Bin(op='+', left=Var(name='x1', pos=0), right=Lit(value=2.0, pos=5), pos=3)"),
+    ("\tx1  *\t2",
+     "Bin(op='*', left=Var(name='x1', pos=1), right=Lit(value=2.0, pos=7), pos=5)"),
+    ("-x1^-2", "Neg(operand=Bin(op='^', left=Var(name='x1', pos=1), right=Neg(operand="
+               "Lit(value=2.0, pos=5), pos=4), pos=3), pos=0)"),
+    ("-(-x1)", "Neg(operand=Neg(operand=Var(name='x1', pos=3), pos=2), pos=0)"),
+    ("x1^2^3", "Bin(op='^', left=Var(name='x1', pos=0), right=Bin(op='^', left="
+               "Lit(value=2.0, pos=3), right=Lit(value=3.0, pos=5), pos=4), pos=2)"),
+    ("sin(abs(-x2))^2", "Bin(op='^', left=Call(fn='sin', arg=Call(fn='abs', arg=Neg("
+                        "operand=Var(name='x2', pos=9), pos=8), pos=4), pos=0), right="
+                        "Lit(value=2.0, pos=14), pos=13)"),
+    ("1.5e-3*x1 - x2/3", "Bin(op='-', left=Bin(op='*', left=Lit(value=0.0015, pos=0), "
+                         "right=Var(name='x1', pos=7), pos=6), right=Bin(op='/', left="
+                         "Var(name='x2', pos=12), right=Lit(value=3.0, pos=15), pos=14), "
+                         "pos=10)"),
+]
+
+
+@pytest.mark.parametrize("text, expected", CONTRACT,
+                         ids=[repr(t[:24]) for t, _ in CONTRACT])
+def test_parser_contract(text, expected):
+    if isinstance(expected, str):
+        assert repr(parse_expr(text, ("x1", "x2"))) == expected
+        return
+    kind, message, pos = expected
+    with pytest.raises(kind) as exc:
+        parse_expr(text, ("x1", "x2"))
+    assert type(exc.value) is kind
+    assert str(exc.value) == "%s (at position %d)" % (message, pos)
+    assert exc.value.pos == pos
+
+
 # each shape nests `depth` levels; the level past MAX_DEPTH opens at `pos(depth)`
 NESTINGS = {
     "parentheses": (lambda d: "(" * d + "x" + ")" * d, lambda d: d - 1),
@@ -78,6 +161,23 @@ def test_equality_ignores_source_position():
     a = parse_expr("x+1", ("x",))
     b = parse_expr("  x  +  1", ("x",))
     assert a == b
+
+
+@pytest.mark.parametrize("node, params", [
+    (Lit(1.0, 3), ["value", "pos"]), (Var("x", 3), ["name", "pos"]),
+    (Neg(Lit(1.0), 3), ["operand", "pos"]), (Bin("+", Lit(1.0), Lit(2.0), 3),
+                                              ["op", "left", "right", "pos"]),
+    (Call("sin", Lit(1.0), 3), ["fn", "arg", "pos"])])
+def test_nodes_are_frozen_dataclasses(node, params):
+    cls = type(node)
+    signature = inspect.signature(cls).parameters
+    assert list(signature) == params and signature["pos"].default == -1
+    assert [f.name for f in dataclasses.fields(cls)] == params
+    assert cls(*[getattr(node, p) for p in params[:-1]]).pos == -1
+    for name in params:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, getattr(node, name))
+    assert node == dataclasses.replace(node, pos=7) and node.pos == 3
 
 
 # -- evaluation domain --------------------------------------------------
