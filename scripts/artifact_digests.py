@@ -21,7 +21,9 @@ lines.  The pipelines are:
   `derivative`, a geometric request whose witness grid overflows, a run
   whose start step of 5e199 has a square past the float range, and a newton
   sigma and a contraction eps table whose entry past horizon 200 is zero,
-  which no certificate at that horizon may read;
+  which no certificate at that horizon may read, and a newton problem whose
+  operator and derivative use every token and node kind of the expression
+  grammar;
 - file problems that between them set every key of every problem-file block
   (`constants` with `M_star`/`K_star`, an estimate block with all four
   settings, `stop.r_tol`, a damped root `gamma` with
@@ -102,6 +104,16 @@ def extra_problems():
     yield "eps-zero-past-horizon", {
         "operator": "0.2*x1 + 1", "x0": 0.0, "constants": {"M": 0.2},
         "perturbation": {"eps": {"kind": "table", "entries": [0.1] * 201 + [0.0]}}}
+    # unary-minus chains, ^ with a negative exponent, .5, 5. and 1E-3 literals,
+    # nested calls of all six functions, tabs and repeated spaces
+    yield "grammar-coverage", {
+        "operator": ["0.1\t*  sqrt(exp(log(1 + abs(sin(cos(x1)))^2)))  - -x2/5. + 1E-3",
+                     "---.25*(1 + x1^2)^-1 +\t.5"],
+        "derivative": [["-0.1*sin(cos(x1))*cos(cos(x1))*sin(x1) / sqrt(1 + sin(cos(x1))^2)",
+                        "1/5."],
+                       ["\t.5*x1*(1  +  x1^2)^-2", "-(-0)"]],
+        "x0": [0.0, 0.0], "scheme": "newton", "constants": ESTIMATE,
+        "stop": {"max_n": 30, "residual_tol": 1e-13}}
 
 
 def every_key_problems():

@@ -35,11 +35,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 TRACED_SEEDS = (1,)
 
-# the traced layers recent work moves, or must not move: expression
-# evaluation, the self times that hold the problem-file load (cli.run,
+# the traced layers recent work moves, or must not move: expression parsing
+# and evaluation, the self times that hold the problem-file load (cli.run,
 # cli.certify) and the kernel-matrix fill (greens.apply), and the tail bounds
 # and certificates of the majorant
-LAYERS = ("exprparse.eval_calls", "exprparse.eval_s", "greens.kernel_eval_s",
+LAYERS = ("exprparse.parse_calls", "exprparse.parse_s",
+          "exprparse.eval_calls", "exprparse.eval_s", "greens.kernel_eval_s",
           "core.matrix_of_s", "schemes.run_outer_s", "cli.run_self_s",
           "cli.certify_self_s", "greens.apply_self_s", "majorant.tail_bound_s",
           "majorant.cert_calls", "majorant.cert_self_s")

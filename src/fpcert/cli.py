@@ -100,18 +100,45 @@ def _write_solution_csv(path: Path, g: GridFunction):
 def _read_trace_r(path: Path) -> List[float]:
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = [(reader.line_num, row) for row in reader]
     except FileNotFoundError:
         raise CliError("no trace.csv in the trace directory (run `fpcert run` first)")
-    return [float(row["r_n"]) for row in rows if row.get("r_n")]
+    except (OSError, ValueError, csv.Error) as exc:  # a directory, or no UTF-8 text
+        raise CliError("cannot read %s: %s" % (path, _reason(exc)))
+    r = []
+    for line, row in rows:
+        if row.get("r_n"):
+            try:
+                r.append(float(row["r_n"]))
+            except ValueError:
+                raise CliError("%s, line %d: r_n %r is not a number" % (path, line, row["r_n"]))
+    return r
 
 
 def _read_run_json(path: Path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            info = json.load(fh)
     except FileNotFoundError:
         raise CliError("no run.json in the trace directory (run `fpcert run` first)")
+    except (OSError, ValueError) as exc:  # a directory, or no JSON
+        raise CliError("cannot read %s: %s" % (path, _reason(exc)))
+    if not isinstance(info, dict):
+        raise CliError("cannot read %s: it holds no JSON object" % path)
+    return info
+
+
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, say
+        raise CliError("cannot create output directory %s: %s" % (path, _reason(exc)))
+
+
+def _reason(exc: Exception) -> str:
+    """Why reading or writing failed, without the path an OSError repeats."""
+    return getattr(exc, "strerror", None) or str(exc)
 
 
 def _dump_json(path: Path, payload: dict):
@@ -125,7 +152,7 @@ def _dump_json(path: Path, payload: dict):
 
 
 def _execute_run(resolved: ResolvedProblem, out_dir: Path, inner_tol: float) -> Tuple[int, dict]:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     if resolved.kind == "integral":
         return _execute_integral(resolved, out_dir)
     try:
@@ -226,7 +253,7 @@ def cmd_certify(args) -> int:
             % (est["samples"], est["seed"], _fmt(est["safety"])))
 
     out_dir = Path(args.out) if args.out else trace_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     try:
         p = majorant_from_constants(constants, resolved.scheme, r0=r_meas[0], horizon=horizon)
     except MajorantError as exc:
@@ -317,7 +344,7 @@ def cmd_sweep(args) -> int:
         resolved = resolve_config(override_param(cfg, args.param, v))
         jobs.append((v, resolved))
     out_root = Path(args.out) if args.out else Path("fpcert-out") / ("sweep-" + jobs[0][1].name)
-    out_root.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_root)
     # one after another: the runs hold the GIL, so threads only added switching
     results = [_execute_run(resolved, out_root / _value_label(args.param, v), args.inner_tol)
                for v, resolved in jobs]

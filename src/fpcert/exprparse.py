@@ -18,6 +18,7 @@ runs again and raises, or returns, exactly what it would have alone.
 from __future__ import annotations
 
 import math
+import re
 import types
 import weakref
 from dataclasses import dataclass, field
@@ -46,7 +47,7 @@ class EvalDomainError(ExprError):
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 # The parser refuses deeper nesting (parentheses, function arguments, unary
-# minus and exponents each open a level).  Parsing takes at most six stack
+# minus and exponents each open a level).  Parsing takes at most three stack
 # frames per level and the walk and the compiler at most three, so a tree
 # that parses stays well inside Python's default recursion limit of 1000.
 MAX_DEPTH = 100
@@ -68,10 +69,15 @@ class _Node:
     _fn = staticmethod(_uncompiled)
 
 
+# Each node class's __init__ writes the instance dict in one go, twice as fast
+# as the frozen dataclass's own, which sets each field by object.__setattr__.
 @dataclass(frozen=True)
 class Lit(_Node):
     value: float
     pos: int = field(default=-1, compare=False)
+
+    def __init__(self, value: float, pos: int = -1):
+        object.__setattr__(self, "__dict__", {"value": value, "pos": pos})
 
 
 @dataclass(frozen=True)
@@ -79,11 +85,17 @@ class Var(_Node):
     name: str
     pos: int = field(default=-1, compare=False)
 
+    def __init__(self, name: str, pos: int = -1):
+        object.__setattr__(self, "__dict__", {"name": name, "pos": pos})
+
 
 @dataclass(frozen=True)
 class Neg(_Node):
     operand: "Expr"
     pos: int = field(default=-1, compare=False)
+
+    def __init__(self, operand: "Expr", pos: int = -1):
+        object.__setattr__(self, "__dict__", {"operand": operand, "pos": pos})
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,9 @@ class Bin(_Node):
     left: "Expr"
     right: "Expr"
     pos: int = field(default=-1, compare=False)
+
+    def __init__(self, op: str, left: "Expr", right: "Expr", pos: int = -1):
+        object.__setattr__(self, "__dict__", {"op": op, "left": left, "right": right, "pos": pos})
 
     def __eq__(self, other):
         # the left spines in a loop, so that comparing long sums costs one
@@ -144,157 +159,145 @@ class Call(_Node):
     arg: "Expr"
     pos: int = field(default=-1, compare=False)
 
+    def __init__(self, fn: str, arg: "Expr", pos: int = -1):
+        object.__setattr__(self, "__dict__", {"fn": fn, "arg": arg, "pos": pos})
+
 
 Expr = Union[Lit, Var, Neg, Bin, Call]
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: List[Tuple[str, str, int]] = []  # (kind, value, pos)
-        self._scan()
-        self.k = 0
+# One match per token: the whitespace before it, then an operator or
+# parenthesis, a number, a name, or any other character but whitespace, which
+# is an error; so the matches follow each other from position 0 up to trailing
+# whitespace.  The classes hold exactly the ASCII characters that str.isspace,
+# isdigit, isalpha and isalnum accept; _stand_in maps any other character.
+_TOKEN = re.compile(r"([\x20\t\n\r\x0b\x0c\x1c-\x1f]*)(?:([-+*/^()])"
+                    r"|((?:[0-9]|\.[0-9])[0-9.]*(?:[eE][-+]?[0-9]+)?)"
+                    r"|([A-Za-z_][A-Za-z0-9_\u00bd]*)|([^\x20\t\n\r\x0b\x0c\x1c-\x1f]))")
 
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-                j = i
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                lexeme = text[i:j]
-                try:
-                    float(lexeme)
-                except ValueError:
-                    raise ExprSyntaxError("bad number literal %r" % lexeme, i)
-                self.tokens.append(("num", lexeme, i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ExprSyntaxError("unexpected character %r" % ch, i)
-        self.tokens.append(("end", "", n))
 
-    def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.k]
+def _stand_in(c: str) -> str:
+    """What _TOKEN reads for the non-ASCII c: an ASCII character of its class, \u00bd
+    for one that only continues a name (numeric, no digit or letter), or c."""
+    return (" " if c.isspace() else "0" if c.isdigit() else "a" if c.isalpha()
+            else "\u00bd" if c.isalnum() else c)
 
-    def next(self) -> Tuple[str, str, int]:
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
+
+def _tokens(text: str) -> List[Tuple[str, object, int]]:
+    """(kind, value, pos) of every token, then ("end", "", len(text)): kind is
+    "num" with the float, "name" with the name, or the operator or parenthesis
+    itself.  As the matches follow each other, a token's position is the length
+    of all matches before it.  Lexemes come from text, not from its stand-ins,
+    so float reads a number in Unicode digits, or refuses it."""
+    scan = text if text.isascii() else text.translate(
+        {ord(c): _stand_in(c) for c in set(text) if not c.isascii()})
+    tokens, pos = [], 0
+    append = tokens.append
+    for space, op, num, name, other in _TOKEN.findall(scan):
+        pos += len(space)
+        if op:
+            append((op, op, pos))
+            pos += 1
+            continue
+        lexeme = text[pos:pos + len(name or num or other)]
+        if name:
+            append(("name", lexeme, pos))
+        elif num:
+            try:
+                append(("num", float(lexeme), pos))
+            except ValueError:
+                raise ExprSyntaxError("bad number literal %r" % lexeme, pos)
+        else:
+            raise ExprSyntaxError("unexpected character %r" % lexeme, pos)
+        pos += len(lexeme)
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens from index k on; depth counts the
+    open levels, each opened by the ( - or ^ just before its first factor."""
+
     def __init__(self, text: str, allowed_vars: FrozenSet[str]):
-        self.toks = _Tokenizer(text)
+        self.toks = _tokens(text)
+        self.k = 0
         self.vars = allowed_vars
-        self.depth = 0
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, _, pos = self.toks.peek()
-        if kind != "end":
-            raise ExprSyntaxError("trailing input", pos)
+    def expr(self, depth: int) -> Expr:
+        """Terms joined by + and -."""
+        e = self.term(depth)
+        toks = self.toks
+        kind, _, pos = toks[self.k]
+        while kind == "+" or kind == "-":
+            self.k += 1
+            e = Bin(kind, e, self.term(depth), pos)
+            kind, _, pos = toks[self.k]
         return e
 
-    def nested(self, pos: int, parse: Callable[[], Expr]) -> Expr:
-        """parse() one nesting level deeper, a level opened at pos."""
-        if self.depth >= MAX_DEPTH:
-            raise ExprSyntaxError("expression nested more than %d levels deep" % MAX_DEPTH, pos)
-        self.depth += 1
-        e = parse()
-        self.depth -= 1
+    def term(self, depth: int) -> Expr:
+        """Factors joined by * and /."""
+        e = self.factor(depth)
+        toks = self.toks
+        kind, _, pos = toks[self.k]
+        while kind == "*" or kind == "/":
+            self.k += 1
+            e = Bin(kind, e, self.factor(depth), pos)
+            kind, _, pos = toks[self.k]
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, _, pos = self.toks.peek()
-            if kind in ("+", "-"):
-                self.toks.next()
-                e = Bin(kind, e, self.term(), pos)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, _, pos = self.toks.peek()
-            if kind in ("*", "/"):
-                self.toks.next()
-                e = Bin(kind, e, self.unary(), pos)
-            else:
-                return e
-
-    def unary(self) -> Expr:
-        kind, _, pos = self.toks.peek()
-        if kind == "-":
-            self.toks.next()
-            return Neg(self.nested(pos, self.unary), pos)
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, _, pos = self.toks.peek()
-        if kind == "^":
-            self.toks.next()
-            # right associative; exponent may carry a unary minus (2^-3)
-            return Bin("^", base, self.nested(pos, self.unary), pos)
-        return base
-
-    def atom(self) -> Expr:
-        kind, value, pos = self.toks.next()
+    def factor(self, depth: int) -> Expr:
+        """A unary minus, or a value with an optional ^ exponent (right
+        associative; the exponent may carry a unary minus, as in 2^-3)."""
+        toks, k = self.toks, self.k
+        if depth > MAX_DEPTH:  # refused at the ( - or ^ just read
+            raise ExprSyntaxError("expression nested more than %d levels deep" % MAX_DEPTH,
+                                  toks[k - 1][2])
+        kind, value, pos = toks[k]
+        self.k = k + 1
         if kind == "num":
-            return Lit(float(value), pos)
-        if kind == "(":
-            e = self.nested(pos, self.expr)
-            k2, _, p2 = self.toks.next()
-            if k2 != ")":
-                raise ExprSyntaxError("expected ')'", p2)
-            return e
-        if kind == "name":
+            e = Lit(value, pos)
+        elif kind == "name":
             if value in FUNCTIONS:
-                k2, _, p2 = self.toks.next()
-                if k2 != "(":
+                kind, _, p2 = toks[k + 1]
+                if kind != "(":
                     raise ExprSyntaxError("function %r needs parentheses" % value, p2)
-                arg = self.nested(p2, self.expr)
-                k3, _, p3 = self.toks.next()
-                if k3 != ")":
+                self.k = k + 2
+                e = Call(value, self.expr(depth + 1), pos)
+                kind, _, p3 = toks[self.k]
+                if kind != ")":
                     raise ExprSyntaxError("expected ')' after argument of %r" % value, p3)
-                return Call(value, arg, pos)
-            if value in self.vars:
-                return Var(value, pos)
-            raise UnknownVariableError(value, pos)
-        raise ExprSyntaxError("expected a value", pos)
+                self.k += 1
+            elif value in self.vars:
+                e = Var(value, pos)
+            else:
+                raise UnknownVariableError(value, pos)
+        elif kind == "(":
+            e = self.expr(depth + 1)
+            kind, _, p2 = toks[self.k]
+            if kind != ")":
+                raise ExprSyntaxError("expected ')'", p2)
+            self.k += 1
+        elif kind == "-":
+            return Neg(self.factor(depth + 1), pos)
+        else:
+            raise ExprSyntaxError("expected a value", pos)
+        kind, _, pos = toks[self.k]
+        if kind != "^":
+            return e
+        self.k += 1
+        return Bin("^", e, self.factor(depth + 1), pos)
 
 
 def parse_expr(text: str, allowed_vars) -> Expr:
     """Parse text into an expression tree over the given variable names."""
     if not isinstance(text, str) or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text, frozenset(allowed_vars)).parse()
+    parser = _Parser(text, frozenset(allowed_vars))
+    e = parser.expr(0)
+    kind, _, pos = parser.toks[parser.k]
+    if kind != "end":
+        raise ExprSyntaxError("trailing input", pos)
+    return e
 
 
 def eval_expr(e: Expr, bindings: Dict[str, float]) -> float:
@@ -535,9 +538,7 @@ def _render(e: Expr, parent_prec: int) -> str:
     if isinstance(e, Lit):
         s = repr(e.value)
         # a bare negative literal needs the same care as unary minus
-        if e.value < 0 and parent_prec > _PREC["neg"]:
-            return "(" + s + ")"
-        if e.value < 0 and parent_prec == _PREC["neg"]:
+        if e.value < 0 and parent_prec >= _PREC["neg"]:
             return "(" + s + ")"
         return s
     if isinstance(e, Var):
@@ -545,8 +546,7 @@ def _render(e: Expr, parent_prec: int) -> str:
     if isinstance(e, Call):
         return "%s(%s)" % (e.fn, _render(e.arg, 0))
     if isinstance(e, Neg):
-        inner = _render(e.operand, _PREC["neg"])
-        s = "-" + inner
+        s = "-" + _render(e.operand, _PREC["neg"])
         return "(" + s + ")" if parent_prec > _PREC["neg"] else s
     if isinstance(e, Bin):
         prec = _PREC[e.op]

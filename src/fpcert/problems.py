@@ -37,8 +37,11 @@ class ProblemError(ValueError):
 
 
 def _number(value, key: str, convert=float):
-    """convert(value) for a problem-file value; ProblemError naming key if it is no number."""
+    """convert(value) for a problem-file value; ProblemError naming key if it is no number,
+    or for int no whole one (int would drop a fraction)."""
     try:
+        if convert is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ProblemError("%s must be %s, got %r"
@@ -60,7 +63,7 @@ def operator_from_expressions(exprs: Sequence[str], dim: int,
     if len(exprs) != dim:
         raise ProblemError("operator needs %d expressions, got %d" % (dim, len(exprs)))
     names = _var_names(dim)
-    allowed = set(names)
+    allowed = frozenset(names)
     trees = [parse_expr(t, allowed) for t in exprs]
 
     def bindings(x: Vector) -> Dict[str, float]:
@@ -635,6 +638,10 @@ def load_config(source) -> dict:
         raise ProblemError("%r is neither a catalog problem nor a readable file" % text_name)
     except yaml.YAMLError as exc:
         raise ProblemError("cannot parse %s: %s" % (text_name, exc))
+    except OSError as exc:  # a directory, say
+        raise ProblemError("cannot read %s: %s" % (text_name, exc.strerror))
+    except UnicodeDecodeError as exc:
+        raise ProblemError("cannot read %s: %s" % (text_name, exc))
     if not isinstance(cfg, dict):
         raise ProblemError("problem file %s must contain a mapping" % text_name)
     return cfg
@@ -656,13 +663,13 @@ def override_param(cfg: dict, param: str, value: float) -> dict:
     elif param == "m":
         if "integral" not in out and "catalog" not in out:
             raise ProblemError("param m needs an integral problem")
-        out.setdefault("integral", {})["m"] = int(value)
+        out.setdefault("integral", {})["m"] = value
     elif param == "alpha":
         if "gamma" not in out and "catalog" not in out:
             raise ProblemError("param alpha needs a root problem with a gamma block")
         out["gamma"] = dict(out.get("gamma") or {}, alpha=float(value))
     elif param == "seed":
-        out["perturbation"] = dict(out.get("perturbation") or {}, seed=int(value))
+        out["perturbation"] = dict(out.get("perturbation") or {}, seed=value)
     else:
         raise ProblemError("unknown sweep param %r (expected eps, m, alpha or seed)" % param)
     return out

@@ -158,6 +158,8 @@ def test_run_integral_problem(tmp_path):
     ("kind: integral\nintegral: {T_end: abc}\n", "integral.T_end"),
     ("kind: integral\nintegral: {m: abc}\n", "integral.m"),
     ("kind: integral\nintegral: {m: 0}\n", "integral.m"),
+    ("kind: integral\nintegral: {m: 10.5}\n", "integral.m must be an integer, got 10.5"),
+    ("stop: {max_n: 2.5}\n", "stop.max_n must be an integer, got 2.5"),
     ("kind: integral\nintegral: {T_end: -1}\n", "integral.T_end"),
     ("kind: integral\nintegral: {T_end: .inf}\n", "integral.T_end"),
     ("kind: integral\nintegral: {kernel: 5}\n",
@@ -321,6 +323,71 @@ def test_certify_needs_existing_trace(tmp_path, capsys):
     assert run_cli("certify", "linear-contraction",
                    "--trace", str(tmp_path / "missing")) == 1
     assert "run.json" in capsys.readouterr().err
+
+
+# -- unreadable inputs: one error line naming the file, exit 1 --------------------
+
+
+def assert_one_error_line(capsys, *parts):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for part in parts:
+        assert part in err, err
+
+
+def test_problem_path_that_is_a_directory(tmp_path, capsys):
+    assert run_cli("run", str(tmp_path), "--out", str(tmp_path / "out")) == 1
+    assert_one_error_line(capsys, "cannot read %s: Is a directory" % tmp_path)
+
+
+def test_problem_file_that_is_no_utf8(tmp_path, capsys):
+    src = tmp_path / "latin1.yaml"
+    src.write_bytes("operator: 0.5*x1 + 1  # \u00bd\nx0: 0.0\n".encode("latin-1"))
+    assert run_cli("run", str(src), "--out", str(tmp_path / "out")) == 1
+    assert_one_error_line(capsys, "cannot read %s: " % src, "can't decode byte 0xbd")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "linear-contraction"],
+    ["certify", "linear-contraction", "--trace", "TRACE"],
+    ["sweep", "linear-contraction", "--param", "eps", "--values", "0"],
+], ids=["run", "certify", "sweep"])
+def test_out_naming_an_existing_file(tmp_path, capsys, argv):
+    trace = tmp_path / "trace"
+    assert run_cli("run", "linear-contraction", "--out", str(trace)) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    capsys.readouterr()
+    argv = [str(trace) if a == "TRACE" else a for a in argv]
+    assert run_cli(*argv, "--out", str(taken)) == 1
+    assert_one_error_line(capsys, "cannot create output directory %s: File exists" % taken)
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{\"problem\": ", "Expecting value: line 1 column 13 (char 12)"),
+    ("[1, 2]", "it holds no JSON object"),
+])
+def test_certify_run_json_that_is_no_json_object(tmp_path, capsys, text, reason):
+    out = tmp_path / "t"
+    assert run_cli("run", "linear-contraction", "--out", str(out)) == 0
+    (out / "run.json").write_text(text)
+    capsys.readouterr()
+    assert run_cli("certify", "linear-contraction", "--trace", str(out)) == 1
+    assert_one_error_line(capsys, "cannot read %s: %s" % (out / "run.json", reason))
+
+
+def test_certify_trace_with_r_n_that_is_no_number(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert run_cli("run", "linear-contraction", "--out", str(out)) == 0
+    lines = (out / "trace.csv").read_text().splitlines(keepends=True)
+    cells = lines[3].split(",")
+    cells[1] = "0.1x"
+    lines[3] = ",".join(cells)
+    (out / "trace.csv").write_text("".join(lines))
+    capsys.readouterr()
+    assert run_cli("certify", "linear-contraction", "--trace", str(out)) == 1
+    assert_one_error_line(capsys, "%s, line 4: r_n '0.1x' is not a number" % (out / "trace.csv"))
 
 
 def test_certify_with_estimated_constants(tmp_path):
@@ -513,6 +580,20 @@ def test_sweep_rejects_out_of_range_value(tmp_path, capsys, param, value, key):
     assert run_cli("sweep", problem, "--param", param, "--values", value,
                    "--out", str(out)) == 1
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param, value, key", [
+    ("m", "10.5", "integral.m"), ("m", "nan", "integral.m"), ("m", "inf", "integral.m"),
+    ("m", "-inf", "integral.m"), ("seed", "1.5", "perturbation.seed"),
+    ("seed", "nan", "perturbation.seed"),
+])
+def test_sweep_integer_param_rejects_other_values(tmp_path, capsys, param, value, key):
+    problem = "volterra-exp" if param == "m" else "perturbed-linear-random"
+    out = tmp_path / "sw"
+    assert run_cli("sweep", problem, "--param", param, "--values", "20," + value,
+                   "--out", str(out)) == 1
+    assert_one_error_line(capsys, "%s must be an integer, got %s" % (key, value))
     assert not out.exists()
 
 
