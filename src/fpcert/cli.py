@@ -231,7 +231,11 @@ def cmd_certify(args) -> int:
     if not r_meas:
         print("error: trace has no completed steps to certify", file=sys.stderr)
         return EXIT_VALIDATION
-    inner_tol = float(run_info.get("inner_tol", 1e-12))
+    try:
+        inner_tol = float(run_info.get("inner_tol", 1e-12))
+    except (TypeError, ValueError):
+        raise CliError("cannot read %s: inner_tol %r is not a number"
+                       % (trace_dir / "run.json", run_info["inner_tol"]))
     slack = 10.0 * inner_tol + 1e-12
     horizon = args.horizon
 

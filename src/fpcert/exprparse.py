@@ -69,15 +69,20 @@ class _Node:
     _fn = staticmethod(_uncompiled)
 
 
-# Each node class's __init__ writes the instance dict in one go, twice as fast
-# as the frozen dataclass's own, which sets each field by object.__setattr__.
+# Lit, Var, Bin and Call set their fields through _set: the frozen dataclass's
+# own __init__ looks object.__setattr__ up per field, and a whole new instance
+# dict would double a tree's memory, its keys shared with no other instance.
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class Lit(_Node):
     value: float
     pos: int = field(default=-1, compare=False)
 
     def __init__(self, value: float, pos: int = -1):
-        object.__setattr__(self, "__dict__", {"value": value, "pos": pos})
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
 @dataclass(frozen=True)
@@ -86,16 +91,14 @@ class Var(_Node):
     pos: int = field(default=-1, compare=False)
 
     def __init__(self, name: str, pos: int = -1):
-        object.__setattr__(self, "__dict__", {"name": name, "pos": pos})
+        _set(self, "name", name)
+        _set(self, "pos", pos)
 
 
 @dataclass(frozen=True)
 class Neg(_Node):
     operand: "Expr"
     pos: int = field(default=-1, compare=False)
-
-    def __init__(self, operand: "Expr", pos: int = -1):
-        object.__setattr__(self, "__dict__", {"operand": operand, "pos": pos})
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,10 @@ class Bin(_Node):
     pos: int = field(default=-1, compare=False)
 
     def __init__(self, op: str, left: "Expr", right: "Expr", pos: int = -1):
-        object.__setattr__(self, "__dict__", {"op": op, "left": left, "right": right, "pos": pos})
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pos", pos)
 
     def __eq__(self, other):
         # the left spines in a loop, so that comparing long sums costs one
@@ -160,17 +166,18 @@ class Call(_Node):
     pos: int = field(default=-1, compare=False)
 
     def __init__(self, fn: str, arg: "Expr", pos: int = -1):
-        object.__setattr__(self, "__dict__", {"fn": fn, "arg": arg, "pos": pos})
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "pos", pos)
 
 
 Expr = Union[Lit, Var, Neg, Bin, Call]
 
 
-# One match per token: the whitespace before it, then an operator or
-# parenthesis, a number, a name, or any other character but whitespace, which
-# is an error; so the matches follow each other from position 0 up to trailing
-# whitespace.  The classes hold exactly the ASCII characters that str.isspace,
-# isdigit, isalpha and isalnum accept; _stand_in maps any other character.
+# One match per token: the whitespace before it, then an operator or parenthesis,
+# a number, a name, or any other character but whitespace (an error); so matches
+# follow each other from position 0 up to trailing whitespace.  The classes hold
+# the ASCII characters of str.isspace, isdigit, isalpha and isalnum; see _stand_in.
 _TOKEN = re.compile(r"([\x20\t\n\r\x0b\x0c\x1c-\x1f]*)(?:([-+*/^()])"
                     r"|((?:[0-9]|\.[0-9])[0-9.]*(?:[eE][-+]?[0-9]+)?)"
                     r"|([A-Za-z_][A-Za-z0-9_\u00bd]*)|([^\x20\t\n\r\x0b\x0c\x1c-\x1f]))")
@@ -184,32 +191,28 @@ def _stand_in(c: str) -> str:
 
 
 def _tokens(text: str) -> List[Tuple[str, object, int]]:
-    """(kind, value, pos) of every token, then ("end", "", len(text)): kind is
-    "num" with the float, "name" with the name, or the operator or parenthesis
-    itself.  As the matches follow each other, a token's position is the length
-    of all matches before it.  Lexemes come from text, not from its stand-ins,
-    so float reads a number in Unicode digits, or refuses it."""
+    """(kind, value, pos) of every token, then ("end", "", len(text)); kind is "num"
+    (value a float), "name" or the operator itself.  A position adds up the lengths
+    of the matches before it; lexemes come from text, so float reads Unicode digits."""
     scan = text if text.isascii() else text.translate(
         {ord(c): _stand_in(c) for c in set(text) if not c.isascii()})
     tokens, pos = [], 0
     append = tokens.append
-    for space, op, num, name, other in _TOKEN.findall(scan):
+    for space, op, num, name, _ in _TOKEN.findall(scan):
         pos += len(space)
         if op:
             append((op, op, pos))
-            pos += 1
-            continue
-        lexeme = text[pos:pos + len(name or num or other)]
-        if name:
-            append(("name", lexeme, pos))
+        elif name:
+            append(("name", text[pos:pos + len(name)], pos))
         elif num:
+            lexeme = text[pos:pos + len(num)]
             try:
                 append(("num", float(lexeme), pos))
             except ValueError:
                 raise ExprSyntaxError("bad number literal %r" % lexeme, pos)
         else:
-            raise ExprSyntaxError("unexpected character %r" % lexeme, pos)
-        pos += len(lexeme)
+            raise ExprSyntaxError("unexpected character %r" % text[pos], pos)
+        pos += len(op or name or num)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -219,12 +222,9 @@ class _Parser:
     open levels, each opened by the ( - or ^ just before its first factor."""
 
     def __init__(self, text: str, allowed_vars: FrozenSet[str]):
-        self.toks = _tokens(text)
-        self.k = 0
-        self.vars = allowed_vars
+        self.toks, self.k, self.vars = _tokens(text), 0, allowed_vars
 
     def expr(self, depth: int) -> Expr:
-        """Terms joined by + and -."""
         e = self.term(depth)
         toks = self.toks
         kind, _, pos = toks[self.k]
@@ -235,7 +235,6 @@ class _Parser:
         return e
 
     def term(self, depth: int) -> Expr:
-        """Factors joined by * and /."""
         e = self.factor(depth)
         toks = self.toks
         kind, _, pos = toks[self.k]

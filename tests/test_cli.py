@@ -364,14 +364,17 @@ def test_out_naming_an_existing_file(tmp_path, capsys, argv):
     assert taken.read_text() == ""
 
 
-@pytest.mark.parametrize("text, reason", [
+@pytest.mark.parametrize("content, reason", [
     ("{\"problem\": ", "Expecting value: line 1 column 13 (char 12)"),
     ("[1, 2]", "it holds no JSON object"),
-])
-def test_certify_run_json_that_is_no_json_object(tmp_path, capsys, text, reason):
+    ({"inner_tol": "abc"}, "inner_tol 'abc' is not a number"),
+], ids=["cut-short", "array", "inner-tol"])
+def test_certify_run_json_that_cannot_be_read(tmp_path, capsys, content, reason):
     out = tmp_path / "t"
     assert run_cli("run", "linear-contraction", "--out", str(out)) == 0
-    (out / "run.json").write_text(text)
+    if isinstance(content, dict):  # the run's own run.json with content's values
+        content = json.dumps(dict(read_json(out / "run.json"), **content))
+    (out / "run.json").write_text(content)
     capsys.readouterr()
     assert run_cli("certify", "linear-contraction", "--trace", str(out)) == 1
     assert_one_error_line(capsys, "cannot read %s: %s" % (out / "run.json", reason))

@@ -164,10 +164,12 @@ def test_equality_ignores_source_position():
 
 
 @pytest.mark.parametrize("node, params", [
-    (Lit(1.0, 3), ["value", "pos"]), (Var("x", 3), ["name", "pos"]),
-    (Neg(Lit(1.0), 3), ["operand", "pos"]), (Bin("+", Lit(1.0), Lit(2.0), 3),
-                                              ["op", "left", "right", "pos"]),
-    (Call("sin", Lit(1.0), 3), ["fn", "arg", "pos"])])
+    (Lit(1.0, 3), ["value", "pos"]),
+    (Var("x", 3), ["name", "pos"]),
+    (Neg(Lit(1.0), 3), ["operand", "pos"]),
+    (Bin("+", Lit(1.0), Lit(2.0), 3), ["op", "left", "right", "pos"]),
+    (Call("sin", Lit(1.0), 3), ["fn", "arg", "pos"]),
+], ids=["Lit", "Var", "Neg", "Bin", "Call"])
 def test_nodes_are_frozen_dataclasses(node, params):
     cls = type(node)
     signature = inspect.signature(cls).parameters
