@@ -10,12 +10,16 @@ run their own, unmodified `bench/run.py`, each in a fresh process, for
 `run_seconds` of BENCHMARK.json on every workload it lists.  Pair i runs
 seed i, for i = 1..PAIRS, and the side that runs first alternates from pair
 to pair, so that a drift in host speed hits both alike.  Each seed in
-TRACED_SEEDS gets one `--trace 1` run per side, in alternating order too.
+TRACED_SEEDS gets one `--trace 1` run per side, in alternating order too, so
+that a layer claim rests on as many traced pairs as there are traced seeds.
 
-Per workload the JSON holds, for every end-to-end metric of BENCHMARK.json,
-each side's values with their median and quartiles, and how many pairs the
-change won (ties count for neither side); for the layers in LAYERS, each
-side's traced values and medians.
+Per workload the JSON holds, for every end-to-end metric of BENCHMARK.json
+and every traced layer in LAYERS, each side's values with their median and
+quartiles, and how many pairs the change won (ties count for neither side).
+
+Cost: every run takes about `run_seconds` (55 s), so the 10 plain pairs take
+about 37 minutes on the two workloads, and the 3 traced seeds per side about
+11 minutes more, 7 of them for the seeds past the first.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 PAIRS = 10
-TRACED_SEEDS = (1,)
+TRACED_SEEDS = (1, 2, 3)
 
 # the traced layers recent work moves, or must not move: expression parsing
 # and evaluation, the self times that hold the problem-file load (cli.run,
@@ -86,21 +90,25 @@ def pairs_of(sides: dict, workload: str, seeds: list, seconds: float, trace: int
     return runs
 
 
+def won(metric: dict, runs: dict) -> dict:
+    """One metric of BENCHMARK.json: both sides' summaries and the pairs the change won."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    base = [r[name] for r in runs["base"]]
+    change = [r[name] for r in runs["change"]]
+    wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+    return {"unit": metric["unit"], "better": metric["better"],
+            "base": summary(base), "change": summary(change),
+            "change_wins": wins, "pairs": len(base)}
+
+
 def compare(spec: dict, plain: dict, traced: dict) -> dict:
     out = {"correct": all(r["correct"] for side in (plain, traced) for runs in side.values()
                           for r in runs),
-           "end_to_end": {}, "per_layer": {}}
-    for m in spec["end_to_end"]:
-        name, lower = m["name"], m["better"] == "lower"
-        base = [r[name] for r in plain["base"]]
-        change = [r[name] for r in plain["change"]]
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
-        out["end_to_end"][name] = {"unit": m["unit"], "better": m["better"],
-                                   "base": summary(base), "change": summary(change),
-                                   "change_wins": wins, "pairs": len(base)}
+           "end_to_end": {m["name"]: won(m, plain) for m in spec["end_to_end"]},
+           "per_layer": {}}
+    layers = {m["name"]: m for m in spec["per_layer"]}
     for name in LAYERS if traced["base"] else ():
-        out["per_layer"][name] = {side: summary([r[name] for r in runs])
-                                  for side, runs in traced.items()}
+        out["per_layer"][name] = won(layers[name], traced)
     return out
 
 
@@ -134,13 +142,11 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     for workload, res in report["workloads"].items():
-        for name, m in res["end_to_end"].items():
-            print("%-15s %-15s base %-10.5g change %-10.5g change won %d/%d"
-                  % (workload, name, m["base"]["median"], m["change"]["median"],
-                     m["change_wins"], m["pairs"]))
-        for name, m in res["per_layer"].items():
-            print("%-15s %-22s base %-10.5g change %-10.5g (traced)"
-                  % (workload, name, m["base"]["median"], m["change"]["median"]))
+        for label, group in (("", res["end_to_end"]), (" (traced)", res["per_layer"])):
+            for name, m in group.items():
+                print("%-15s %-22s base %-10.5g change %-10.5g change won %d/%d%s"
+                      % (workload, name, m["base"]["median"], m["change"]["median"],
+                         m["change_wins"], m["pairs"], label))
     return 0 if all(r["correct"] for r in report["workloads"].values()) else 1
 
 

@@ -46,6 +46,14 @@ def _load(source: str, seed: Optional[int]) -> dict:
     return cfg if seed is None else override_param(cfg, "seed", seed)
 
 
+def _resolve_for_run(cfg: dict) -> ResolvedProblem:
+    """resolve_config with the derivative block parsed too, so that a run rejects
+    a malformed entry before any step; certify parses it only if it builds a Jacobian."""
+    resolved = resolve_config(cfg)
+    resolved.parse_derivative()
+    return resolved
+
+
 # ---------------------------------------------------------------------------
 # artifact writers/readers
 
@@ -199,7 +207,7 @@ def _write_run_json(out_dir: Path, resolved: ResolvedProblem,
 
 
 def cmd_run(args) -> int:
-    resolved = resolve_config(_load(args.problem, args.seed))
+    resolved = _resolve_for_run(_load(args.problem, args.seed))
     out_dir = Path(args.out) if args.out else Path("fpcert-out") / resolved.name
     code, summary = _execute_run(resolved, out_dir, args.inner_tol)
     if "error" in summary:
@@ -345,7 +353,7 @@ def cmd_sweep(args) -> int:
     # resolve everything up front so validation failures abort before any run
     jobs = []
     for v in values:
-        resolved = resolve_config(override_param(cfg, args.param, v))
+        resolved = _resolve_for_run(override_param(cfg, args.param, v))
         jobs.append((v, resolved))
     out_root = Path(args.out) if args.out else Path("fpcert-out") / ("sweep-" + jobs[0][1].name)
     _make_dir(out_root)

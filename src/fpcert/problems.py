@@ -58,7 +58,21 @@ def operator_from_expressions(exprs: Sequence[str], dim: int,
     """Build an operator from one expression per output coordinate.
 
     deriv_exprs, when given, is the full Jacobian as a dim x dim matrix of
-    expressions; the derivative map is then h -> J(x) h.
+    expressions; the derivative map is then h -> J(x) h.  Its entries are
+    parsed on the first Jacobian build (see _expression_operator).
+    """
+    return _expression_operator(exprs, dim, deriv_exprs, name)[0]
+
+
+def _expression_operator(exprs: Sequence[str], dim: int,
+                         deriv_exprs: Optional[Sequence[Sequence[str]]],
+                         name: str) -> Tuple[OperatorSpec, Callable[[], list]]:
+    """operator_from_expressions, and the function that parses the derivative block.
+
+    The operator trees are parsed here.  The derivative entries are parsed on
+    the first call of the returned function, which the first Jacobian build
+    makes, and kept for every later one; a malformed entry raises ProblemError
+    naming its row and column.  Without a derivative block it returns [].
     """
     if len(exprs) != dim:
         raise ProblemError("operator needs %d expressions, got %d" % (dim, len(exprs)))
@@ -76,22 +90,38 @@ def operator_from_expressions(exprs: Sequence[str], dim: int,
         except ExprError as exc:
             raise OperatorEvaluationError("operator %s: %s" % (name or "?", exc)) from exc
 
+    if deriv_exprs is not None and (len(deriv_exprs) != dim
+                                    or any(len(row) != dim for row in deriv_exprs)):
+        raise ProblemError("derivative must be a %dx%d matrix of expressions" % (dim, dim))
+    jac_trees = [] if deriv_exprs is None else None
+
+    def parse_derivative() -> list:
+        nonlocal jac_trees
+        if jac_trees is None:
+            # row-major, so that the entries parse and evaluate, and fail, in matrix order
+            parsed = []
+            for i, row in enumerate(deriv_exprs, 1):
+                for j, text in enumerate(row, 1):
+                    try:
+                        parsed.append(parse_expr(text, allowed))
+                    except ExprError as exc:
+                        raise ProblemError("bad derivative expression at row %d, column %d: %s"
+                                           % (i, j, exc)) from None
+            jac_trees = parsed
+        return jac_trees
+
     derivative = None
     if deriv_exprs is not None:
-        if len(deriv_exprs) != dim or any(len(row) != dim for row in deriv_exprs):
-            raise ProblemError("derivative must be a %dx%d matrix of expressions" % (dim, dim))
-        # row-major, so that the entries evaluate, and fail, in matrix order
-        jac_trees = [parse_expr(t, allowed) for row in deriv_exprs for t in row]
-
         def derivative(x: Vector, h: Vector) -> Vector:
             b = bindings(x)
             try:
-                jac = np.array([eval_expr(t, b) for t in jac_trees]).reshape(dim, dim)
+                jac = np.array([eval_expr(t, b) for t in parse_derivative()]).reshape(dim, dim)
             except ExprError as exc:
                 raise OperatorEvaluationError("derivative of %s: %s" % (name or "?", exc)) from exc
             return Vector(jac @ h.coords)
 
-    return OperatorSpec(dim=dim, evaluator=evaluator, derivative=derivative, name=name)
+    return (OperatorSpec(dim=dim, evaluator=evaluator, derivative=derivative, name=name),
+            parse_derivative)
 
 
 def averaged_factory(A: OperatorSpec, theta: float) -> Callable[[int, Vector, Vector], OperatorSpec]:
@@ -305,6 +335,10 @@ class ResolvedProblem:
     integral: Optional[IntegralSetup]
     fixed_point: Optional[Vector]
     digest: str
+    # parses the derivative block, once, and returns its entry trees (row-major;
+    # [] without one); the first Jacobian build of the operator calls it, and a
+    # run calls it up front, so that a malformed entry fails before any step
+    parse_derivative: Callable[[], list]
 
     def custom_factory(self):
         if self.scheme is not SchemeKind.CUSTOM:
@@ -451,7 +485,9 @@ def resolve_config(cfg: dict) -> ResolvedProblem:
 
     Raises ProblemError on the first validation failure; expression errors
     carry the offending position, and rejected enum or range values (scheme,
-    norm, perturbation mode, stop, gamma) the field they came from.
+    norm, perturbation mode, stop, gamma) the field they came from.  The
+    derivative block's shape is checked here, but its entries are parsed only
+    by the result's parse_derivative, which the first Jacobian build calls.
     """
     if not isinstance(cfg, dict):
         raise ProblemError("problem file must contain a mapping, got %r" % type(cfg).__name__)
@@ -541,7 +577,8 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
     x0 = Vector([_number(v, "x0") for v in x0_cfg])
 
     try:
-        operator = operator_from_expressions(exprs, dim, deriv, name=name)
+        # parse_derivative reads the unwrapped expression derivative, which a root wrap hides
+        operator, parse_derivative = _expression_operator(exprs, dim, deriv, name)
     except ExprError as exc:
         raise ProblemError("bad operator expression: %s" % exc)
 
@@ -617,7 +654,7 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
         plan=plan, stop=stop, theta=theta, constants_cfg=constants_cfg,
         cert_requests=certs, integral=integral,
         fixed_point=Vector(entry.fixed_point) if entry and entry.fixed_point else None,
-        digest=_digest(plan, stop, integral, **identity))
+        digest=_digest(plan, stop, integral, **identity), parse_derivative=parse_derivative)
 
 
 # libyaml's scanner and parser under PyYAML's safe constructor and resolver:
