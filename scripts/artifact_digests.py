@@ -21,9 +21,10 @@ lines.  The pipelines are:
   `derivative`, a geometric request whose witness grid overflows, a run
   whose start step of 5e199 has a square past the float range, and a newton
   sigma and a contraction eps table whose entry past horizon 200 is zero,
-  which no certificate at that horizon may read, and a newton problem whose
+  which no certificate at that horizon may read, a newton problem whose
   operator and derivative use every token and node kind of the expression
-  grammar;
+  grammar, and a contraction and a newton problem with a malformed
+  `derivative` entry, which `run` rejects before any output;
 - file problems that between them set every key of every problem-file block
   (`constants` with `M_star`/`K_star`, an estimate block with all four
   settings, `stop.r_tol`, a damped root `gamma` with
@@ -114,6 +115,11 @@ def extra_problems():
                        ["\t.5*x1*(1  +  x1^2)^-2", "-(-0)"]],
         "x0": [0.0, 0.0], "scheme": "newton", "constants": ESTIMATE,
         "stop": {"max_n": 30, "residual_tol": 1e-13}}
+    for scheme in ("contraction", "newton"):
+        yield "bad-derivative-%s" % scheme, {
+            "operator": ["0.3*cos(x2)", "0.3*sin(x1)"],
+            "derivative": [["0", "-0.3*sin(x2)"], ["0.3*cos(x1", "0"]],
+            "x0": [0.0, 0.0], "scheme": scheme, "constants": {"M": 0.3, "K": 0.3}}
 
 
 def every_key_problems():

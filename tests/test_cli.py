@@ -105,6 +105,38 @@ def test_run_reports_deep_nesting_with_position(tmp_path, capsys):
     assert "nested more than 100 levels deep (at position 100)" in err
 
 
+_DERIVATIVE_PROBLEMS = {
+    "newton": 'operator: ["0.5*cos(x2)", "0.5*sin(x1)"]\nx0: [0, 0]\nscheme: newton\n',
+    # no contraction step reads the derivative, yet a run still rejects it
+    "contraction": 'operator: ["0.5*cos(x2)", "0.5*sin(x1)"]\nx0: [0, 0]\n',
+    # the newton wrap has no derivative of its own: the check reaches P's
+    "root": 'kind: root\noperator: ["x1^2 - 2", "x2^2 - 3"]\nx0: [1.5, 1.5]\n',
+}
+_DERIVATIVE_ERRORS = {
+    "syntax": ('[["0", "-0.5*sin(x2)"], ["0.5*cos(x1)", "sin(x1"]]',
+               "row 2, column 2: expected ')' after argument of 'sin' (at position 6)"),
+    "unknown-variable": ('[["0", "-0.5*sin(x3)"], ["0.5*cos(x1)", "0"]]',
+                         "row 1, column 2: unknown variable 'x3' (at position 9)"),
+}
+
+
+@pytest.mark.parametrize("error", sorted(_DERIVATIVE_ERRORS))
+@pytest.mark.parametrize("command, problem", [("run", "newton"), ("run", "contraction"),
+                                              ("run", "root"), ("sweep", "newton")])
+def test_bad_derivative_entry_rejected_before_any_output(tmp_path, capsys, command, problem,
+                                                         error):
+    matrix, message = _DERIVATIVE_ERRORS[error]
+    src = write_yaml(tmp_path, "p.yaml",
+                     _DERIVATIVE_PROBLEMS[problem] + "derivative: %s\n" % matrix)
+    out = tmp_path / "o"
+    extra = ["--param", "eps", "--values", "0,1e-3,1e-2"] if command == "sweep" else []
+    assert run_cli(command, src, *extra, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad derivative expression at %s\n" % message
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_run_reports_malformed_yaml_with_line(tmp_path, capsys):
     src = write_yaml(tmp_path, "bad.yaml", "operator: [x1\nx0: 1.0\n")
     assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1

@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -8,9 +9,11 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from fpcert import problems
 from fpcert.core import BallDomain, NormKind, Vector
 from fpcert.estimate import (SAFETY_FACTOR, estimate_lipschitz_K, estimate_lipschitz_M,
                              with_safety)
+from fpcert.exprparse import parse_expr
 from fpcert.problems import (CATALOG, CertRequest, ProblemError,
                              averaged_factory, catalog_names, constants_for,
                              get_entry, load_config, load_problem, operator_from_expressions,
@@ -424,6 +427,83 @@ def test_load_problem_yaml_file(tmp_path):
     path.write_text("operator: 0.5*x1 + 1\nx0: 0.0\nstop: {max_n: 7}\n")
     r = load_problem(str(path))
     assert r.stop.max_n == 7
+
+
+# -- derivative parsing ----------------------------------------------------------
+
+DIM3_DERIVATIVE = [["0", "-0.5*sin(x2)", "0"], ["0", "0", "0.5*cos(x3)"],
+                   ["-0.5*sin(x1)", "0", "0"]]
+
+
+def dim3_newton(tmp_path, **extra) -> str:
+    path = tmp_path / "dim3.yaml"
+    path.write_text(yaml.safe_dump(dict(
+        {"operator": ["0.5*cos(x2)", "0.5*sin(x3)", "0.5*cos(x1)"],
+         "derivative": DIM3_DERIVATIVE, "x0": [0.0, 0.0, 0.0], "scheme": "newton",
+         "constants": {"M": 0.5, "K": 0.5}, "stop": {"max_n": 6}}, **extra)))
+    return str(path)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts problems.parse_expr is called on, in order."""
+    calls = []
+    real = problems.parse_expr
+
+    def counting(text, allowed):
+        calls.append(text)
+        return real(text, allowed)
+
+    monkeypatch.setattr(problems, "parse_expr", counting)
+    return calls
+
+
+def test_load_problem_parses_only_the_operator_trees(tmp_path, parses):
+    load_problem(dim3_newton(tmp_path))
+    assert len(parses) == 3
+
+
+def test_run_parses_each_tree_once_and_certify_only_the_operator(tmp_path, parses):
+    from fpcert.cli import main
+    src, trace = dim3_newton(tmp_path), str(tmp_path / "trace")
+    assert main(["run", src, "--out", trace]) == 0
+    # one parse per tree, however many Newton steps build a Jacobian
+    assert json.loads((tmp_path / "trace" / "run.json").read_text())["steps"] >= 5
+    assert len(parses) == 3 + 9
+    del parses[:]
+    assert main(["certify", src, "--trace", trace]) == 0
+    assert len(parses) == 3
+
+
+def test_certify_parses_the_derivative_its_sampling_reads(tmp_path, parses):
+    from fpcert.cli import main
+    src = dim3_newton(tmp_path, constants={"estimate": {"samples": 10}})
+    trace = str(tmp_path / "trace")
+    assert main(["run", src, "--out", trace]) == 0
+    del parses[:]
+    assert main(["certify", src, "--trace", trace]) == 0
+    assert len(parses) == 3 + 9
+
+
+def test_lazy_derivative_trees_equal_an_eager_parse(tmp_path):
+    r = load_problem(dim3_newton(tmp_path))
+    lazy = r.parse_derivative()
+    eager = [parse_expr(t, ("x1", "x2", "x3")) for row in DIM3_DERIVATIVE for t in row]
+    assert lazy == eager and repr(lazy) == repr(eager)
+    assert r.parse_derivative() is lazy
+    assert resolve_config(minimal_cfg()).parse_derivative() == []
+
+
+def test_malformed_derivative_entry_fails_where_it_is_first_parsed():
+    r = resolve_config(minimal_cfg(derivative=[["0.5*x2"]]))
+    message = "bad derivative expression at row 1, column 1: unknown variable 'x2' (at position 4)"
+    for read in (r.parse_derivative, lambda: r.operator.jacobian(r.x0)):
+        with pytest.raises(ProblemError) as exc:
+            read()
+        assert str(exc.value) == message
+    # the matrix shape is still checked at resolve
+    with pytest.raises(ProblemError, match="2x2 matrix"):
+        resolve_config(minimal_cfg(operator=["x1", "x2"], x0=[0, 0], derivative=[["1"]]))
 
 
 # -- the YAML loader ------------------------------------------------------------
