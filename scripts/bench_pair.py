@@ -2,6 +2,7 @@
 """Benchmark HEAD against a base commit in alternating pairs; write BENCH_<n>.json.
 
     python3 scripts/bench_pair.py --base REV --out BENCH_<n>.json
+    python3 scripts/bench_pair.py --base REV --layers --out LAYERS.json
 
 Each side is the committed files of its revision, unpacked with `git archive`
 into its own new temporary directory, so that both run from alike
@@ -22,11 +23,29 @@ Cost: every run, plain or traced, takes about `run_seconds` (55 s), so the
 seeds per side about 11 minutes more, 7 of them for the seeds past the
 first.  A whole pair run took 48 minutes on a 2-vCPU Intel Xeon host with
 Python 3.11.
+
+--layers times the in-process layer workloads of LAYER_WORKLOADS instead,
+on instance 0 of seed 1 of the benchmark's generators: parsing the 930
+newton-dense trees, one newton-dense Jacobian (900 entries, 30 times), one
+m = 800 kernel matrix (641,601 kernel evaluations, on a fresh kernel each
+time, so with its compilation) and noisy-certify's `certify` at horizon
+1000.  Every workload runs in a fresh process per side and round, which
+imports its side's `src/fpcert` and `bench/workloads.py`, makes the
+untimed setup, then times LAYER_REPEATS calls and reports their median and
+a sha256 of the last call's output.  Rounds alternate which side goes
+first, as the pairs do.  The JSON holds each side's per-round medians with
+their median and quartiles, the rounds the change won, and whether every
+output of both sides was bit-equal; the exit code is 1 if one was not.
+The 5 default rounds took about 2 minutes on the host above.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -50,6 +69,99 @@ LAYERS = ("exprparse.parse_calls", "exprparse.parse_s",
           "core.matrix_of_s", "schemes.run_outer_s", "cli.run_self_s",
           "cli.certify_self_s", "greens.apply_self_s", "majorant.tail_bound_s",
           "majorant.cert_calls", "majorant.cert_self_s")
+
+
+# in-process layer workloads (--layers): name -> timed calls per process
+LAYER_WORKLOADS = {"parse-newton-dense": 5, "jacobian-newton-dense": 5,
+                   "kernel-matrix-800": 5, "noisy-certify-1000": 3}
+LAYER_ROUNDS = 5
+
+
+def layer_worker(name: str, side: Path, tmp: Path) -> dict:
+    """Set up the layer workload `name` on the tree at side, in tmp, and time its calls.
+
+    Runs inside the process `run_layer` starts, so that this side's fpcert
+    is the only one imported."""
+    sys.path[:0] = [str(side / "src"), str(side / "bench")]
+    import numpy as np
+    import workloads
+    from fpcert import cli, exprparse, greens, problems
+    from fpcert.core import identity_operator
+    assert Path(problems.__file__).resolve().is_relative_to(side.resolve())
+
+    if name == "parse-newton-dense":
+        cfg = workloads.newton_dense_config(np.random.default_rng([1, 0]))
+        names = ["x%d" % (i + 1) for i in range(cfg["dim"])]
+        texts = cfg["operator"] + [t for row in cfg["derivative"] for t in row]
+
+        def call():
+            return repr([exprparse.parse_expr(t, names) for t in texts]).encode()
+    elif name == "jacobian-newton-dense":
+        inst = workloads.make_instance("newton-dense", 1, 0, tmp)
+        resolved = problems.load_problem(inst.calls[0].argv[1])
+
+        def call():
+            return resolved.operator.jacobian(resolved.x0).tobytes()
+    elif name == "kernel-matrix-800":
+        kernel = workloads.fredholm_config(1, 0)["integral"]["kernel"]
+        grid = greens.GridFunction.uniform(1.0, 800, fill=1.0)
+
+        def call():
+            spec = greens.kernel_from_expression(kernel, 1.0)
+            return greens.apply_integral_operator(spec, identity_operator(1), grid).values.tobytes()
+    elif name == "noisy-certify-1000":
+        inst = workloads.make_instance("noisy-certify", 1, 0, tmp)
+        solve, certify = inst.calls
+        argv = list(certify.argv)
+        argv[argv.index("--horizon") + 1] = "1000"
+        report = Path(argv[argv.index("--trace") + 1]) / "certify.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(solve.argv) == solve.expected_exit
+
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+            return report.read_bytes()
+    else:
+        raise ValueError("unknown layer workload %r" % name)
+    times = []
+    for _ in range(LAYER_WORKLOADS[name]):
+        start = time.perf_counter()
+        out = call()
+        times.append(time.perf_counter() - start)
+    return {"median_s": statistics.median(times), "times_s": times,
+            "output_sha256": hashlib.sha256(out).hexdigest()}
+
+
+def run_layer(side: Path, name: str) -> dict:
+    """layer_worker(name, side) in a fresh process."""
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--layer-worker",
+                           name, "--side", str(side)], cwd=side, capture_output=True,
+                          text=True, timeout=900, env=dict(os.environ, PYTHONPATH=""))
+    if done.returncode != 0:
+        raise RuntimeError("%s on %s: %s" % (name, side, done.stderr.strip()))
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def compare_layers(sides: dict, rounds: int) -> dict:
+    """Every layer workload on both sides for `rounds` interleaved rounds."""
+    runs = {name: {side: [] for side in sides} for name in LAYER_WORKLOADS}
+    for i in range(rounds):
+        for name in LAYER_WORKLOADS:
+            for side in list(sides) if i % 2 == 0 else list(sides)[::-1]:
+                runs[name][side].append(run_layer(sides[side], name))
+        print("layers round %d done" % (i + 1), flush=True)
+    out = {}
+    for name, by_side in runs.items():
+        base = [r["median_s"] for r in by_side["base"]]
+        change = [r["median_s"] for r in by_side["change"]]
+        digests = {r["output_sha256"] for runs_ in by_side.values() for r in runs_}
+        out[name] = {"unit": "s", "better": "lower", "base": summary(base),
+                     "change": summary(change),
+                     "change_wins": sum(c < b for b, c in zip(base, change)),
+                     "pairs": len(base), "outputs_equal": len(digests) == 1,
+                     "calls_per_process": LAYER_WORKLOADS[name]}
+    return out
 
 
 def unpack(rev: str, into: Path) -> None:
@@ -116,9 +228,21 @@ def compare(spec: dict, plain: dict, traced: dict) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--base", required=True, help="the commit to compare against")
-    parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--base", help="the commit to compare against")
+    parser.add_argument("--out", help="the JSON file to write")
+    parser.add_argument("--layers", action="store_true",
+                        help="time the in-process layer workloads instead")
+    parser.add_argument("--rounds", type=int, default=LAYER_ROUNDS,
+                        help="interleaved rounds of --layers (default %(default)s)")
+    parser.add_argument("--layer-worker", help=argparse.SUPPRESS)
+    parser.add_argument("--side", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.layer_worker:
+        with tempfile.TemporaryDirectory(prefix="layer-") as tmp:
+            print(json.dumps(layer_worker(args.layer_worker, Path(args.side), Path(tmp))))
+        return 0
+    if not args.base or not args.out:
+        parser.error("--base and --out are required")
     with open(ROOT / "BENCHMARK.json") as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
@@ -127,22 +251,34 @@ def main(argv=None) -> int:
                                  capture_output=True, text=True).stdout.strip()
             for side, rev in (("base", args.base), ("change", "HEAD"))}
     report = {"base": revs["base"], "change": revs["change"],
-              "date": time.strftime("%Y-%m-%d"), "python": platform.python_version(),
-              "seconds": seconds, "seeds": seeds, "traced_seeds": list(TRACED_SEEDS),
-              "order": "pair i runs base first when i is even, change first when odd",
-              "workloads": {}}
+              "date": time.strftime("%Y-%m-%d"), "python": platform.python_version()}
+    if args.layers:
+        report.update(rounds=args.rounds, order="round i runs base first when i is even, "
+                      "change first when odd", layers={})
+    else:
+        report.update(seconds=seconds, seeds=seeds, traced_seeds=list(TRACED_SEEDS),
+                      order="pair i runs base first when i is even, change first when odd",
+                      workloads={})
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         sides = {side: Path(tmp) / side for side in revs}
         for side, rev in revs.items():
             sides[side].mkdir()
             unpack(rev, sides[side])
-        for workload in (w["name"] for w in spec["workloads"]):
+        if args.layers:
+            report["layers"] = compare_layers(sides, args.rounds)
+        for workload in () if args.layers else (w["name"] for w in spec["workloads"]):
             plain = pairs_of(sides, workload, seeds, seconds, 0)
             traced = pairs_of(sides, workload, TRACED_SEEDS, seconds, 1)
             report["workloads"][workload] = compare(spec, plain, traced)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
+    if args.layers:
+        for name, m in report["layers"].items():
+            print("%-22s base %-10.5g change %-10.5g change won %d/%d, outputs %s"
+                  % (name, m["base"]["median"], m["change"]["median"], m["change_wins"],
+                     m["pairs"], "equal" if m["outputs_equal"] else "DIFFER"))
+        return 0 if all(m["outputs_equal"] for m in report["layers"].values()) else 1
     for workload, res in report["workloads"].items():
         for label, group in (("", res["end_to_end"]), (" (traced)", res["per_layer"])):
             for name, m in group.items():

@@ -4,19 +4,24 @@ Grammar (binding tightest to loosest): ^ (right associative), unary minus,
 * /, + -.  Atoms are decimal literals, variables (x1..xd, t, s), calls of
 sin, cos, exp, log, sqrt, abs, and parenthesized expressions.
 
-`eval_expr` is the one way to evaluate a tree.  It walks a tree the first
-time (`_eval`); from the second evaluation on it calls the tree's own Python
-function, compiled once from that tree (`_compile`), which does the same
-floating-point operations in the same order and so returns the same bits.
-Literals reach that function as default arguments, so trees that differ only
-in their literals share one code object.  A subtree without variables (the
-0.3*W of a Jacobian entry, the -w of a kernel) is computed once, at compile
-time, by the walk's own operations, with the same bits.  Errors always come
-from the walk: when the compiled code raises or ends non-finite, the walk
-runs again and raises, or returns, exactly what it would have alone.
+The walk (`_walk`) defines a tree's value and its errors.  `eval_expr`
+evaluates a tree on a mapping of bindings: the first evaluation walks, and
+the second gives the tree its own Python function, compiled once from it
+(`_compile`), which every later evaluation calls.  `bind` compiles a tree at
+once into a function of positional arguments, one per variable name, for
+callers that evaluate one tree many times (a kernel).  Both conventions come
+from one code template: it does the walk's floating-point operations in the
+walk's order, so it returns the same bits, and when they raise or end
+non-finite it calls the walk itself, which raises, or returns, exactly what
+it would have alone.  Literals reach the code as default arguments, so trees
+that differ only in their literals share one code object.  A subtree
+without variables (the 0.3*W of a Jacobian entry, the -w of a kernel) is
+computed once, at compile time, by the walk's own operations, with the same
+bits.
 """
 from __future__ import annotations
 
+import builtins
 import math
 import re
 import types
@@ -55,18 +60,27 @@ _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
          "sqrt": math.sqrt, "abs": abs}
 
 
-def _uncompiled(bindings: Dict[str, float]) -> float:
-    """The function of a tree without compiled code: its NaN sends eval_expr to the walk."""
-    return math.nan
+def _first(e: "Expr", bindings: Dict[str, float]) -> float:
+    """The _fn of a tree before its own: the first evaluation walks, and the
+    second compiles the tree's function, keeps it as e._fn and calls it."""
+    if not e._walked:
+        _set(e, "_walked", True)
+        return _walk(e, bindings)
+    try:
+        fn = _compile(e)
+    except Exception:
+        fn = _walk  # a tree the compiler refuses stays with the walk
+    _set(e, "_fn", fn)
+    return fn(e, bindings)
 
 
 class _Node:
     # eval_expr's state for this tree, kept out of the dataclass fields so
     # that equality, hashing and repr ignore it: _walked turns True at the
-    # first evaluation, and the second gives the tree its own _fn, compiled
-    # from it, in place of this stand-in.
+    # first evaluation, and the second gives the tree its own _fn(e, bindings)
+    # in place of _first.
     _walked = False
-    _fn = staticmethod(_uncompiled)
+    _fn = staticmethod(_first)
 
 
 # Lit, Var, Bin and Call set their fields through _set: the frozen dataclass's
@@ -303,36 +317,25 @@ def eval_expr(e: Expr, bindings: Dict[str, float]) -> float:
     """Evaluate a tree on finite bindings; domain trouble raises EvalDomainError.
 
     The first evaluation of a tree walks it; every later one runs the code
-    compiled from it, and falls back to the walk on any exception or a
+    compiled from it, which falls back to the walk on any exception or a
     non-finite value, so that the walk alone decides what is an error.
     """
+    return e._fn(e, bindings)
+
+
+def bind(e: Expr, names) -> Callable[..., float]:
+    """e as a function of one positional argument per name, compiled now.
+
+    bind(e, ("t", "s"))(t, s) is eval_expr(e, {"t": t, "s": s}): the same
+    bits, or the same error with its position.  A variable outside names
+    reads no binding, so there the function raises the walk's
+    UnknownVariableError.
+    """
+    names = tuple(names)
     try:
-        v = e._fn(bindings)
-        if math.isfinite(v):
-            return v
-    except Exception:
-        pass  # the walk in _eval_cold raises the error, with its position
-    return _eval_cold(e, bindings)
-
-
-def _eval_cold(e: Expr, bindings: Dict[str, float]) -> float:
-    """eval_expr where e's own function gave no finite value: at e's first
-    two evaluations, and on an error or a non-finite value."""
-    if not e._walked:
-        object.__setattr__(e, "_walked", True)
-    elif "_fn" not in vars(e):
-        try:
-            fn = _compile(e)
-        except Exception:
-            fn = _uncompiled  # a tree the compiler refuses stays with the walk
-        object.__setattr__(e, "_fn", fn)
-        try:
-            v = fn(bindings)
-            if math.isfinite(v):
-                return v
-        except Exception:
-            pass
-    return _walk(e, bindings)
+        return _compile(e, names)
+    except Exception:  # a tree the compiler refuses stays with the walk
+        return lambda *args: _walk(e, dict(zip(names, args)))
 
 
 def _walk(e: Expr, b: Dict[str, float]) -> float:
@@ -411,64 +414,98 @@ def _binary(e: Bin, l: float, r: float) -> float:
 # -- compiled evaluation ------------------------------------------------
 
 # Each operator as Python source over its operands, with the walk's domain
-# predicates in front of / and ^; any exception they raise sends eval_expr
-# back to the walk.  log and sqrt need no such line: math raises on exactly
-# the walk's predicates (x <= 0, x < 0).
+# predicates in front of / and ^; any exception they raise sends the code
+# to the walk.  log and sqrt need no such line: math raises on exactly the
+# walk's predicates (x <= 0, x < 0).
 _OPS = {"+": "{l} + {r}", "-": "{l} - {r}", "*": "{l} * {r}", "/": "{l} / {r}",
         "^": "pow({l}, {r})"}
 # {neg} and {frac} test the exponent: see _exponent_tests.
 _GUARDS = {"/": "if {r} == 0.0: raise ZeroDivisionError",
            "^": "if {l} == 0.0 and {neg} or {l} < 0.0 and {frac}: raise ValueError"}
-# the globals of every compiled function: the walk's math, and math.pow for ^
-_SCOPE = dict(_MATH, pow=math.pow)
+# The one template of compiled code, for both conventions: the walk's
+# operations inside try, their value if finite, and otherwise the walk.
+_TEMPLATE = ("def expr({params}):\n"
+             "    try:\n"
+             "{body}"
+             "        if isfinite({result}):\n"
+             "            return {result}\n"
+             "    except Exception:\n"
+             "        pass\n"
+             "    return walk(e, {env})\n")
+# the globals of every compiled function: the walk's math, math.pow for ^,
+# and the walk
+_SCOPE = dict(_MATH, pow=math.pow, isfinite=math.isfinite, walk=_walk, __builtins__=builtins)
 # generated source -> its code object, kept while some tree's function uses it
 _CODES: "weakref.WeakValueDictionary[str, types.CodeType]" = weakref.WeakValueDictionary()
 
 
-def _compile(e: Expr) -> Callable[[Dict[str, float]], float]:
-    """A function of the bindings doing the walk's operations on e in order.
+def _compile(e: Expr, names=None, walk=_walk) -> Callable[..., float]:
+    """A function doing the walk's operations on e in order, in one of two
+    conventions: fn(e, b), reading the variable x as b['x'] (eval_expr's),
+    or, given names, fn(a0, a1, ...), reading names[k] as a<k> (bind's).
 
-    The code is straight-line, one assignment per operator or call node, so
-    it compiles however deep the tree.  A subtree without variables is
-    computed here, once, by the walk's own operations; a literal or such a
-    value reaches the code as the default of a parameter c<k>, never as
-    source text: trees that differ only in literals share one code object,
-    and 0.0 and -0.0 keep their own signs.
+    Where the operations raise or end non-finite, fn returns walk(e, the
+    bindings); walk is the tree walk but for tests that look at the code's
+    own outcome.  The code is straight-line, one assignment per operator or
+    call node, so it compiles however deep the tree.  A subtree without
+    variables is computed here, once, by the walk's own operations; a
+    literal or such a value reaches the code as the default of a parameter
+    c<k>, never as source text: trees that differ only in literals share one
+    code object, and 0.0 and -0.0 keep their own signs.
     """
+    if names is None:
+        params, env = ["e", "b"], "b"
+
+        def read(name):
+            return "b[%r]" % name
+    else:
+        slot = {n: k for k, n in enumerate(names)}
+        params = ["a%d" % k for k in range(len(names))]
+        env = "{%s}" % ", ".join("%r: a%d" % (n, slot[n]) for n in slot)
+
+        def read(name):  # a name without a slot reads an empty mapping, as the walk would
+            return "a%d" % slot[name] if name in slot else "{}[%r]" % name
     lines: List[str] = []
     consts: List[float] = []
-    result = _operand(_emit(e, lines, consts), consts)
-    source = "def expr(b%s):\n%s    return %s\n" % (
-        "".join(", c%d" % k for k in range(len(consts))),
-        "".join("    %s\n" % s for s in lines), result)
+    result = _operand(_emit(e, lines, consts, read), consts)
+    params += ["c%d" % k for k in range(len(consts))]
+    defaults = tuple(consts)
+    if names is not None:
+        params.append("e")
+        defaults += (e,)
+    source = _TEMPLATE.format(params=", ".join(params), result=result, env=env,
+                              body="".join("        %s\n" % s for s in lines))
     code = _CODES.get(source)
     if code is None:
         defined: dict = {}
         exec(source, _SCOPE, defined)
         code = _CODES[source] = defined["expr"].__code__
-    return types.FunctionType(code, _SCOPE, "expr", tuple(consts))
+    scope = _SCOPE if walk is _walk else dict(_SCOPE, walk=walk)
+    return types.FunctionType(code, scope, "expr", defaults)
 
 
-def _emit(e: Expr, lines: List[str], consts: List[float]) -> Union[str, float]:
+def _emit(e: Expr, lines: List[str], consts: List[float],
+          read: Callable[[str], str]) -> Union[str, float]:
     """Append the statements computing e to lines; return the operand holding it.
 
+    read(name) is the operand holding the variable name.
     A subtree without variables returns its value instead, computed by the
     walk's operations in the walk's order, so with the walk's bits; where
     one of them raises, the subtree stays code, and the walk raises its
     positioned error when the code runs.  A tree the walk cannot evaluate
     either (an unknown operator, function or node) raises ExprError, and
-    eval_expr leaves that tree to the walk.
+    that tree is left to the walk.
     """
     if isinstance(e, Bin):
         spine = []
         while isinstance(e, Bin):
             spine.append(e)
             e = e.left
-        v = _emit(e, lines, consts)
+        v = _emit(e, lines, consts, read)
         for node in reversed(spine):
             if node.op not in _OPS:
                 raise ExprError("unknown operator %r" % node.op, node.pos)
-            l, r = v, _emit(node.right, lines, consts)
+            l, r = v, _emit(node.right, lines, consts, read)
             if not isinstance(l, str) and not isinstance(r, str):
                 try:
                     v = _binary(node, l, r)
@@ -486,14 +523,14 @@ def _emit(e: Expr, lines: List[str], consts: List[float]) -> Union[str, float]:
             raise ExprError("literal %r is no number" % (e.value,), e.pos)
         return e.value
     if isinstance(e, Var):
-        return "b[%r]" % e.name
+        return read(e.name)
     if isinstance(e, Neg):
-        x = _emit(e.operand, lines, consts)
+        x = _emit(e.operand, lines, consts, read)
         return _assign(lines, "-" + x) if isinstance(x, str) else -x
     if isinstance(e, Call):
         if e.fn not in _MATH:
             raise ExprError("unknown function %r" % e.fn, e.pos)
-        x = _emit(e.arg, lines, consts)
+        x = _emit(e.arg, lines, consts, read)
         if not isinstance(x, str):
             try:
                 return _call(e, x)

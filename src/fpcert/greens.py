@@ -9,12 +9,13 @@ nodewise bound-propagation inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from functools import cached_property
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from .core import OperatorSpec, Vector
-from .exprparse import EvalDomainError, Expr, eval_expr, parse_expr
+from .exprparse import EvalDomainError, Expr, bind, parse_expr
 from .majorant import PreconditionError, ProblemConstants, step_inequality
 from .schemes import SchemeKind, StopRule
 
@@ -73,6 +74,12 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class KernelSpec:
+    """A kernel G(t, s) on [0, T_end]: the Volterra unit kernel or a parsed expression.
+
+    An expression kernel compiles its tree into a function of (t, s) at its
+    first evaluation (`exprparse.bind`), not when it is built, so resolving
+    a problem that never builds a kernel matrix (certify) compiles nothing.
+    """
     kind: str                      # "volterra_unit" | "expression"
     T_end: float
     expr: Optional[Expr] = field(default=None, compare=False)
@@ -85,11 +92,15 @@ class KernelSpec:
         if self.kind == "expression" and self.expr is None:
             raise GreensError("expression kernel needs a parsed expression")
 
+    @cached_property
+    def _kernel(self) -> Callable[[float, float], float]:
+        return bind(self.expr, ("t", "s"))
+
     def evaluate(self, t: float, s: float) -> float:
         if self.kind == "volterra_unit":
             return 1.0 if s <= t else 0.0
         try:
-            return eval_expr(self.expr, {"t": t, "s": s})
+            return self._kernel(t, s)
         except EvalDomainError as exc:
             raise GreensError("kernel failed at (t=%r, s=%r): %s" % (t, s, exc)) from exc
 

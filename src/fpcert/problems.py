@@ -557,6 +557,11 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
     if deriv is not None:
         if (not isinstance(deriv, list) or not all(isinstance(r, list) for r in deriv)):
             raise ProblemError("derivative must be a matrix (list of lists) of expressions")
+        for i, row in enumerate(deriv, 1):
+            for j, text in enumerate(row, 1):
+                if not isinstance(text, str):
+                    raise ProblemError("derivative entry at row %d, column %d must be an "
+                                       "expression string, got %r" % (i, j, text))
 
     norm = NormKind.parse(cfg.get("norm", "sup"))
     scheme = SchemeKind.parse(cfg.get("scheme", "contraction"))

@@ -137,6 +137,22 @@ def test_bad_derivative_entry_rejected_before_any_output(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, problem", [("run", "newton"), ("run", "root"),
+                                              ("sweep", "newton")])
+def test_derivative_number_rejected_before_any_output(tmp_path, capsys, command, problem):
+    # a YAML number where an expression string belongs; the strings before it are fine
+    src = write_yaml(tmp_path, "p.yaml", _DERIVATIVE_PROBLEMS[problem]
+                     + 'derivative: [["0", 0.5], ["0.5*cos(x1)", "0"]]\n')
+    out = tmp_path / "o"
+    extra = ["--param", "eps", "--values", "0,1e-3,1e-2"] if command == "sweep" else []
+    assert run_cli(command, src, *extra, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: derivative entry at row 1, column 2 must be an "
+                            "expression string, got 0.5\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_run_reports_malformed_yaml_with_line(tmp_path, capsys):
     src = write_yaml(tmp_path, "bad.yaml", "operator: [x1\nx0: 1.0\n")
     assert run_cli("run", src, "--out", str(tmp_path / "o")) == 1

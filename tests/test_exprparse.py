@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fpcert.exprparse import (MAX_DEPTH, Bin, Call, EvalDomainError, ExprSyntaxError,
                               FUNCTIONS, Lit, Neg, UnknownVariableError, Var,
-                              _CODES, _compile, _walk, eval_expr, parse_expr, to_text)
+                              _CODES, _compile, _walk, bind, eval_expr, parse_expr, to_text)
 
 
 # -- parsing ------------------------------------------------------------
@@ -316,24 +316,40 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+class FellBack(Exception):
+    """What the compiled code raises, in place of walking, where it falls back."""
+
+
+def fall_back(e, bindings):
+    raise FellBack
+
+
 def check_compiled_matches_walk(e, env):
     want = outcome(_walk, e, env)
     # the first call walks, the second compiles, the third reuses the code
     for _ in range(3):
         assert outcome(eval_expr, e, env) == want
-    # the compiled code alone gives the walk's bits wherever the walk gives a
-    # value, and never a finite value where the walk raises
-    got = outcome(_compile(e), env)
-    if want[0] == "value":
-        assert got == want
-    else:
-        assert got[0] != "value" or not math.isfinite(float.fromhex(got[1]))
+    names, args = tuple(env), tuple(env.values())
+    assert outcome(bind(e, names), *args) == want
+    # the generated code's own outcome, in both conventions: the walk's bits
+    # wherever the walk gives a value, and the fallback wherever it raises
+    own = want if want[0] == "value" else (FellBack, "")
+    assert outcome(_compile(e, walk=fall_back), e, env) == own
+    assert outcome(_compile(e, names, walk=fall_back), *args) == own
 
 
 @settings(max_examples=400, deadline=None)
 @given(e=TREES, x=st.sampled_from(VALUES), y=st.sampled_from(VALUES))
 def test_compiled_evaluation_is_the_walk_bit_for_bit(e, x, y):
     check_compiled_matches_walk(e, {"x": x, "y": y})
+
+
+@settings(max_examples=400, deadline=None)
+@given(e=TREES, x=st.sampled_from(VALUES), y=st.sampled_from(VALUES))
+def test_bound_function_is_the_walk_bit_for_bit(e, x, y):
+    assert outcome(bind(e, ("x", "y")), x, y) == outcome(_walk, e, {"x": x, "y": y})
+    # the arguments in the other order, for the other names
+    assert outcome(bind(e, ("y", "x")), y, x) == outcome(_walk, e, {"x": x, "y": y})
 
 
 # keyed by repr, so that -0.0 is not merged into 0.0
@@ -407,6 +423,30 @@ def test_trees_differing_in_literals_share_one_function():
     a = parse_expr("x1*0.25 + 2", ("x1",))
     b = parse_expr("x1*-0.5 + 7", ("x1",))
     assert _compile(a).__code__ is _compile(b).__code__
+
+
+def test_bound_trees_differing_in_literals_share_one_function():
+    a = parse_expr("0.25*exp(-1.5*(t - s)^2)", ("t", "s"))
+    b = parse_expr("0.5*exp(-3*(t - s)^2)", ("t", "s"))
+    fa, fb = bind(a, ("t", "s")), bind(b, ("t", "s"))
+    assert fa.__code__ is fb.__code__
+    assert fa(0.5, 0.25) == 0.25 * math.exp(-1.5 * 0.25 ** 2)
+    assert fb(0.5, 0.25) == 0.5 * math.exp(-3.0 * 0.25 ** 2)
+    # each function falls back to its own tree, with that tree's positions
+    for f, pos in ((bind(parse_expr("1/(t - s)", ("t", "s")), ("t", "s")), 1),
+                   (bind(parse_expr("  2/(t - s)", ("t", "s")), ("t", "s")), 3)):
+        with pytest.raises(EvalDomainError, match=r"division by zero \(at position %d\)" % pos):
+            f(0.5, 0.5)
+
+
+def test_bind_reads_no_binding_for_a_name_outside_its_names():
+    e = parse_expr("log(x) + y", ("x", "y"))
+    with pytest.raises(UnknownVariableError, match=r"'y' \(at position 9\)"):
+        bind(e, ("x",))(2.0)
+    # the walk's order decides which error comes first
+    with pytest.raises(EvalDomainError, match="log of nonpositive"):
+        bind(e, ("x",))(-1.0)
+    assert bind(parse_expr("2*x", ("x",)), ("x", "y"))(1.5, 7.0) == 3.0
     # equal trees (== ignores pos and 0.0 vs -0.0) still keep their own bits and positions
     pos, neg = Bin("*", Var("x"), Lit(0.0), 3), Bin("*", Var("x"), Lit(-0.0), 7)
     assert pos == neg
@@ -425,6 +465,8 @@ def test_compiled_function_is_freed_with_its_trees():
     e = parse_expr("x*sqrt(x)*sqrt(x)*sqrt(x)*sqrt(x)", ("x",))
     for _ in range(2):
         eval_expr(e, {"x": 2.0})
+    # eval_expr hands the tree to its function, which so holds no reference to it
+    assert e not in e._fn.__defaults__
     code = weakref.ref(e._fn.__code__)
     assert code() in _CODES.values()
     del e

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from fpcert import greens
+from fpcert.cli import main
 from fpcert.core import OperatorSpec, Vector
+from fpcert.exprparse import _walk
 from fpcert.greens import (GreensError, GridFunction, KernelSpec, _kernel_quadrature,
                            apply_integral_operator, bound_propagate,
                            build_volterra_kernel, kernel_from_expression,
                            run_integral_iteration)
 from fpcert.majorant import ProblemConstants
+from fpcert.problems import load_problem
 from fpcert.schemes import SchemeKind, StopRule
 
 
@@ -178,6 +182,71 @@ def test_kernel_quadrature_names_the_first_failing_point():
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("kernel failed at (t=%r, s=%r): " % first)
     assert first[0] > 0.5
+
+
+def test_kernel_singularity_is_named_on_every_quadrature():
+    # the diagonal t = s fails first at (0, 0); the first quadrature compiles
+    # the kernel, the later ones run its code, and each names the point
+    k = kernel_from_expression("1/(t - s)", 1.0)
+    nodes = GridFunction.uniform(1.0, 4).nodes
+    for _ in range(3):
+        with pytest.raises(GreensError) as exc:
+            _kernel_quadrature(k, nodes, np.ones_like(nodes))
+        assert str(exc.value) == ("kernel failed at (t=0.0, s=0.0): "
+                                  "division by zero (at position 1)")
+    assert k.evaluate(0.75, 0.25) == 1.0 / (0.75 - 0.25)
+    with pytest.raises(GreensError, match=r"\(t=0\.5, s=0\.5\): division by zero"):
+        k.evaluate(0.5, 0.5)
+
+
+_FREDHOLM = ('kind: integral\noperator: ["0.5*sin(x1) + 1"]\nx0: [0.0]\n'
+             'integral: {kernel: "0.3*exp(-(t - s)^2)", m: 8}\n')
+
+
+def test_kernel_code_is_bound_at_the_first_evaluation_only(monkeypatch, tmp_path):
+    binds = []
+
+    def recording(e, names):
+        binds.append(names)
+        return bind(e, names)
+
+    bind = greens.bind
+    monkeypatch.setattr(greens, "bind", recording)
+    src = tmp_path / "p.yaml"
+    src.write_text(_FREDHOLM)
+    spec = load_problem(str(src)).integral.kernel()
+    assert binds == [] and "_kernel" not in vars(spec)
+    out = tmp_path / "o"
+    assert main(["run", str(src), "--out", str(out)]) == 0
+    assert binds == [("t", "s")]  # one bind for the run's every quadrature
+    # certify resolves the kernel and rejects the integral trace; it binds nothing
+    assert main(["certify", str(src), "--trace", str(out)]) == 1
+    assert binds == [("t", "s")]
+    spec.evaluate(0.5, 0.25)
+    spec.evaluate(0.25, 0.5)
+    assert binds == [("t", "s")] * 2 and "_kernel" in vars(spec)
+
+
+def walked_evaluate(self, t, s):
+    """KernelSpec.evaluate on the tree walk, as it was before kernels compiled."""
+    return _walk(self.expr, {"t": t, "s": s})
+
+
+@pytest.mark.parametrize("text", ["0.83*exp(-3.7*(t - s)^2)", "sin(3*t) - cos(2*s)*t",
+                                  "-0.4*abs(t - s)^0.5"])
+def test_compiled_kernel_gives_the_walks_margins(monkeypatch, text):
+    k, A, x0 = exp_growth_setup(60)
+    trace = run_integral_iteration(k, A, x0, stop=StopRule(max_n=6))
+    c = ProblemConstants(M=1.0, M_star=0.0)
+    kernel = kernel_from_expression(text, 1.0)
+    args = (kernel, c, trace.step_function(2), trace.step_function(3),
+            SchemeKind.CONTRACTION, 3)
+    got = [bound_propagate(*args) for _ in range(2)]  # a bind, then its code
+    monkeypatch.setattr(KernelSpec, "evaluate", walked_evaluate)
+    want = bound_propagate(*args)
+    for rep in got:
+        assert rep.margins.tobytes() == want.margins.tobytes()
+        assert (rep.min_margin, rep.ok) == (want.min_margin, want.ok)
 
 
 # -- iteration ---------------------------------------------------------------

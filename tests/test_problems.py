@@ -501,6 +501,12 @@ def test_malformed_derivative_entry_fails_where_it_is_first_parsed():
         with pytest.raises(ProblemError) as exc:
             read()
         assert str(exc.value) == message
+    # so is every entry's type, before the shape
+    for entry in (0.5, None, ["x1"]):
+        with pytest.raises(ProblemError) as exc:
+            resolve_config(minimal_cfg(derivative=[[entry]]))
+        assert str(exc.value) == ("derivative entry at row 1, column 1 must be an "
+                                  "expression string, got %r" % (entry,))
     # the matrix shape is still checked at resolve
     with pytest.raises(ProblemError, match="2x2 matrix"):
         resolve_config(minimal_cfg(operator=["x1", "x2"], x0=[0, 0], derivative=[["1"]]))
