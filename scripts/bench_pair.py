@@ -31,12 +31,13 @@ m = 800 kernel matrix (641,601 kernel evaluations, on a fresh kernel each
 time, so with its compilation) and noisy-certify's `certify` at horizon
 1000.  Every workload runs in a fresh process per side and round, which
 imports its side's `src/fpcert` and `bench/workloads.py`, makes the
-untimed setup, then times LAYER_REPEATS calls and reports their median and
-a sha256 of the last call's output.  Rounds alternate which side goes
+untimed setup, then times the number of calls LAYER_WORKLOADS gives and
+reports their median and a sha256 of the last call's output; it runs on one
+CPU, as `bench/run.py` does.  Rounds alternate which side goes
 first, as the pairs do.  The JSON holds each side's per-round medians with
 their median and quartiles, the rounds the change won, and whether every
 output of both sides was bit-equal; the exit code is 1 if one was not.
-The 5 default rounds took about 2 minutes on the host above.
+Its LAYER_ROUNDS = 5 rounds took about 2 minutes on the host above.
 """
 from __future__ import annotations
 
@@ -82,6 +83,10 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
 
     Runs inside the process `run_layer` starts, so that this side's fpcert
     is the only one imported."""
+    # one CPU, as bench/run.py pins itself, so that numpy's threads and the
+    # scheduler's moves do not add to the spread
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path[:0] = [str(side / "src"), str(side / "bench")]
     import numpy as np
     import workloads
@@ -143,10 +148,10 @@ def run_layer(side: Path, name: str) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def compare_layers(sides: dict, rounds: int) -> dict:
-    """Every layer workload on both sides for `rounds` interleaved rounds."""
+def compare_layers(sides: dict) -> dict:
+    """Every layer workload on both sides for LAYER_ROUNDS interleaved rounds."""
     runs = {name: {side: [] for side in sides} for name in LAYER_WORKLOADS}
-    for i in range(rounds):
+    for i in range(LAYER_ROUNDS):
         for name in LAYER_WORKLOADS:
             for side in list(sides) if i % 2 == 0 else list(sides)[::-1]:
                 runs[name][side].append(run_layer(sides[side], name))
@@ -232,8 +237,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="the JSON file to write")
     parser.add_argument("--layers", action="store_true",
                         help="time the in-process layer workloads instead")
-    parser.add_argument("--rounds", type=int, default=LAYER_ROUNDS,
-                        help="interleaved rounds of --layers (default %(default)s)")
     parser.add_argument("--layer-worker", help=argparse.SUPPRESS)
     parser.add_argument("--side", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -253,7 +256,7 @@ def main(argv=None) -> int:
     report = {"base": revs["base"], "change": revs["change"],
               "date": time.strftime("%Y-%m-%d"), "python": platform.python_version()}
     if args.layers:
-        report.update(rounds=args.rounds, order="round i runs base first when i is even, "
+        report.update(rounds=LAYER_ROUNDS, order="round i runs base first when i is even, "
                       "change first when odd", layers={})
     else:
         report.update(seconds=seconds, seeds=seeds, traced_seeds=list(TRACED_SEEDS),
@@ -265,7 +268,7 @@ def main(argv=None) -> int:
             sides[side].mkdir()
             unpack(rev, sides[side])
         if args.layers:
-            report["layers"] = compare_layers(sides, args.rounds)
+            report["layers"] = compare_layers(sides)
         for workload in () if args.layers else (w["name"] for w in spec["workloads"]):
             plain = pairs_of(sides, workload, seeds, seconds, 0)
             traced = pairs_of(sides, workload, TRACED_SEEDS, seconds, 1)

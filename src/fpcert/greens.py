@@ -5,6 +5,12 @@ the Green's function of d/dt with x(0) = 0.  Its iterations converge by
 factorial decay even when M * T_end > 1, i.e. without any contraction
 assumption; run_integral_iteration exists to exercise exactly that, plus the
 nodewise bound-propagation inequality.
+
+An expression kernel is evaluated once per grid entry, (m+1)^2 times per
+quadrature, through the function exprparse.bind compiles from its tree at
+its first evaluation; that function gives the walk's bits and, at a failing
+(t, s), the walk's positioned error, which KernelSpec.evaluate names the
+point of.
 """
 from __future__ import annotations
 

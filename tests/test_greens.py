@@ -228,7 +228,7 @@ def test_kernel_code_is_bound_at_the_first_evaluation_only(monkeypatch, tmp_path
 
 
 def walked_evaluate(self, t, s):
-    """KernelSpec.evaluate on the tree walk, as it was before kernels compiled."""
+    """KernelSpec.evaluate by the tree walk alone: the reference for the compiled kernel."""
     return _walk(self.expr, {"t": t, "s": s})
 
 
@@ -241,7 +241,8 @@ def test_compiled_kernel_gives_the_walks_margins(monkeypatch, text):
     kernel = kernel_from_expression(text, 1.0)
     args = (kernel, c, trace.step_function(2), trace.step_function(3),
             SchemeKind.CONTRACTION, 3)
-    got = [bound_propagate(*args) for _ in range(2)]  # a bind, then its code
+    # the first binds the kernel, the second reuses its function
+    got = [bound_propagate(*args) for _ in range(2)]
     monkeypatch.setattr(KernelSpec, "evaluate", walked_evaluate)
     want = bound_propagate(*args)
     for rep in got:
