@@ -37,7 +37,8 @@ CPU, as `bench/run.py` does.  Rounds alternate which side goes
 first, as the pairs do.  The JSON holds each side's per-round medians with
 their median and quartiles, the rounds the change won, and whether every
 output of both sides was bit-equal; the exit code is 1 if one was not.
-Its LAYER_ROUNDS = 5 rounds took about 2 minutes on the host above.
+Its LAYER_ROUNDS = 5 rounds took under 2 minutes on the host above, where
+the pinned rounds of one side spread by about 10%.
 """
 from __future__ import annotations
 
@@ -158,14 +159,10 @@ def compare_layers(sides: dict) -> dict:
         print("layers round %d done" % (i + 1), flush=True)
     out = {}
     for name, by_side in runs.items():
-        base = [r["median_s"] for r in by_side["base"]]
-        change = [r["median_s"] for r in by_side["change"]]
-        digests = {r["output_sha256"] for runs_ in by_side.values() for r in runs_}
-        out[name] = {"unit": "s", "better": "lower", "base": summary(base),
-                     "change": summary(change),
-                     "change_wins": sum(c < b for b, c in zip(base, change)),
-                     "pairs": len(base), "outputs_equal": len(digests) == 1,
-                     "calls_per_process": LAYER_WORKLOADS[name]}
+        digests = {r["output_sha256"] for side in by_side.values() for r in side}
+        out[name] = dict(won({"name": "median_s", "unit": "s", "better": "lower"}, by_side),
+                         outputs_equal=len(digests) == 1,
+                         calls_per_process=LAYER_WORKLOADS[name])
     return out
 
 
