@@ -7,10 +7,10 @@ assumption; run_integral_iteration exists to exercise exactly that, plus the
 nodewise bound-propagation inequality.
 
 An expression kernel is evaluated once per grid entry, (m+1)^2 times per
-quadrature, through the function exprparse.bind compiles from its tree at
-its first evaluation; that function gives the walk's bits and, at a failing
-(t, s), the walk's positioned error, which KernelSpec.evaluate names the
-point of.
+quadrature, by the function exprparse.bind compiles from its tree at the
+kernel's first evaluation.  That function gives the walk's bits; at a
+failing (t, s) it raises the walk's positioned error, and
+KernelSpec.evaluate adds the point.
 """
 from __future__ import annotations
 
