@@ -17,7 +17,8 @@ it would have alone.  Literals reach the code as default arguments, so trees
 that differ only in their literals share one code object.  A subtree
 without variables (the 0.3*W of a Jacobian entry, the -w of a kernel) is
 computed once, at compile time, by the walk's own operations, with the same
-bits.
+bits.  So is the walk's test of an exponent known at compile time: x^2 runs
+no test at run time, and x^-1 only tests x == 0.0.
 """
 from __future__ import annotations
 
@@ -413,15 +414,12 @@ def _binary(e: Bin, l: float, r: float) -> float:
 
 # -- compiled evaluation ------------------------------------------------
 
-# Each operator as Python source over its operands, with the walk's domain
-# predicates in front of / and ^; any exception they raise sends the code
-# to the walk.  log and sqrt need no such line: math raises on exactly the
-# walk's predicates (x <= 0, x < 0).
+# Each operator as Python source over its operands; _guard puts the walk's
+# domain predicates in front of / and ^, and any exception they raise sends
+# the code to the walk.  log and sqrt need no such line: math raises on
+# exactly the walk's predicates (x <= 0, x < 0).
 _OPS = {"+": "{l} + {r}", "-": "{l} - {r}", "*": "{l} * {r}", "/": "{l} / {r}",
         "^": "pow({l}, {r})"}
-# {neg} and {frac} test the exponent: see _exponent_tests.
-_GUARDS = {"/": "if {r} == 0.0: raise ZeroDivisionError",
-           "^": "if {l} == 0.0 and {neg} or {l} < 0.0 and {frac}: raise ValueError"}
 # The one template of compiled code, for both conventions: the walk's
 # operations inside try, their value if finite, and otherwise the walk.
 _TEMPLATE = ("def expr({params}):\n"
@@ -512,10 +510,10 @@ def _emit(e: Expr, lines: List[str], consts: List[float],
                     continue
                 except ExprError:
                     pass
-            neg, frac = _exponent_tests(r, consts) if node.op == "^" else (None, None)
+            guard = _guard(node.op, r)
             l, r = _operand(l, consts), _operand(r, consts)
-            if node.op in _GUARDS:
-                lines.append(_GUARDS[node.op].format(l=l, r=r, neg=neg, frac=frac))
+            if guard:
+                lines.append(guard.format(l=l, r=r))
             v = _assign(lines, _OPS[node.op].format(l=l, r=r))
         return v
     if isinstance(e, Lit):
@@ -540,12 +538,28 @@ def _emit(e: Expr, lines: List[str], consts: List[float],
     raise ExprError("unknown node %r" % (e,))
 
 
-def _exponent_tests(r: Union[str, float], consts: List[float]) -> Tuple[str, str]:
-    """The walk's two tests of the exponent r of ^, r < 0.0 and r not an
-    integer, as operands: computed here, once, when r is a value."""
+def _guard(op: str, r: Union[str, float]) -> str:
+    """The line of code raising where the walk refuses l op r, over {l} and
+    {r}, or "" where it refuses nothing.
+
+    Where the exponent r of ^ is a value, the walk's two tests of it, r < 0.0
+    and r not an integer, are decided here, by the walk's own expressions, and
+    the line keeps only the tests of the base that can still refuse: none for
+    x^2, x == 0.0 for x^-1, x < 0.0 for x^0.5, both for x^-0.5.
+    """
+    if op == "/":
+        return "if {r} == 0.0: raise ZeroDivisionError"
+    if op != "^":
+        return ""
     if isinstance(r, str):
-        return "%s < 0.0" % r, "not float(%s).is_integer()" % r
-    return _operand(r < 0.0, consts), _operand(not float(r).is_integer(), consts)
+        return ("if {l} == 0.0 and {r} < 0.0 or {l} < 0.0 and not float({r}).is_integer(): "
+                "raise ValueError")
+    tests = []
+    if r < 0.0:
+        tests.append("{l} == 0.0")
+    if not float(r).is_integer():  # an infinite or NaN exponent is no integer either
+        tests.append("{l} < 0.0")
+    return "if %s: raise ValueError" % " or ".join(tests) if tests else ""
 
 
 def _operand(v: Union[str, float], consts: List[float]) -> str:

@@ -10,11 +10,12 @@ An expression kernel is evaluated once per grid entry, (m+1)^2 times per
 quadrature, by the function exprparse.bind compiles from its tree at the
 kernel's first evaluation.  That function gives the walk's bits; at a
 failing (t, s) it raises the walk's positioned error, and
-KernelSpec.evaluate adds the point.
+KernelSpec.evaluate adds the point.  The kernel's kind is decided at that
+first evaluation too, so an entry costs one call of the kernel's function.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional
 
@@ -78,17 +79,23 @@ class GridFunction:
         return float(np.max(np.abs(self.values - other.values)))
 
 
+def _unit_kernel(t: float, s: float) -> float:
+    return 1.0 if s <= t else 0.0
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel G(t, s) on [0, T_end]: the Volterra unit kernel or a parsed expression.
 
-    An expression kernel compiles its tree into a function of (t, s) at its
-    first evaluation (`exprparse.bind`), not when it is built, so resolving
-    a problem that never builds a kernel matrix (certify) compiles nothing.
+    The first evaluation picks the kernel's function of (t, s) once: the
+    unit kernel's, or the function an expression kernel compiles from its
+    tree (`exprparse.bind`); not when the kernel is built, so resolving a
+    problem that never builds a kernel matrix (certify) compiles nothing.
+    Kernels are equal when their kind, T_end and expression are.
     """
     kind: str                      # "volterra_unit" | "expression"
     T_end: float
-    expr: Optional[Expr] = field(default=None, compare=False)
+    expr: Optional[Expr] = None
 
     def __post_init__(self):
         if self.kind not in ("volterra_unit", "expression"):
@@ -100,11 +107,11 @@ class KernelSpec:
 
     @cached_property
     def _kernel(self) -> Callable[[float, float], float]:
+        if self.kind == "volterra_unit":
+            return _unit_kernel
         return bind(self.expr, ("t", "s"))
 
     def evaluate(self, t: float, s: float) -> float:
-        if self.kind == "volterra_unit":
-            return 1.0 if s <= t else 0.0
         try:
             return self._kernel(t, s)
         except EvalDomainError as exc:

@@ -115,10 +115,10 @@ def _expression_operator(exprs: Sequence[str], dim: int,
         def derivative(x: Vector, h: Vector) -> Vector:
             b = bindings(x)
             try:
-                jac = np.array([eval_expr(t, b) for t in parse_derivative()]).reshape(dim, dim)
+                entries = [eval_expr(t, b) for t in parse_derivative()]
             except ExprError as exc:
                 raise OperatorEvaluationError("derivative of %s: %s" % (name or "?", exc)) from exc
-            return Vector(jac @ h.coords)
+            return Vector(np.array(entries, float).reshape(dim, dim) @ h.coords)
 
     return (OperatorSpec(dim=dim, evaluator=evaluator, derivative=derivative, name=name),
             parse_derivative)

@@ -411,6 +411,59 @@ def test_compiled_evaluation_fixed_cases(e, env):
     check_compiled_matches_walk(e, env)
 
 
+# exponents of ^ known at compile time: integers, zero and fractions of
+# either sign, each as a literal and as a literal-only subtree that folds to
+# it, and folded subtrees that end at +inf, -inf and NaN
+EXPONENT_VALUES = st.integers(-3, 3).map(float) | st.sampled_from((-0.0, 0.5, -0.5, 1.5, -2.5))
+_INF = Bin("*", Lit(1e308, 4), Lit(10.0, 10), 9)
+EXPONENTS = (st.builds(Lit, EXPONENT_VALUES, POS)
+             | st.builds(Neg, st.builds(Lit, EXPONENT_VALUES, POS), POS)
+             | st.builds(lambda p, q: Bin("/", Lit(p, 4), Lit(q, 6), 5),
+                         st.integers(-7, 7).map(float), st.sampled_from((1.0, 2.0, 3.0, 4.0)))
+             | st.sampled_from((_INF, Neg(_INF, 3), Bin("-", _INF, _INF, 8))))
+BASES = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, -2.0, 1e-320)
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.sampled_from(("variable", "literal", "overflowing")), x=st.sampled_from(BASES),
+       exponent=EXPONENTS, reciprocal=st.booleans())
+def test_literal_exponent_guard_is_the_walk(base, x, exponent, reciprocal):
+    # x*1e308 overflows to -inf for x = -2.0, and to inf for x = 3.0
+    left = {"variable": Var("x", 0), "literal": Lit(x, 0),
+            "overflowing": Bin("*", Var("x", 0), Lit(1e308, 2), 1)}[base]
+    e = Bin("^", left, exponent, 3)
+    if reciprocal:  # 1/(...) turns an infinite power finite, as a larger tree would
+        e = Bin("/", Lit(1.0), e, 0)
+    check_compiled_matches_walk(e, {"x": x})
+
+
+def source_of(fn):
+    """The generated source of a compiled function, read from exprparse._CODES."""
+    return next(source for source, code in _CODES.items() if code is fn.__code__)
+
+
+def guards(fn):
+    """The domain-test lines of a compiled function's source."""
+    return [line.strip() for line in source_of(fn).splitlines() if "raise" in line]
+
+
+def test_literal_exponents_are_tested_at_compile_time():
+    kernel = parse_expr("0.3*exp(-1.7*(t - s)^2)", ("t", "s"))
+    for fn in (_compile(kernel), bind(kernel, ("t", "s"))):
+        assert "raise ValueError" not in source_of(fn)
+    cases = {"x1^-1": "if b['x1'] == 0.0: raise ValueError",
+             "x1^0.5": "if b['x1'] < 0.0: raise ValueError",
+             "x1^-0.5": "if b['x1'] == 0.0 or b['x1'] < 0.0: raise ValueError",
+             "x1^(1e308*10)": "if b['x1'] < 0.0: raise ValueError",
+             # a variable exponent keeps both tests of the walk, and / its own
+             "x1^x1": "if b['x1'] == 0.0 and b['x1'] < 0.0 or b['x1'] < 0.0 and "
+                      "not float(b['x1']).is_integer(): raise ValueError",
+             "x1/2": "if c0 == 0.0: raise ZeroDivisionError"}
+    for text, line in cases.items():
+        assert guards(_compile(parse_expr(text, ("x1",)))) == [line], text
+    assert guards(bind(parse_expr("t^-1", ("t",)), ("t",))) == ["if a0 == 0.0: raise ValueError"]
+
+
 def test_thousand_term_sum_evaluates():
     e = parse_expr(" + ".join("%d.5*x" % i for i in range(1000)), ("x",))
     want = 0.0

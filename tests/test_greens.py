@@ -80,6 +80,51 @@ def test_expression_kernel_domain_error_names_the_point():
     assert "t=0.5" in str(exc.value)
 
 
+def test_volterra_kernel_evaluates_through_its_function(monkeypatch):
+    k = build_volterra_kernel(1.0)
+    assert "_kernel" not in vars(k)
+    assert [k.evaluate(0.5, s) for s in (0.3, 0.5, 0.7)] == [1.0, 1.0, 0.0]
+    assert vars(k)["_kernel"] is greens._unit_kernel
+    # evaluate reads the kind no more: it calls the function picked once
+    monkeypatch.setitem(vars(k), "_kernel", lambda t, s: 2.5)
+    assert k.evaluate(0.5, 0.7) == 2.5
+
+
+@pytest.mark.parametrize("source", ["volterra-exp", "fredholm"])
+def test_resolving_picks_no_kernel_function(tmp_path, source):
+    if source == "fredholm":
+        source = tmp_path / "p.yaml"
+        source.write_text(_FREDHOLM)
+    spec = load_problem(str(source)).integral.kernel()
+    assert "_kernel" not in vars(spec)
+    spec.evaluate(0.25, 0.5)
+    assert "_kernel" in vars(spec)
+
+
+def test_failing_expression_kernel_names_the_point_at_every_evaluation():
+    k = kernel_from_expression("0.5*(t - s)^-1", 1.0)
+    for _ in range(3):
+        with pytest.raises(GreensError, match=r"^kernel failed at \(t=0\.25, s=0\.25\): "
+                                              r"zero raised to negative power \(at position 11\)$"):
+            k.evaluate(0.25, 0.25)
+        assert k.evaluate(0.75, 0.25) == 0.5 * (0.75 - 0.25) ** -1
+
+
+def test_kernel_equality_takes_the_expression():
+    a, b = kernel_from_expression("t", 1.0), kernel_from_expression("s", 1.0)
+    assert a != b and len({a: 1, b: 2}) == 2
+    # equal trees, as == reads them: positions are ignored
+    c = kernel_from_expression("  t", 1.0)
+    assert a == c and hash(a) == hash(c)
+    assert a != kernel_from_expression("t", 2.0)
+    assert build_volterra_kernel(1.0) == build_volterra_kernel(1.0) != a
+    # a long sum compares and hashes without deep recursion
+    text = " + ".join("%d.5*t" % i for i in range(1000))
+    long_a, long_b = kernel_from_expression(text, 1.0), kernel_from_expression(text, 1.0)
+    assert long_a == long_b and hash(long_a) == hash(long_b)
+    assert long_a != kernel_from_expression(text + " + s", 1.0)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(GreensError):
         KernelSpec("fredholm", 1.0)
