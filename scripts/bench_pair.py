@@ -26,9 +26,12 @@ Python 3.11.
 
 --layers times the in-process layer workloads of LAYER_WORKLOADS instead,
 on instance 0 of seed 1 of the benchmark's generators: parsing the 930
-newton-dense trees, one newton-dense Jacobian (900 entries, 30 times), one
-m = 800 kernel matrix (641,601 kernel evaluations, on a fresh kernel each
-time, so with its compilation) and noisy-certify's `certify` at horizon
+newton-dense trees, compiling them (`exprparse._compile`, fresh trees each
+call, with one evaluation of each), one newton-dense Jacobian (900 entries,
+30 times), one m = 800 kernel matrix (641,601 kernel evaluations, on a fresh
+kernel each time, so with its compilation), the fredholm-sweep operator at
+the 801 nodes of an m = 800 grid (`greens._pointwise`: 801 `apply` calls,
+each building two Vectors) and noisy-certify's `certify` at horizon
 1000.  Every workload runs in a fresh process per side and round, which
 imports its side's `src/fpcert` and `bench/workloads.py`, makes the
 untimed setup, then times the number of calls LAYER_WORKLOADS gives and
@@ -74,8 +77,9 @@ LAYERS = ("exprparse.parse_calls", "exprparse.parse_s",
 
 
 # in-process layer workloads (--layers): name -> timed calls per process
-LAYER_WORKLOADS = {"parse-newton-dense": 5, "jacobian-newton-dense": 5,
-                   "kernel-matrix-800": 5, "noisy-certify-1000": 3}
+LAYER_WORKLOADS = {"parse-newton-dense": 5, "compile-newton-dense": 5,
+                   "jacobian-newton-dense": 5, "kernel-matrix-800": 5,
+                   "pointwise-fredholm-800": 20, "noisy-certify-1000": 3}
 LAYER_ROUNDS = 5
 
 
@@ -95,13 +99,23 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
     from fpcert.core import identity_operator
     assert Path(problems.__file__).resolve().is_relative_to(side.resolve())
 
+    cfg = workloads.newton_dense_config(np.random.default_rng([1, 0]))
+    names = ["x%d" % (i + 1) for i in range(cfg["dim"])]
+    texts = cfg["operator"] + [t for row in cfg["derivative"] for t in row]
     if name == "parse-newton-dense":
-        cfg = workloads.newton_dense_config(np.random.default_rng([1, 0]))
-        names = ["x%d" % (i + 1) for i in range(cfg["dim"])]
-        texts = cfg["operator"] + [t for row in cfg["derivative"] for t in row]
-
         def call():
             return repr([exprparse.parse_expr(t, names) for t in texts]).encode()
+    elif name == "compile-newton-dense":
+        # fresh trees per call; the code objects of one call's functions are
+        # freed with them, so every call compiles from source
+        fresh = [[exprparse.parse_expr(t, names) for t in texts]
+                 for _ in range(LAYER_WORKLOADS[name])]
+        point = {n: 0.01 * (i + 1) for i, n in enumerate(names)}
+
+        def call():
+            trees = fresh.pop()
+            fns = [exprparse._compile(e) for e in trees]
+            return np.array([fn(e, point) for fn, e in zip(fns, trees)]).tobytes()
     elif name == "jacobian-newton-dense":
         inst = workloads.make_instance("newton-dense", 1, 0, tmp)
         resolved = problems.load_problem(inst.calls[0].argv[1])
@@ -115,6 +129,13 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
         def call():
             spec = greens.kernel_from_expression(kernel, 1.0)
             return greens.apply_integral_operator(spec, identity_operator(1), grid).values.tobytes()
+    elif name == "pointwise-fredholm-800":
+        operator = problems.operator_from_expressions(
+            workloads.fredholm_config(1, 0)["operator"], 1)
+        values = np.linspace(-1.0, 1.0, 801)
+
+        def call():
+            return greens._pointwise(operator, values).tobytes()
     elif name == "noisy-certify-1000":
         inst = workloads.make_instance("noisy-certify", 1, 0, tmp)
         solve, certify = inst.calls

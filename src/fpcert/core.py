@@ -45,7 +45,8 @@ class Vector:
         arr = np.array(coords, dtype=float)  # a copy: no caller's array can change it
         if arr.ndim != 1 or arr.size < 1:
             raise CoreError("vector must be one-dimensional with d >= 1, got shape %r" % (arr.shape,))
-        if not np.isfinite(arr).all():
+        # one C call: ndarray.all() goes through numpy's Python-level _methods
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
             raise CoreError("vector entries must be finite, got %r" % (arr,))
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)

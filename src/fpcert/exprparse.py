@@ -13,7 +13,11 @@ callers that evaluate one tree many times (a kernel).  Both conventions come
 from one code template: it does the walk's floating-point operations in the
 walk's order, so it returns the same bits, and when they raise or end
 non-finite it calls the walk itself, which raises, or returns, exactly what
-it would have alone.  Literals reach the code as default arguments, so trees
+it would have alone.  The code nests each operand, parenthesised, in its
+parent's expression, and gives a local only to what must be read as a name:
+the compound operands of a node with a domain test, the result, and an
+operand nested as deep as a fixed bound (_NEST), so that every tree the
+parser accepts compiles.  Literals reach the code as default arguments, so trees
 that differ only in their literals share one code object.  A subtree
 without variables (the 0.3*W of a Jacobian entry, the -w of a kernel) is
 computed once, at compile time, by the walk's own operations, with the same
@@ -433,6 +437,9 @@ _TEMPLATE = ("def expr({params}):\n"
 # the globals of every compiled function: the walk's math, math.pow for ^,
 # and the walk
 _SCOPE = dict(_MATH, pow=math.pow, isfinite=math.isfinite, walk=_walk, __builtins__=builtins)
+# the operator or call levels one line of the code may nest: CPython's parser
+# refuses more than 200 nested parentheses, and a call level opens two
+_NEST = 32
 # generated source -> its code object, kept while some tree's function uses it
 _CODES: "weakref.WeakValueDictionary[str, types.CodeType]" = weakref.WeakValueDictionary()
 
@@ -444,8 +451,11 @@ def _compile(e: Expr, names=None, walk=_walk) -> Callable[..., float]:
 
     Where the operations raise or end non-finite, fn returns walk(e, the
     bindings); walk is the tree walk but for tests that look at the code's
-    own outcome.  The code is straight-line, one assignment per operator or
-    call node, so it compiles however deep the tree.  A subtree without
+    own outcome.  Each operand is nested, parenthesised, into its parent's
+    expression; a local holds only the compound operands of a node with a
+    domain test (_guard), which so reads names and runs nothing twice, the
+    result, which the template reads twice, and an operand _NEST levels
+    deep, so the code compiles however deep the tree.  A subtree without
     variables is computed here, once, by the walk's own operations; a
     literal or such a value reaches the code as the default of a parameter
     c<k>, never as source text: trees that differ only in literals share one
@@ -465,7 +475,8 @@ def _compile(e: Expr, names=None, walk=_walk) -> Callable[..., float]:
             return "a%d" % slot[name] if name in slot else "{}[%r]" % name
     lines: List[str] = []
     consts: List[float] = []
-    result = _operand(_emit(e, lines, consts, read), consts)
+    depth: Dict[str, int] = {}
+    result = _local(lines, _operand(_emit(e, lines, consts, read, depth), consts), depth)
     params += ["c%d" % k for k in range(len(consts))]
     defaults = tuple(consts)
     if names is not None:
@@ -483,10 +494,13 @@ def _compile(e: Expr, names=None, walk=_walk) -> Callable[..., float]:
 
 
 def _emit(e: Expr, lines: List[str], consts: List[float],
-          read: Callable[[str], str]) -> Union[str, float]:
-    """Append the statements computing e to lines; return the operand holding it.
+          read: Callable[[str], str], depth: Dict[str, int]) -> Union[str, float]:
+    """Append the statements e needs to lines; return the operand holding it.
 
-    read(name) is the operand holding the variable name.
+    read(name) is the operand holding the variable name.  An operator or
+    call node becomes one parenthesised expression over its operands'
+    (_nest), which depth maps to the operator or call levels it nests; a
+    name (a variable read, c<k> or a local v<k>) is not in depth.
     A subtree without variables returns its value instead, computed by the
     walk's operations in the walk's order, so with the walk's bits; where
     one of them raises, the subtree stays code, and the walk raises its
@@ -499,11 +513,11 @@ def _emit(e: Expr, lines: List[str], consts: List[float],
         while isinstance(e, Bin):
             spine.append(e)
             e = e.left
-        v = _emit(e, lines, consts, read)
+        v = _emit(e, lines, consts, read, depth)
         for node in reversed(spine):
             if node.op not in _OPS:
                 raise ExprError("unknown operator %r" % node.op, node.pos)
-            l, r = v, _emit(node.right, lines, consts, read)
+            l, r = v, _emit(node.right, lines, consts, read, depth)
             if not isinstance(l, str) and not isinstance(r, str):
                 try:
                     v = _binary(node, l, r)
@@ -512,9 +526,10 @@ def _emit(e: Expr, lines: List[str], consts: List[float],
                     pass
             guard = _guard(node.op, r)
             l, r = _operand(l, consts), _operand(r, consts)
-            if guard:
+            if guard:  # the guard reads names, and each operand runs once
+                l, r = _local(lines, l, depth), _local(lines, r, depth)
                 lines.append(guard.format(l=l, r=r))
-            v = _assign(lines, _OPS[node.op].format(l=l, r=r))
+            v = _nest(lines, depth, _OPS[node.op], l=l, r=r)
         return v
     if isinstance(e, Lit):
         if isinstance(e.value, str):  # only code is a str here; leave the tree to the walk
@@ -523,18 +538,18 @@ def _emit(e: Expr, lines: List[str], consts: List[float],
     if isinstance(e, Var):
         return read(e.name)
     if isinstance(e, Neg):
-        x = _emit(e.operand, lines, consts, read)
-        return _assign(lines, "-" + x) if isinstance(x, str) else -x
+        x = _emit(e.operand, lines, consts, read, depth)
+        return _nest(lines, depth, "-{x}", x=x) if isinstance(x, str) else -x
     if isinstance(e, Call):
         if e.fn not in _MATH:
             raise ExprError("unknown function %r" % e.fn, e.pos)
-        x = _emit(e.arg, lines, consts, read)
+        x = _emit(e.arg, lines, consts, read, depth)
         if not isinstance(x, str):
             try:
                 return _call(e, x)
             except ExprError:
                 x = _operand(x, consts)
-        return _assign(lines, "%s(%s)" % (e.fn, x))
+        return _nest(lines, depth, e.fn + "({x})", x=x)
     raise ExprError("unknown node %r" % (e,))
 
 
@@ -574,6 +589,22 @@ def _assign(lines: List[str], value: str) -> str:
     name = "v%d" % len(lines)
     lines.append("%s = %s" % (name, value))
     return name
+
+
+def _local(lines: List[str], x: str, depth: Dict[str, int]) -> str:
+    """The operand x as a name: a compound one is assigned to a local first."""
+    return _assign(lines, x) if x in depth else x
+
+
+def _nest(lines: List[str], depth: Dict[str, int], form: str, **operands: str) -> str:
+    """form over the operands, parenthesised, one level deeper than the deepest;
+    an operand already _NEST levels deep is assigned to a local first."""
+    for k, x in operands.items():
+        if depth.get(x, 0) >= _NEST:
+            operands[k] = _assign(lines, x)
+    code = "(%s)" % form.format(**operands)
+    depth[code] = 1 + max(depth.get(x, 0) for x in operands.values())
+    return code
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

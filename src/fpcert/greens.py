@@ -16,8 +16,7 @@ first evaluation too, so an entry costs one call of the kernel's function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -104,12 +103,15 @@ class KernelSpec:
             raise GreensError("T_end must be positive")
         if self.kind == "expression" and self.expr is None:
             raise GreensError("expression kernel needs a parsed expression")
+        # a plain attribute, read per entry: the stub until the first evaluation
+        object.__setattr__(self, "_kernel", self._first)
 
-    @cached_property
-    def _kernel(self) -> Callable[[float, float], float]:
-        if self.kind == "volterra_unit":
-            return _unit_kernel
-        return bind(self.expr, ("t", "s"))
+    def _first(self, t: float, s: float) -> float:
+        """The _kernel before the kernel's function: picks it, keeps it as
+        _kernel and calls it."""
+        kernel = _unit_kernel if self.kind == "volterra_unit" else bind(self.expr, ("t", "s"))
+        object.__setattr__(self, "_kernel", kernel)
+        return kernel(t, s)
 
     def evaluate(self, t: float, s: float) -> float:
         try:

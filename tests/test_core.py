@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fpcert.core import (BallDomain, CoreError, NormKind, OperatorSpec, Vector,
                          gateaux_fd, identity_operator, matrix_norm, matrix_of,
@@ -26,6 +28,24 @@ def test_vector_rejects_non_finite():
         Vector([math.inf])
     with pytest.raises(CoreError):
         Vector([])
+
+
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from((-0.0, 5e-324, -2.2e-308, sys.float_info.max, -sys.float_info.max)))
+
+
+@given(coords=st.lists(FINITE, min_size=1, max_size=64), data=st.data())
+def test_vector_refuses_exactly_the_non_finite(coords, data):
+    arr = np.array(coords)
+    v = Vector(arr)
+    # a read-only copy with every entry's bits, signed zeros and subnormals too
+    assert [x.hex() for x in v.coords.tolist()] == [x.hex() for x in coords]
+    assert not v.coords.flags.writeable and not np.shares_memory(v.coords, arr)
+    k = data.draw(st.integers(0, len(coords) - 1))
+    coords[k] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    with pytest.raises(CoreError) as exc:
+        Vector(coords)
+    assert str(exc.value) == "vector entries must be finite, got %r" % (np.array(coords),)
 
 
 def test_vector_is_immutable():

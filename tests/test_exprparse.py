@@ -3,11 +3,13 @@ import gc
 import inspect
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpcert import exprparse
 from fpcert.exprparse import (MAX_DEPTH, Bin, Call, EvalDomainError, ExprSyntaxError,
                               FUNCTIONS, Lit, Neg, UnknownVariableError, Var,
                               _CODES, _compile, _walk, bind, eval_expr, parse_expr, to_text)
@@ -297,15 +299,22 @@ def test_round_trip_preserves_grouping():
 LITERALS = (0.0, -0.0, 1e-320, 1e308, float("1e999"), -2.0, -0.5, 0.5, 1.5, 2.0, 3.0, 1e300)
 VALUES = (0.0, -0.0, 1e-320, 0.5, -0.5, 2.0, -3.0, 1e308, -1e308)
 POS = st.integers(0, 40)
-TREES = st.recursive(
-    st.builds(Lit, st.sampled_from(LITERALS), POS) | st.builds(Var, st.sampled_from("xy"), POS),
-    lambda sub: (st.builds(Neg, sub, POS)
-                 | st.builds(Bin, st.sampled_from("+-*/^"), sub, sub, POS)
-                 | st.builds(Call, st.sampled_from(FUNCTIONS), sub, POS)
-                 | st.builds(Call, st.sampled_from(("exp", "log", "sqrt")),
-                             st.builds(Call, st.sampled_from(("exp", "log", "sqrt")), sub, POS),
-                             POS)),
-    max_leaves=12)
+
+
+def trees(max_leaves):
+    return st.recursive(
+        st.builds(Lit, st.sampled_from(LITERALS), POS) | st.builds(Var, st.sampled_from("xy"), POS),
+        lambda sub: (st.builds(Neg, sub, POS)
+                     | st.builds(Bin, st.sampled_from("+-*/^"), sub, sub, POS)
+                     | st.builds(Call, st.sampled_from(FUNCTIONS), sub, POS)
+                     | st.builds(Call, st.sampled_from(("exp", "log", "sqrt")),
+                                 st.builds(Call, st.sampled_from(("exp", "log", "sqrt")), sub,
+                                           POS),
+                                 POS)),
+        max_leaves=max_leaves)
+
+
+TREES = trees(12)
 
 
 def outcome(fn, *args):
@@ -352,6 +361,16 @@ def test_bound_function_is_the_walk_bit_for_bit(e, x, y):
     assert outcome(bind(e, ("y", "x")), y, x) == outcome(_walk, e, {"x": x, "y": y})
 
 
+@settings(max_examples=100, deadline=None)
+@given(e=trees(60), x=st.sampled_from(VALUES), y=st.sampled_from(VALUES),
+       nest=st.integers(1, 4))
+def test_compiled_evaluation_of_large_trees_is_the_walk_bit_for_bit(e, x, y, nest):
+    # random trees stay far below the nesting bound of one line of code, so
+    # lower it here, so that their code crosses it
+    with mock.patch.object(exprparse, "_NEST", nest):
+        check_compiled_matches_walk(e, {"x": x, "y": y})
+
+
 # keyed by repr, so that -0.0 is not merged into 0.0
 EDGES = sorted({repr(v): v for v in LITERALS + VALUES + (-math.inf, math.nan)}.values(),
                key=repr)
@@ -388,7 +407,7 @@ def test_compiled_functions_match_walk_on_every_edge(fn):
 
 
 @pytest.mark.parametrize("e, env", [
-    # 1000 terms: far deeper than a nested emitter or a recursive walk allows
+    # 1000 terms: far deeper than one line of code or a recursive walk allows
     (parse_expr(" + ".join("%d.5*x" % i for i in range(1000)), ("x",)), {"x": 1.0}),
     # math.pow(-0.5, inf) is 0.0, but the walk refuses a negative base
     (parse_expr("(-0.5)^(1e308*10)", ()), {}),
@@ -462,6 +481,43 @@ def test_literal_exponents_are_tested_at_compile_time():
     for text, line in cases.items():
         assert guards(_compile(parse_expr(text, ("x1",)))) == [line], text
     assert guards(bind(parse_expr("t^-1", ("t",)), ("t",))) == ["if a0 == 0.0: raise ValueError"]
+
+
+def test_kernel_code_is_one_nested_line():
+    kernel = parse_expr("0.3*exp(-1.7*(t - s)^2)", ("t", "s"))
+    fn = bind(kernel, ("t", "s"))
+    assigned = [line.strip() for line in source_of(fn).splitlines() if " = " in line]
+    assert assigned == ["v0 = (c2 * (exp((c1 * (pow((a0 - a1), c0))))))"]
+    assert guards(fn) == []
+
+
+def test_guarded_denominator_is_assigned_once_before_its_test():
+    source = source_of(_compile(parse_expr("(x1 + 1)/(x1 - 1)", ("x1",))))
+    lines = [line.strip() for line in source.splitlines()]
+    assert source.count("(b['x1'] - c1)") == 1
+    k = next(i for i, line in enumerate(lines) if line.endswith(" = (b['x1'] - c1)"))
+    name = lines[k].split(" = ")[0]
+    assert lines[k + 1] == "if %s == 0.0: raise ZeroDivisionError" % name
+
+
+DEEPEST = dict({shape: text(MAX_DEPTH) for shape, (text, _) in NESTINGS.items()}, **{
+    "sum-1000": " + ".join("%d.5*x" % i for i in range(1000)),
+    "right-sum-100": "x + (" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+    "right-product-100": "x * (" * MAX_DEPTH + "x" + ")" * MAX_DEPTH})
+
+
+@pytest.mark.parametrize("shape", sorted(DEEPEST))
+def test_every_accepted_tree_compiles(shape):
+    # a tree the compiler refuses falls back to the walk, which would lose
+    # only speed; so check that each of the deepest trees got its own code
+    e = parse_expr(DEEPEST[shape], ("x",))
+    want = outcome(_walk, e, {"x": 0.5})
+    assert want[0] == "value"
+    assert [outcome(eval_expr, e, {"x": 0.5}) for _ in range(2)] == [want] * 2
+    assert e._fn is not _walk
+    fn = bind(e, ("x",))
+    assert fn.__code__ in _CODES.values()
+    assert outcome(fn, 0.5) == want
 
 
 def test_thousand_term_sum_evaluates():

@@ -6,7 +6,7 @@ import pytest
 from fpcert import greens
 from fpcert.cli import main
 from fpcert.core import OperatorSpec, Vector
-from fpcert.exprparse import _walk
+from fpcert.exprparse import _CODES, _walk
 from fpcert.greens import (GreensError, GridFunction, KernelSpec, _kernel_quadrature,
                            apply_integral_operator, bound_propagate,
                            build_volterra_kernel, kernel_from_expression,
@@ -82,7 +82,7 @@ def test_expression_kernel_domain_error_names_the_point():
 
 def test_volterra_kernel_evaluates_through_its_function(monkeypatch):
     k = build_volterra_kernel(1.0)
-    assert "_kernel" not in vars(k)
+    assert vars(k)["_kernel"] == k._first
     assert [k.evaluate(0.5, s) for s in (0.3, 0.5, 0.7)] == [1.0, 1.0, 0.0]
     assert vars(k)["_kernel"] is greens._unit_kernel
     # evaluate reads the kind no more: it calls the function picked once
@@ -96,9 +96,10 @@ def test_resolving_picks_no_kernel_function(tmp_path, source):
         source = tmp_path / "p.yaml"
         source.write_text(_FREDHOLM)
     spec = load_problem(str(source)).integral.kernel()
-    assert "_kernel" not in vars(spec)
+    assert vars(spec)["_kernel"] == spec._first
     spec.evaluate(0.25, 0.5)
-    assert "_kernel" in vars(spec)
+    assert vars(spec)["_kernel"] != spec._first
+    assert (vars(spec)["_kernel"] is greens._unit_kernel) == (spec.kind == "volterra_unit")
 
 
 def test_failing_expression_kernel_names_the_point_at_every_evaluation():
@@ -260,7 +261,7 @@ def test_kernel_code_is_bound_at_the_first_evaluation_only(monkeypatch, tmp_path
     src = tmp_path / "p.yaml"
     src.write_text(_FREDHOLM)
     spec = load_problem(str(src)).integral.kernel()
-    assert binds == [] and "_kernel" not in vars(spec)
+    assert binds == [] and vars(spec)["_kernel"] == spec._first
     out = tmp_path / "o"
     assert main(["run", str(src), "--out", str(out)]) == 0
     assert binds == [("t", "s")]  # one bind for the run's every quadrature
@@ -268,8 +269,13 @@ def test_kernel_code_is_bound_at_the_first_evaluation_only(monkeypatch, tmp_path
     assert main(["certify", str(src), "--trace", str(out)]) == 1
     assert binds == [("t", "s")]
     spec.evaluate(0.5, 0.25)
+    bound = vars(spec)["_kernel"]
+    assert bound.__code__ in _CODES.values()
     spec.evaluate(0.25, 0.5)
-    assert binds == [("t", "s")] * 2 and "_kernel" in vars(spec)
+    assert binds == [("t", "s")] * 2 and vars(spec)["_kernel"] is bound
+    # later evaluations call the bound function itself
+    monkeypatch.setitem(vars(spec), "_kernel", lambda t, s: 2.5)
+    assert spec.evaluate(0.25, 0.5) == 2.5
 
 
 def walked_evaluate(self, t, s):
