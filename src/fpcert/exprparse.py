@@ -418,12 +418,13 @@ def _binary(e: Bin, l: float, r: float) -> float:
 
 # -- compiled evaluation ------------------------------------------------
 
-# Each operator as Python source over its operands; _guard puts the walk's
+# Each operator as Python source around its operands, parenthesised:
+# (prefix, infix, suffix); _guard puts the walk's
 # domain predicates in front of / and ^, and any exception they raise sends
 # the code to the walk.  log and sqrt need no such line: math raises on
 # exactly the walk's predicates (x <= 0, x < 0).
-_OPS = {"+": "{l} + {r}", "-": "{l} - {r}", "*": "{l} * {r}", "/": "{l} / {r}",
-        "^": "pow({l}, {r})"}
+_OPS = {"+": ("(", " + ", ")"), "-": ("(", " - ", ")"), "*": ("(", " * ", ")"),
+        "/": ("(", " / ", ")"), "^": ("(pow(", ", ", "))")}
 # The one template of compiled code, for both conventions: the walk's
 # operations inside try, their value if finite, and otherwise the walk.
 _TEMPLATE = ("def expr({params}):\n"
@@ -475,8 +476,8 @@ def _compile(e: Expr, names=None, walk=_walk) -> Callable[..., float]:
             return "a%d" % slot[name] if name in slot else "{}[%r]" % name
     lines: List[str] = []
     consts: List[float] = []
-    depth: Dict[str, int] = {}
-    result = _local(lines, _operand(_emit(e, lines, consts, read, depth), consts), depth)
+    result, levels = _emit(e, lines, consts, read)
+    result = _assign(lines, result) if levels else _operand(result, consts)
     params += ["c%d" % k for k in range(len(consts))]
     defaults = tuple(consts)
     if names is not None:
@@ -494,13 +495,12 @@ def _compile(e: Expr, names=None, walk=_walk) -> Callable[..., float]:
 
 
 def _emit(e: Expr, lines: List[str], consts: List[float],
-          read: Callable[[str], str], depth: Dict[str, int]) -> Union[str, float]:
-    """Append the statements e needs to lines; return the operand holding it.
+          read: Callable[[str], str]) -> Tuple[Union[str, float], int]:
+    """Append the statements e needs to lines; return the operand holding it
+    and the operator or call levels that operand nests, 0 for a name.
 
     read(name) is the operand holding the variable name.  An operator or
-    call node becomes one parenthesised expression over its operands'
-    (_nest), which depth maps to the operator or call levels it nests; a
-    name (a variable read, c<k> or a local v<k>) is not in depth.
+    call node becomes one parenthesised expression over its operands.
     A subtree without variables returns its value instead, computed by the
     walk's operations in the walk's order, so with the walk's bits; where
     one of them raises, the subtree stays code, and the walk raises its
@@ -513,43 +513,53 @@ def _emit(e: Expr, lines: List[str], consts: List[float],
         while isinstance(e, Bin):
             spine.append(e)
             e = e.left
-        v = _emit(e, lines, consts, read, depth)
+        l, dl = _emit(e, lines, consts, read)
         for node in reversed(spine):
             if node.op not in _OPS:
                 raise ExprError("unknown operator %r" % node.op, node.pos)
-            l, r = v, _emit(node.right, lines, consts, read, depth)
+            r, dr = _emit(node.right, lines, consts, read)
             if not isinstance(l, str) and not isinstance(r, str):
                 try:
-                    v = _binary(node, l, r)
+                    l = _binary(node, l, r)
                     continue
                 except ExprError:
                     pass
             guard = _guard(node.op, r)
             l, r = _operand(l, consts), _operand(r, consts)
             if guard:  # the guard reads names, and each operand runs once
-                l, r = _local(lines, l, depth), _local(lines, r, depth)
+                if dl:
+                    l, dl = _assign(lines, l), 0
+                if dr:
+                    r, dr = _assign(lines, r), 0
                 lines.append(guard.format(l=l, r=r))
-            v = _nest(lines, depth, _OPS[node.op], l=l, r=r)
-        return v
+            l, dl = _shallow(lines, l, dl)
+            r, dr = _shallow(lines, r, dr)
+            prefix, infix, suffix = _OPS[node.op]
+            l, dl = prefix + l + infix + r + suffix, (dl if dl > dr else dr) + 1
+        return l, dl
     if isinstance(e, Lit):
         if isinstance(e.value, str):  # only code is a str here; leave the tree to the walk
             raise ExprError("literal %r is no number" % (e.value,), e.pos)
-        return e.value
+        return e.value, 0
     if isinstance(e, Var):
-        return read(e.name)
+        return read(e.name), 0
     if isinstance(e, Neg):
-        x = _emit(e.operand, lines, consts, read, depth)
-        return _nest(lines, depth, "-{x}", x=x) if isinstance(x, str) else -x
+        x, d = _emit(e.operand, lines, consts, read)
+        if not isinstance(x, str):
+            return -x, 0
+        x, d = _shallow(lines, x, d)
+        return "(-" + x + ")", d + 1
     if isinstance(e, Call):
         if e.fn not in _MATH:
             raise ExprError("unknown function %r" % e.fn, e.pos)
-        x = _emit(e.arg, lines, consts, read, depth)
+        x, d = _emit(e.arg, lines, consts, read)
         if not isinstance(x, str):
             try:
-                return _call(e, x)
+                return _call(e, x), 0
             except ExprError:
                 x = _operand(x, consts)
-        return _nest(lines, depth, e.fn + "({x})", x=x)
+        x, d = _shallow(lines, x, d)
+        return "(" + e.fn + "(" + x + "))", d + 1
     raise ExprError("unknown node %r" % (e,))
 
 
@@ -591,20 +601,10 @@ def _assign(lines: List[str], value: str) -> str:
     return name
 
 
-def _local(lines: List[str], x: str, depth: Dict[str, int]) -> str:
-    """The operand x as a name: a compound one is assigned to a local first."""
-    return _assign(lines, x) if x in depth else x
-
-
-def _nest(lines: List[str], depth: Dict[str, int], form: str, **operands: str) -> str:
-    """form over the operands, parenthesised, one level deeper than the deepest;
-    an operand already _NEST levels deep is assigned to a local first."""
-    for k, x in operands.items():
-        if depth.get(x, 0) >= _NEST:
-            operands[k] = _assign(lines, x)
-    code = "(%s)" % form.format(**operands)
-    depth[code] = 1 + max(depth.get(x, 0) for x in operands.values())
-    return code
+def _shallow(lines: List[str], x: str, levels: int) -> Tuple[str, int]:
+    """The operand x nesting levels deep, or a local holding it where one
+    more level would nest deeper than _NEST."""
+    return (_assign(lines, x), 0) if levels >= _NEST else (x, levels)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
