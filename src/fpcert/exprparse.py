@@ -418,11 +418,11 @@ def _binary(e: Bin, l: float, r: float) -> float:
 
 # -- compiled evaluation ------------------------------------------------
 
-# Each operator as Python source around its operands, parenthesised:
-# (prefix, infix, suffix); _guard puts the walk's
-# domain predicates in front of / and ^, and any exception they raise sends
-# the code to the walk.  log and sqrt need no such line: math raises on
-# exactly the walk's predicates (x <= 0, x < 0).
+# Each operator as the (prefix, infix, suffix) of Python source around its
+# operands, parenthesised; _guard puts the walk's domain predicates in front
+# of / and ^, and any exception they raise sends the code to the walk.  log
+# and sqrt need no such line: math raises on exactly the walk's predicates
+# (x <= 0, x < 0).
 _OPS = {"+": ("(", " + ", ")"), "-": ("(", " - ", ")"), "*": ("(", " * ", ")"),
         "/": ("(", " / ", ")"), "^": ("(pow(", ", ", "))")}
 # The one template of compiled code, for both conventions: the walk's
@@ -535,7 +535,7 @@ def _emit(e: Expr, lines: List[str], consts: List[float],
             l, dl = _shallow(lines, l, dl)
             r, dr = _shallow(lines, r, dr)
             prefix, infix, suffix = _OPS[node.op]
-            l, dl = prefix + l + infix + r + suffix, (dl if dl > dr else dr) + 1
+            l, dl = prefix + l + infix + r + suffix, max(dl, dr) + 1
         return l, dl
     if isinstance(e, Lit):
         if isinstance(e.value, str):  # only code is a str here; leave the tree to the walk
