@@ -40,8 +40,8 @@ CPU, as `bench/run.py` does.  Rounds alternate which side goes
 first, as the pairs do.  The JSON holds each side's per-round medians with
 their median and quartiles, the rounds the change won, and whether every
 output of both sides was bit-equal; the exit code is 1 if one was not.
-Its LAYER_ROUNDS = 5 rounds took under 2 minutes on the host above, where
-the pinned rounds of one side spread by about 10%.
+Its LAYER_ROUNDS = 5 rounds of the six workloads took 23 s on the host
+above, where the pinned rounds of one side spread by up to about 10%.
 """
 from __future__ import annotations
 

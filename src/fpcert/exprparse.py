@@ -17,8 +17,8 @@ it would have alone.  The code nests each operand, parenthesised, in its
 parent's expression, and gives a local only to what must be read as a name:
 the compound operands of a node with a domain test, the result, and an
 operand nested as deep as a fixed bound (_NEST), so that every tree the
-parser accepts compiles.  Literals reach the code as default arguments, so trees
-that differ only in their literals share one code object.  A subtree
+parser accepts compiles.  Literals reach the code as default arguments, so
+trees that differ only in their literals share one code object.  A subtree
 without variables (the 0.3*W of a Jacobian entry, the -w of a kernel) is
 computed once, at compile time, by the walk's own operations, with the same
 bits.  So is the walk's test of an exponent known at compile time: x^2 runs
@@ -453,10 +453,10 @@ def _compile(e: Expr, names=None, walk=_walk) -> Callable[..., float]:
     Where the operations raise or end non-finite, fn returns walk(e, the
     bindings); walk is the tree walk but for tests that look at the code's
     own outcome.  Each operand is nested, parenthesised, into its parent's
-    expression; a local holds only the compound operands of a node with a
-    domain test (_guard), which so reads names and runs nothing twice, the
-    result, which the template reads twice, and an operand _NEST levels
-    deep, so the code compiles however deep the tree.  A subtree without
+    expression.  A local holds only the compound operands of a node with a
+    domain test (_guard), so that the test reads names and nothing runs
+    twice; the result, which the template reads twice; and an operand _NEST
+    levels deep, so that the code compiles however deep the tree.  A subtree without
     variables is computed here, once, by the walk's own operations; a
     literal or such a value reaches the code as the default of a parameter
     c<k>, never as source text: trees that differ only in literals share one

@@ -98,8 +98,11 @@ def test_resolving_picks_no_kernel_function(tmp_path, source):
     spec = load_problem(str(source)).integral.kernel()
     assert vars(spec)["_kernel"] == spec._first
     spec.evaluate(0.25, 0.5)
-    assert vars(spec)["_kernel"] != spec._first
-    assert (vars(spec)["_kernel"] is greens._unit_kernel) == (spec.kind == "volterra_unit")
+    kernel = vars(spec)["_kernel"]
+    if spec.kind == "volterra_unit":
+        assert kernel is greens._unit_kernel
+    else:
+        assert kernel.__code__ in _CODES.values()
 
 
 def test_failing_expression_kernel_names_the_point_at_every_evaluation():
