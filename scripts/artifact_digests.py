@@ -23,16 +23,21 @@ lines.  The pipelines are:
   sigma and a contraction eps table whose entry past horizon 200 is zero,
   which no certificate at that horizon may read, a newton problem whose
   operator and derivative use every token and node kind of the expression
-  grammar, and a contraction and a newton problem with a malformed
-  `derivative` entry, which `run` rejects before any output;
+  grammar, a contraction and a newton problem with a malformed
+  `derivative` entry, which `run` rejects before any output, and a
+  contraction whose operator subtracts literals and literal-led products
+  with coefficients -0.0, 5e-324 and +-1e308 (the forms the compiled code
+  turns into additions), stopped after 14 steps, and run on until, at step
+  15, its `5e-324*exp(x1)` overflows and the walk reports it;
 - file problems that between them set every key of every problem-file block
   (`constants` with `M_star`/`K_star`, an estimate block with all four
   settings, `stop.r_tol`, a damped root `gamma` with
   `alpha`, an integral block with an expression kernel), each `run` then
   `certify` with all five regimes at horizon 200.
 
-Exit codes are printed too, or the exception a call raised; paths are relative
-to OUT_DIR.
+Exit codes are printed too, with the last line a call wrote to stderr (the
+error a failing `run` reports), or the exception a call raised; paths are
+relative to OUT_DIR.
 """
 from __future__ import annotations
 
@@ -115,6 +120,14 @@ def extra_problems():
                        ["\t.5*x1*(1  +  x1^2)^-2", "-(-0)"]],
         "x0": [0.0, 0.0], "scheme": "newton", "constants": ESTIMATE,
         "stop": {"max_n": 30, "residual_tol": 1e-13}}
+    # x1 grows about 1.5-fold a step, until exp(x1) overflows at step 15;
+    # stopped one step before, the run writes a trace to certify
+    for max_n in (14, 40):
+        yield "subtracted-literals-max%d" % max_n, {
+            "operator": "1 + 2.5*x1 - (1e300*x1 - 1e308 - -1e308)*1e-300 - -0.0 - 5e-324"
+                        " - -0.0*x1 - 5e-324*x1 - 1e308*(1e-308*x1) - -1e308*(1e-308*x1)"
+                        " - 5e-324*exp(x1)",
+            "x0": 0.0, "constants": {"M": 0.5}, "stop": {"max_n": max_n}}
     for scheme in ("contraction", "newton"):
         yield "bad-derivative-%s" % scheme, {
             "operator": ["0.3*cos(x2)", "0.3*sin(x1)"],
@@ -158,12 +171,15 @@ def main(argv) -> int:
     import workloads
 
     def call(argv):
+        err = io.StringIO()
         try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 outcome = "exit %d" % cli_main(argv)
         except Exception as exc:  # an outcome to compare, not a reason to stop
             outcome = "raised %s" % type(exc).__name__
+        lines = err.getvalue().splitlines()
+        if lines:
+            outcome += " (%s)" % lines[-1].replace(str(out), "OUT")
         print("%s: %s" % (outcome, " ".join(a.replace(str(out), "OUT") for a in argv)))
 
     def run_and_certify(d, problem, horizons):

@@ -35,8 +35,11 @@ each building two Vectors) and noisy-certify's `certify` at horizon
 1000.  Every workload runs in a fresh process per side and round, which
 imports its side's `src/fpcert` and `bench/workloads.py`, makes the
 untimed setup, then times the number of calls LAYER_WORKLOADS gives and
-reports their median and a sha256 of the last call's output; it runs on one
-CPU, as `bench/run.py` does.  Rounds alternate which side goes
+reports their median and a sha256 of the last call's output, which is
+serialized after the timed calls (the parse workload's `repr` of its trees
+took about a third of its time; the parse numbers in `BENCH_17_layers.json`
+to `BENCH_19_layers.json` include it); it runs on one CPU, as
+`bench/run.py` does.  Rounds alternate which side goes
 first, as the pairs do.  The JSON holds each side's per-round medians with
 their median and quartiles, the rounds the change won, and whether every
 output of both sides was bit-equal; the exit code is 1 if one was not.
@@ -102,9 +105,15 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
     cfg = workloads.newton_dense_config(np.random.default_rng([1, 0]))
     names = ["x%d" % (i + 1) for i in range(cfg["dim"])]
     texts = cfg["operator"] + [t for row in cfg["derivative"] for t in row]
+    # call() does the work and returns its output; encode turns the last
+    # output into the bytes that are hashed, outside the timed calls
+    encode = np.ndarray.tobytes
     if name == "parse-newton-dense":
         def call():
-            return repr([exprparse.parse_expr(t, names) for t in texts]).encode()
+            return [exprparse.parse_expr(t, names) for t in texts]
+
+        def encode(trees):
+            return repr(trees).encode()
     elif name == "compile-newton-dense":
         # fresh trees per call; the code objects of one call's functions are
         # freed with them, so every call compiles from source
@@ -115,27 +124,30 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
         def call():
             trees = fresh.pop()
             fns = [exprparse._compile(e) for e in trees]
-            return np.array([fn(e, point) for fn, e in zip(fns, trees)]).tobytes()
+            return [fn(e, point) for fn, e in zip(fns, trees)]
+
+        def encode(values):
+            return np.array(values).tobytes()
     elif name == "jacobian-newton-dense":
         inst = workloads.make_instance("newton-dense", 1, 0, tmp)
         resolved = problems.load_problem(inst.calls[0].argv[1])
 
         def call():
-            return resolved.operator.jacobian(resolved.x0).tobytes()
+            return resolved.operator.jacobian(resolved.x0)
     elif name == "kernel-matrix-800":
         kernel = workloads.fredholm_config(1, 0)["integral"]["kernel"]
         grid = greens.GridFunction.uniform(1.0, 800, fill=1.0)
 
         def call():
             spec = greens.kernel_from_expression(kernel, 1.0)
-            return greens.apply_integral_operator(spec, identity_operator(1), grid).values.tobytes()
+            return greens.apply_integral_operator(spec, identity_operator(1), grid).values
     elif name == "pointwise-fredholm-800":
         operator = problems.operator_from_expressions(
             workloads.fredholm_config(1, 0)["operator"], 1)
         values = np.linspace(-1.0, 1.0, 801)
 
         def call():
-            return greens._pointwise(operator, values).tobytes()
+            return greens._pointwise(operator, values)
     elif name == "noisy-certify-1000":
         inst = workloads.make_instance("noisy-certify", 1, 0, tmp)
         solve, certify = inst.calls
@@ -148,6 +160,8 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
         def call():
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(argv)
+
+        def encode(_):
             return report.read_bytes()
     else:
         raise ValueError("unknown layer workload %r" % name)
@@ -157,7 +171,7 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
         out = call()
         times.append(time.perf_counter() - start)
     return {"median_s": statistics.median(times), "times_s": times,
-            "output_sha256": hashlib.sha256(out).hexdigest()}
+            "output_sha256": hashlib.sha256(encode(out)).hexdigest()}
 
 
 def run_layer(side: Path, name: str) -> dict:

@@ -17,8 +17,14 @@ it would have alone.  The code nests each operand, parenthesised, in its
 parent's expression, and gives a local only to what must be read as a name:
 the compound operands of a node with a domain test, the result, and an
 operand nested as deep as a fixed bound (_NEST), so that every tree the
-parser accepts compiles.  Literals reach the code as default arguments, so
-trees that differ only in their literals share one code object.  A subtree
+parser accepts compiles.  Literals reach the code as default arguments, and
+so do, for eval_expr, the names of the variables it reads; a subtracted
+value runs as an addition, l - c as l + (-c) and l - c*X as l + (-c)*X,
+with the same bits.  So trees that differ only in their literals, in the
+signs of the values they subtract, or, for eval_expr, in their variable
+names share one code object: the 30 rows of a dense operator whose
+coefficients differ in sign share one, and so do the 900 entries of its
+Jacobian, 0.3*W*cos(x<j>).  A subtree
 without variables (the 0.3*W of a Jacobian entry, the -w of a kernel) is
 computed once, at compile time, by the walk's own operations, with the same
 bits.  So is the walk's test of an exponent known at compile time: x^2 runs
@@ -447,8 +453,9 @@ _CODES: "weakref.WeakValueDictionary[str, types.CodeType]" = weakref.WeakValueDi
 
 def _compile(e: Expr, names=None, walk=_walk) -> Callable[..., float]:
     """A function doing the walk's operations on e in order, in one of two
-    conventions: fn(e, b), reading the variable x as b['x'] (eval_expr's),
-    or, given names, fn(a0, a1, ...), reading names[k] as a<k> (bind's).
+    conventions: fn(e, b), reading each variable as b[n<k>], the parameter
+    n<k> defaulting to its name (eval_expr's), or, given names,
+    fn(a0, a1, ...), reading names[k] as a<k> (bind's).
 
     Where the operations raise or end non-finite, fn returns walk(e, the
     bindings); walk is the tree walk but for tests that look at the code's
@@ -459,14 +466,19 @@ def _compile(e: Expr, names=None, walk=_walk) -> Callable[..., float]:
     levels deep, so that the code compiles however deep the tree.  A subtree without
     variables is computed here, once, by the walk's own operations; a
     literal or such a value reaches the code as the default of a parameter
-    c<k>, never as source text: trees that differ only in literals share one
-    code object, and 0.0 and -0.0 keep their own signs.
+    c<k>, never as source text, and a subtracted one as its negation, added
+    (_bin).  So the code depends on e's shape alone: trees that differ only
+    in literals, in the signs of the values they subtract or, in eval_expr's
+    convention, in variable names share one code object, and 0.0 and -0.0
+    keep their own signs.
     """
+    keys: List[str] = []
     if names is None:
         params, env = ["e", "b"], "b"
 
-        def read(name):
-            return "b[%r]" % name
+        def read(name):  # the key reaches the code as the default of n<k>, as a literal does
+            keys.append(name)
+            return "b[n%d]" % (len(keys) - 1)
     else:
         slot = {n: k for k, n in enumerate(names)}
         params = ["a%d" % k for k in range(len(names))]
@@ -478,8 +490,8 @@ def _compile(e: Expr, names=None, walk=_walk) -> Callable[..., float]:
     consts: List[float] = []
     result, levels = _emit(e, lines, consts, read)
     result = _assign(lines, result) if levels else _operand(result, consts)
-    params += ["c%d" % k for k in range(len(consts))]
-    defaults = tuple(consts)
+    params += ["c%d" % k for k in range(len(consts))] + ["n%d" % k for k in range(len(keys))]
+    defaults = tuple(consts) + tuple(keys)
     if names is not None:
         params.append("e")
         defaults += (e,)
@@ -500,7 +512,8 @@ def _emit(e: Expr, lines: List[str], consts: List[float],
     and the operator or call levels that operand nests, 0 for a name.
 
     read(name) is the operand holding the variable name.  An operator or
-    call node becomes one parenthesised expression over its operands.
+    call node becomes one parenthesised expression over its operands (_bin);
+    l - c*X, c a value, becomes l + (-c)*X, so its factors are emitted here.
     A subtree without variables returns its value instead, computed by the
     walk's operations in the walk's order, so with the walk's bits; where
     one of them raises, the subtree stays code, and the walk raises its
@@ -517,25 +530,16 @@ def _emit(e: Expr, lines: List[str], consts: List[float],
         for node in reversed(spine):
             if node.op not in _OPS:
                 raise ExprError("unknown operator %r" % node.op, node.pos)
-            r, dr = _emit(node.right, lines, consts, read)
-            if not isinstance(l, str) and not isinstance(r, str):
-                try:
-                    l = _binary(node, l, r)
-                    continue
-                except ExprError:
-                    pass
-            guard = _guard(node.op, r)
-            l, r = _operand(l, consts), _operand(r, consts)
-            if guard:  # the guard reads names, and each operand runs once
-                if dl:
-                    l, dl = _assign(lines, l), 0
-                if dr:
-                    r, dr = _assign(lines, r), 0
-                lines.append(guard.format(l=l, r=r))
-            l, dl = _shallow(lines, l, dl)
-            r, dr = _shallow(lines, r, dr)
-            prefix, infix, suffix = _OPS[node.op]
-            l, dl = prefix + l + infix + r + suffix, max(dl, dr) + 1
+            op, right = node.op, node.right
+            if op == "-" and right.__class__ is Bin and right.op == "*":
+                c, dc = _emit(right.left, lines, consts, read)
+                x, dx = _emit(right.right, lines, consts, read)
+                if isinstance(x, str) and not isinstance(c, str):
+                    op, c = "+", -c
+                r, dr = _bin(right, "*", c, dc, x, dx, lines, consts)
+            else:
+                r, dr = _emit(right, lines, consts, read)
+            l, dl = _bin(node, op, l, dl, r, dr, lines, consts)
         return l, dl
     if isinstance(e, Lit):
         if isinstance(e.value, str):  # only code is a str here; leave the tree to the walk
@@ -561,6 +565,38 @@ def _emit(e: Expr, lines: List[str], consts: List[float],
         x, d = _shallow(lines, x, d)
         return "(" + e.fn + "(" + x + "))", d + 1
     raise ExprError("unknown node %r" % (e,))
+
+
+def _bin(node: Bin, op: str, l: Union[str, float], dl: int, r: Union[str, float], dr: int,
+         lines: List[str], consts: List[float]) -> Tuple[Union[str, float], int]:
+    """The operand holding node's operation on the emitted operands l and r,
+    and the levels it nests, as _emit returns them; op is node.op, or + where
+    the caller negated r in place of a -.
+
+    Two values fold by the walk's operation.  Otherwise l - c, c a value,
+    becomes l + (-c): IEEE defines x - y as x + (-y), so the bits are the
+    same, and (-c)*X is -(c*X) exactly, so the callers' l + (-c)*X keeps them
+    too.  Either way the sign of c moves out of the code into its parameter.
+    """
+    if not isinstance(l, str) and not isinstance(r, str):
+        try:
+            return _binary(node, l, r), 0
+        except ExprError:
+            pass
+    elif op == "-" and not isinstance(r, str):
+        op, r = "+", -r
+    guard = _guard(op, r)
+    l, r = _operand(l, consts), _operand(r, consts)
+    if guard:  # the guard reads names, and each operand runs once
+        if dl:
+            l, dl = _assign(lines, l), 0
+        if dr:
+            r, dr = _assign(lines, r), 0
+        lines.append(guard.format(l=l, r=r))
+    l, dl = _shallow(lines, l, dl)
+    r, dr = _shallow(lines, r, dr)
+    prefix, infix, suffix = _OPS[op]
+    return prefix + l + infix + r + suffix, max(dl, dr) + 1
 
 
 def _guard(op: str, r: Union[str, float]) -> str:

@@ -118,7 +118,7 @@ def _expression_operator(exprs: Sequence[str], dim: int,
                 entries = [eval_expr(t, b) for t in parse_derivative()]
             except ExprError as exc:
                 raise OperatorEvaluationError("derivative of %s: %s" % (name or "?", exc)) from exc
-            return Vector(np.array(entries, float).reshape(dim, dim) @ h.coords)
+            return Vector(np.fromiter(entries, float, dim * dim).reshape(dim, dim) @ h.coords)
 
     return (OperatorSpec(dim=dim, evaluator=evaluator, derivative=derivative, name=name),
             parse_derivative)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import inspect
 import math
+import sys
 import weakref
 from unittest import mock
 
@@ -470,13 +471,14 @@ def test_literal_exponents_are_tested_at_compile_time():
     kernel = parse_expr("0.3*exp(-1.7*(t - s)^2)", ("t", "s"))
     for fn in (_compile(kernel), bind(kernel, ("t", "s"))):
         assert "raise ValueError" not in source_of(fn)
-    cases = {"x1^-1": "if b['x1'] == 0.0: raise ValueError",
-             "x1^0.5": "if b['x1'] < 0.0: raise ValueError",
-             "x1^-0.5": "if b['x1'] == 0.0 or b['x1'] < 0.0: raise ValueError",
-             "x1^(1e308*10)": "if b['x1'] < 0.0: raise ValueError",
+    # each variable read is b[n<k>], its key the default of the parameter n<k>
+    cases = {"x1^-1": "if b[n0] == 0.0: raise ValueError",
+             "x1^0.5": "if b[n0] < 0.0: raise ValueError",
+             "x1^-0.5": "if b[n0] == 0.0 or b[n0] < 0.0: raise ValueError",
+             "x1^(1e308*10)": "if b[n0] < 0.0: raise ValueError",
              # a variable exponent keeps both tests of the walk, and / its own
-             "x1^x1": "if b['x1'] == 0.0 and b['x1'] < 0.0 or b['x1'] < 0.0 and "
-                      "not float(b['x1']).is_integer(): raise ValueError",
+             "x1^x1": "if b[n0] == 0.0 and b[n1] < 0.0 or b[n0] < 0.0 and "
+                      "not float(b[n1]).is_integer(): raise ValueError",
              "x1/2": "if c0 == 0.0: raise ZeroDivisionError"}
     for text, line in cases.items():
         assert guards(_compile(parse_expr(text, ("x1",)))) == [line], text
@@ -492,10 +494,13 @@ def test_kernel_code_is_one_nested_line():
 
 
 def test_guarded_denominator_is_assigned_once_before_its_test():
-    source = source_of(_compile(parse_expr("(x1 + 1)/(x1 - 1)", ("x1",))))
+    fn = _compile(parse_expr("(x1 + 1)/(x1 - 1)", ("x1",)))
+    # x1 - 1 runs as x1 + -1.0
+    assert fn.__defaults__ == (1.0, -1.0, "x1", "x1")
+    source = source_of(fn)
     lines = [line.strip() for line in source.splitlines()]
-    assert source.count("(b['x1'] - c1)") == 1
-    k = next(i for i, line in enumerate(lines) if line.endswith(" = (b['x1'] - c1)"))
+    assert source.count("(b[n1] + c1)") == 1
+    k = next(i for i, line in enumerate(lines) if line.endswith(" = (b[n1] + c1)"))
     name = lines[k].split(" = ")[0]
     assert lines[k + 1] == "if %s == 0.0: raise ZeroDivisionError" % name
 
@@ -587,11 +592,80 @@ def test_literal_only_subtrees_fold_to_one_parameter():
     # Jacobian entries 0.3*W*cos(x): the sign of W folds away with the product
     pos, neg = parse_expr("0.3*0.5*cos(x1)", ("x1",)), parse_expr("0.3*-0.12*cos(x1)", ("x1",))
     assert _compile(pos).__code__ is _compile(neg).__code__
-    assert _compile(pos).__defaults__ == (0.3 * 0.5,)
-    assert _compile(neg).__defaults__ == (0.3 * -0.12,)
+    assert _compile(pos).__defaults__ == (0.3 * 0.5, "x1")
+    assert _compile(neg).__defaults__ == (0.3 * -0.12, "x1")
     # a kernel's literal exponent: the guard of ^ tests precomputed values
     kernel = _compile(parse_expr("0.83*exp(-3.7*(t - s)^2)", ("t", "s")))
     assert "is_integer" not in kernel.__code__.co_names
+
+
+# l - c runs as l + (-c), and l - c*X as l + (-c)*X: subtracted values of
+# either sign and at the ends of the float range, each as a literal and as
+# the negation the parser makes of a negative literal, over terms that
+# overflow (exp, y*MAX) or raise (log, 1/y) for some y
+_MAX = sys.float_info.max
+SUBTRAHENDS = (0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX)
+SUBTRAHEND_TREES = st.sampled_from(SUBTRAHENDS).flatmap(
+    lambda c: st.sampled_from((Lit(c, 20), Neg(Lit(-c, 21), 20))))
+TERMS_OF_Y = (Var("y", 22), Call("exp", Var("y", 26), 22), Call("log", Var("y", 26), 22),
+              Bin("*", Var("y", 22), Lit(_MAX, 24), 23), Bin("/", Lit(1.0, 22), Var("y", 24), 23))
+SUBTRAHEND_TERMS = st.sampled_from(TERMS_OF_Y)
+SPINE_TERMS = (SUBTRAHEND_TREES | SUBTRAHEND_TERMS
+               | st.builds(lambda c, x: Bin("*", c, x, 30), SUBTRAHEND_TREES, SUBTRAHEND_TERMS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(head=st.sampled_from((Var("x", 0), Lit(1.5, 0), Lit(-0.0, 0))) | SUBTRAHEND_TERMS,
+       terms=st.lists(st.tuples(st.sampled_from("+-"), SPINE_TERMS), min_size=1, max_size=8),
+       x=st.sampled_from(VALUES + SUBTRAHENDS), y=st.sampled_from(VALUES + SUBTRAHENDS),
+       reciprocal=st.booleans())
+def test_subtracted_values_fold_into_their_sign_with_the_walks_bits(head, terms, x, y,
+                                                                    reciprocal):
+    e = head
+    for k, (op, term) in enumerate(terms):
+        e = Bin(op, e, term, 40 + k)
+    if reciprocal:  # 1/(...) turns an infinite sum finite, keeping the sign of its zero
+        e = Bin("/", Lit(1.0), e, 50)
+    check_compiled_matches_walk(e, {"x": x, "y": y})
+
+
+@pytest.mark.parametrize("c", [Lit(c, 20) for c in SUBTRAHENDS]
+                         + [Neg(Lit(-c, 21), 20) for c in SUBTRAHENDS], ids=repr)
+def test_each_subtracted_value_is_the_walk_on_every_edge(c):
+    # every binding against each c, in x - c and x - c*X, and their reciprocals
+    for x in VALUES + SUBTRAHENDS:
+        for e in (Bin("-", Var("x", 0), c, 1), Bin("/", Lit(1.0), Bin("-", Var("x", 0), c, 1))):
+            check_compiled_matches_walk(e, {"x": x})
+    for X in TERMS_OF_Y:
+        for x in (0.0, -0.0, 1.5, _MAX, -_MAX):
+            for y in VALUES + SUBTRAHENDS:
+                check_compiled_matches_walk(Bin("-", Var("x", 0), Bin("*", c, X, 30), 1),
+                                            {"x": x, "y": y})
+
+
+def test_rows_differing_in_signs_and_variables_share_one_function():
+    names = ("x1", "x2", "x3")
+    rows = ["0.5 + 0.3*(0.25*sin(x1) - 0.5*sin(x2) + 0.125*sin(x3))",
+            "-0.5 + 0.3*(-0.25*sin(x3) + 0.5*sin(x1) - 0.125*sin(x2))",
+            "1 - 0.3*(0.25*sin(x2) + -0.5*sin(x3) - -0.125*sin(x1))"]
+    trees = [parse_expr(text, names) for text in rows]
+    fns = [_compile(e) for e in trees]
+    assert len({fn.__code__ for fn in fns}) == 1
+    assert " - " not in source_of(fns[0])
+    env = {"x1": 0.25, "x2": -1.5, "x3": 3.0}
+    for fn, e in zip(fns, trees):
+        assert fn(e, env).hex() == _walk(e, env).hex()
+    # a subtracted literal, and the variable read, are parameters too
+    assert _compile(parse_expr("x1 - 2", names)).__code__ is \
+        _compile(parse_expr("x3 + 7", names)).__code__
+
+
+def test_variable_led_product_is_subtracted_as_written():
+    e = parse_expr("x2 - x1*0.5", ("x1", "x2"))
+    assert "(b[n0] - (b[n1] * c0))" in source_of(_compile(e))
+    for x1 in (0.0, -0.0, 5e-324, 3.0, _MAX, -_MAX):
+        for x2 in (0.0, -0.0, -_MAX, _MAX):
+            check_compiled_matches_walk(e, {"x1": x1, "x2": x2})
 
 
 def test_code_of_many_shapes_is_freed_with_their_trees():

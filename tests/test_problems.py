@@ -5,6 +5,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from fpcert import problems
 from fpcert.core import BallDomain, NormKind, Vector
 from fpcert.estimate import (SAFETY_FACTOR, estimate_lipschitz_K, estimate_lipschitz_M,
                              with_safety)
-from fpcert.exprparse import parse_expr
+from fpcert.exprparse import _compile, parse_expr
 from fpcert.problems import (CATALOG, CertRequest, ProblemError,
                              averaged_factory, catalog_names, constants_for,
                              get_entry, load_config, load_problem, operator_from_expressions,
@@ -569,6 +570,18 @@ def test_load_config_reads_benchmark_problems_like_the_pure_python_loader(tmp_pa
     inst = bench_workloads().make_instance(workload, 1, 0, tmp_path)
     path = inst.out / "problem.yaml"
     assert_same_values(load_config(str(path)), pure_python_load(path))
+
+
+def test_newton_dense_trees_compile_to_two_code_objects():
+    # 30 operator rows that differ in coefficient signs and variables, and
+    # 900 derivative entries that differ in their variable
+    cfg = bench_workloads().newton_dense_config(np.random.default_rng([1, 0]))
+    names = ["x%d" % (i + 1) for i in range(cfg["dim"])]
+    rows = [_compile(parse_expr(t, names)) for t in cfg["operator"]]
+    entries = [_compile(parse_expr(t, names)) for row in cfg["derivative"] for t in row]
+    assert (len(rows), len(entries)) == (30, 900)
+    assert len({fn.__code__ for fn in rows}) == len({fn.__code__ for fn in entries}) == 1
+    assert len({fn.__code__ for fn in rows + entries}) == 2
 
 
 def test_override_param():
