@@ -357,8 +357,8 @@ def cmd_sweep(args) -> int:
         jobs.append((v, resolved))
     out_root = Path(args.out) if args.out else Path("fpcert-out") / ("sweep-" + jobs[0][1].name)
     _make_dir(out_root)
-    # one after another: each run is pure-Python work on one interpreter, so
-    # running them side by side would not finish sooner
+    # one after another, in value order: each run is mostly Python code, which
+    # holds the interpreter lock, so threads could not overlap them
     results = [_execute_run(resolved, out_root / _value_label(args.param, v), args.inner_tol)
                for v, resolved in jobs]
 
