@@ -33,7 +33,15 @@ lines.  The pipelines are:
   (`constants` with `M_star`/`K_star`, an estimate block with all four
   settings, `stop.r_tol`, a damped root `gamma` with
   `alpha`, an integral block with an expression kernel), each `run` then
-  `certify` with all five regimes at horizon 200.
+  `certify` with all five regimes at horizon 200;
+- the refusals, each a call that reports one `error:` line and exits 1,
+  except the failing sweep: `certify` of linear-contraction against
+  cos-fixed-point's trace (a digest mismatch), file problems run and then
+  certified where `certify` finds no completed step (a run started at its
+  fixed point) or no majorant (a newton problem with M = 1.5, which still
+  writes `certify.json`), a `sweep` with an empty value list, and a seed
+  `sweep` whose two jobs both fail at step 1 and are recorded in
+  `summary.csv`, which exits 0.
 
 Exit codes are printed too, with the last line a call wrote to stderr (the
 error a failing `run` reports), or the exception a call raised; paths are
@@ -159,6 +167,15 @@ def every_key_problems():
         "stop": {"max_n": 40, "residual_tol": 1e-10}}
 
 
+# `run` then `certify`, where certify refuses: no completed step, no majorant
+REFUSED_CERTIFY = (
+    ("no-completed-steps", {"operator": "0.5*x1 + 1", "x0": 2.0,
+                            "stop": {"residual_tol": 1e-12}}),
+    ("no-majorant", {"operator": "cos(x1)", "x0": 0.5, "scheme": "newton",
+                     "constants": {"M": 1.5, "K": 1.0}}),
+)
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -212,6 +229,19 @@ def main(argv) -> int:
         run_and_certify(out / "extra" / name, problem, (200,))
     for name, problem in every_key_problems():
         run_and_certify(out / "every-key" / name, problem, (200,))
+    refusal = out / "refusal"
+    call(["certify", "linear-contraction",
+          "--trace", str(out / "catalog" / "cos-fixed-point" / "trace"),
+          "--out", str(refusal / "digest-mismatch")])
+    for name, problem in REFUSED_CERTIFY:
+        run_and_certify(refusal / name, problem, (200,))
+    call(["sweep", "linear-contraction", "--param", "eps", "--values", ",",
+          "--out", str(refusal / "sweep-no-values")])
+    d = refusal / "sweep-failing-jobs"
+    d.mkdir(parents=True)
+    (d / "problem.yaml").write_text(yaml.safe_dump({"operator": "log(x1) + 1", "x0": 0.0}))
+    call(["sweep", str(d / "problem.yaml"), "--param", "seed", "--values", "1,2",
+          "--out", str(d / "sweep")])
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print("%s  %s" % (hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out)))
     return 0
