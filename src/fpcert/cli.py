@@ -6,6 +6,9 @@ byte-identical files.
 
 Exit codes: 0 run completed (including stagnation at max_n), 1 validation or
 step failure, 2 divergence/non-contraction guard.
+
+Every failure is an exception that main reports in one `error:` line with
+exit 1; cmd_sweep alone catches one, a failing job's, for its summary row.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ EXIT_VALIDATION = 1
 EXIT_DIVERGED = 2
 
 _GUARD_REASONS = ("diverged", "non_contraction")
+# how a run fails once it has started; the rest fail before any step
+_RUN_FAILURES = (StepFailure, GreensError, OperatorEvaluationError)
 
 
 def _fmt(v) -> str:
@@ -163,13 +168,9 @@ def _execute_run(resolved: ResolvedProblem, out_dir: Path, inner_tol: float) -> 
     _make_dir(out_dir)
     if resolved.kind == "integral":
         return _execute_integral(resolved, out_dir)
-    try:
-        trace = run_outer(resolved.operator, resolved.scheme, resolved.x0,
-                          plan=resolved.plan, stop=resolved.stop, norm=resolved.norm,
-                          inner_tol=inner_tol, custom_factory=resolved.custom_factory())
-    except StepFailure as exc:
-        return EXIT_VALIDATION, {"problem": resolved.name, "digest": resolved.digest,
-                                 "error": str(exc), "failed_step": exc.step}
+    trace = run_outer(resolved.operator, resolved.scheme, resolved.x0,
+                      plan=resolved.plan, stop=resolved.stop, norm=resolved.norm,
+                      inner_tol=inner_tol, custom_factory=resolved.custom_factory())
     _write_trace_csv(out_dir / "trace.csv", trace)
     _write_iterates_csv(out_dir / "iterates.csv", trace)
     return _write_run_json(out_dir, resolved, trace, scheme=resolved.scheme.value,
@@ -180,11 +181,7 @@ def _execute_run(resolved: ResolvedProblem, out_dir: Path, inner_tol: float) -> 
 def _execute_integral(resolved: ResolvedProblem, out_dir: Path) -> Tuple[int, dict]:
     setup = resolved.integral
     x0 = GridFunction.uniform(setup.T_end, setup.m)
-    try:
-        trace = run_integral_iteration(setup.kernel(), resolved.operator, x0, resolved.stop)
-    except (GreensError, OperatorEvaluationError) as exc:
-        return EXIT_VALIDATION, {"problem": resolved.name, "digest": resolved.digest,
-                                 "error": str(exc)}
+    trace = run_integral_iteration(setup.kernel(), resolved.operator, x0, resolved.stop)
     _write_integral_trace_csv(out_dir / "trace.csv", trace)
     _write_solution_csv(out_dir / "solution.csv", trace.grids[-1])
     own = {"m": setup.m, "T_end": setup.T_end}
@@ -210,9 +207,6 @@ def cmd_run(args) -> int:
     resolved = _resolve_for_run(_load(args.problem, args.seed))
     out_dir = Path(args.out) if args.out else Path("fpcert-out") / resolved.name
     code, summary = _execute_run(resolved, out_dir, args.inner_tol)
-    if "error" in summary:
-        print("error: %s" % summary["error"], file=sys.stderr)
-        return code
     print("%s: %d steps, stopped on %s, final residual %s -> %s"
           % (resolved.name, summary["steps"], summary["stop_reason"],
              _fmt(summary["final_residual"]), out_dir))
@@ -226,19 +220,16 @@ def cmd_run(args) -> int:
 def cmd_certify(args) -> int:
     resolved = resolve_config(_load(args.problem, args.seed))
     if resolved.kind == "integral":
-        print("error: certificates apply to fixed_point/root runs; integral runs "
-              "are checked by bound propagation", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CliError("certificates apply to fixed_point/root runs; integral runs "
+                       "are checked by bound propagation")
     trace_dir = Path(args.trace)
     run_info = _read_run_json(trace_dir / "run.json")
     if run_info.get("digest") != resolved.digest:
-        print("error: trace digest %s does not match problem digest %s"
-              % (run_info.get("digest"), resolved.digest), file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CliError("trace digest %s does not match problem digest %s"
+                       % (run_info.get("digest"), resolved.digest))
     r_meas = _read_trace_r(trace_dir / "trace.csv")
     if not r_meas:
-        print("error: trace has no completed steps to certify", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CliError("trace has no completed steps to certify")
     try:
         inner_tol = float(run_info.get("inner_tol", 1e-12))
     except (TypeError, ValueError):
@@ -271,8 +262,7 @@ def cmd_certify(args) -> int:
     except MajorantError as exc:
         report["error"] = str(exc)
         _dump_json(out_dir / "certify.json", report)
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
+        raise
 
     report["majorant"] = {"eta": p.eta, "r0": p.r0,
                           "lambda_0": p.lam(0), "rho_0": p.rho(0)}
@@ -348,25 +338,26 @@ def cmd_sweep(args) -> int:
     cfg = _load(args.problem, args.seed)
     values = _parse_values(args.values)
     if not values:
-        print("error: sweep needs a nonempty values list", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CliError("sweep needs a nonempty values list")
     # resolve everything up front so validation failures abort before any run
-    jobs = []
-    for v in values:
-        resolved = _resolve_for_run(override_param(cfg, args.param, v))
-        jobs.append((v, resolved))
+    jobs = [(v, _resolve_for_run(override_param(cfg, args.param, v))) for v in values]
     out_root = Path(args.out) if args.out else Path("fpcert-out") / ("sweep-" + jobs[0][1].name)
     _make_dir(out_root)
     # one after another, in value order: each run is mostly Python code, which
     # holds the interpreter lock, so threads could not overlap them
-    results = [_execute_run(resolved, out_root / _value_label(args.param, v), args.inner_tol)
-               for v, resolved in jobs]
+    results = []
+    for v, resolved in jobs:
+        try:
+            results.append(_execute_run(resolved, out_root / _value_label(args.param, v),
+                                        args.inner_tol))
+        except _RUN_FAILURES as exc:
+            results.append((EXIT_VALIDATION, {"error": str(exc)}))
 
     _write_csv(out_root / "summary.csv",
                ["param", "value", "steps", "stop_reason", "final_residual", "final_r", "exit"],
                ([args.param, v,
                  summary.get("steps"),
-                 summary.get("stop_reason", summary.get("error", "failed")),
+                 summary.get("stop_reason", summary.get("error")),
                  summary.get("final_residual"),
                  summary.get("final_r"),
                  code]
@@ -434,7 +425,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ProblemError, MajorantError) as exc:
+    except (CliError, ProblemError, MajorantError) + _RUN_FAILURES as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -23,7 +23,7 @@ import numpy as np
 from .core import OperatorSpec, Vector
 from .exprparse import EvalDomainError, Expr, bind, parse_expr
 from .majorant import PreconditionError, ProblemConstants, step_inequality
-from .schemes import SchemeKind, StopRule
+from .schemes import SchemeKind, StopRule, guard_radius
 
 
 class GreensError(ValueError):
@@ -201,7 +201,7 @@ def run_integral_iteration(k: KernelSpec, A: OperatorSpec, x0: GridFunction,
         raise GreensError("grid ends at %r but kernel domain ends at %r"
                           % (float(x0.nodes[-1]), k.T_end))
     trace = IntegralTrace(grids=[x0], r=[], r_tilde=[0.0], residual=[], stop_reason="max_n")
-    guard_radius = 1e6 * (1.0 + x0.sup_norm())
+    guard = guard_radius(x0.sup_norm())
     floor = max(stop.r_tol, stop.residual_tol, 1e-13)
     flat = 0
     x = x0
@@ -213,19 +213,12 @@ def run_integral_iteration(k: KernelSpec, A: OperatorSpec, x0: GridFunction,
         trace.r_tilde.append(y.sup_distance(x0))
         trace.residual.append(rn)  # residual of x_n: T(x_n) - x_n = y - x
         x = y
-        if x.sup_norm() > guard_radius:
-            trace.stop_reason = "diverged"
-            break
         flat = flat + 1 if (trace.r[-2:-1] and rn >= trace.r[-2] * (1.0 - 1e-12)
                             and rn > floor) else 0
-        if flat >= 10:
-            trace.stop_reason = "non_contraction"
-            break
-        if stop.r_tol > 0.0 and rn <= stop.r_tol:
-            trace.stop_reason = "r_tol"
-            break
-        if stop.residual_tol > 0.0 and rn <= stop.residual_tol:
-            trace.stop_reason = "residual_tol"
+        reason = ("diverged" if x.sup_norm() > guard else
+                  "non_contraction" if flat >= 10 else stop.reached(rn, rn))
+        if reason is not None:
+            trace.stop_reason = reason
             break
     final = apply_integral_operator(k, A, x)
     trace.residual.append(final.sup_distance(x))

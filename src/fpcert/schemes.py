@@ -4,6 +4,10 @@ Index convention used throughout: the step producing x_n (n >= 1) uses the
 operator B_{n-1} built at x_{n-1}; its value-inexactness budget is eps(n-1),
 its derivative budgets sigma(n-1) (at x_{n-1}) and gamma(n-1) (at x_0).
 r_n = ||x_{n+1} - x_n||, r_tilde_n = ||x_n - x_0||.
+
+How a run ends has two owners, also for greens.run_integral_iteration:
+guard_radius is the divergence radius and StopRule.reached names the
+tolerance met.  The guard is tested first, the tolerances last.
 """
 from __future__ import annotations
 
@@ -87,6 +91,20 @@ class StopRule:
             raise SchemeError("max_n must be >= 1")
         if self.r_tol < 0 or self.residual_tol < 0:
             raise SchemeError("tolerances must be >= 0")
+
+    def reached(self, r: float, residual: float) -> Optional[str]:
+        """The tolerance a step of size r ending at this residual meets, r_tol
+        tested before residual_tol; None if neither.  A tolerance of 0 is off."""
+        if self.r_tol > 0.0 and r <= self.r_tol:
+            return "r_tol"
+        if self.residual_tol > 0.0 and residual <= self.residual_tol:
+            return "residual_tol"
+        return None
+
+
+def guard_radius(size: float) -> float:
+    """An iterate beyond this norm diverged from a start of norm size."""
+    return 1e6 * (1.0 + size)
 
 
 @dataclass
@@ -226,7 +244,7 @@ MAX_INNER = 5000
 def step_custom(B: OperatorSpec, x_prev: Vector, noise: np.ndarray, norm: NormKind,
                 inner_tol: float) -> Tuple[Vector, float]:
     """Solve x = B(x) + noise by at most MAX_INNER fixed-point iterations from x_prev."""
-    guard = 1e6 * (1.0 + norm_of(x_prev, norm))
+    guard = guard_radius(norm_of(x_prev, norm))
     y = x_prev
     defect = math.inf
     for _ in range(MAX_INNER):
@@ -274,10 +292,11 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
         raise StepFailure(1, exc) from exc
     trace = IterationTrace(iterates=[x0], r=[], r_tilde=[0.0], residual=[residual0],
                            inner_defect=[], injected=[], stop_reason="max_n")
-    guard_radius = 1e6 * (1.0 + norm_of(x0, norm))
-
-    if stop.residual_tol > 0.0 and trace.residual[0] <= stop.residual_tol:
-        trace.stop_reason = "residual_tol"
+    guard = guard_radius(norm_of(x0, norm))
+    # no step exists at x_0, so only its residual can stop the run there
+    reason = stop.reached(math.inf, residual0)
+    if reason is not None:
+        trace.stop_reason = reason
         return trace
 
     x_prev = x0
@@ -309,16 +328,9 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
         trace.inner_defect.append(defect)
         trace.injected.append(injected)
 
-        if norm_of(x, norm) > guard_radius:
-            trace.stop_reason = "diverged"
-            return trace
-        if stop.r_tol > 0.0 and trace.r[-1] <= stop.r_tol:
-            trace.stop_reason = "r_tol"
-            return trace
-        if stop.residual_tol > 0.0 and trace.residual[-1] <= stop.residual_tol:
-            trace.stop_reason = "residual_tol"
+        reason = "diverged" if norm_of(x, norm) > guard else stop.reached(trace.r[-1], residual)
+        if reason is not None:
+            trace.stop_reason = reason
             return trace
         x_prev = x
-
-    trace.stop_reason = "max_n"
     return trace

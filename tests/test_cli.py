@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from fpcert import cli
 from fpcert.cli import main
+from fpcert.problems import load_config
+from fpcert.schemes import StepFailure
 
 
 def run_cli(*argv):
@@ -365,6 +368,34 @@ def test_certify_integral_unsupported(tmp_path, capsys):
     assert run_cli("run", "volterra-exp", "--out", str(out)) == 0
     assert run_cli("certify", "volterra-exp", "--trace", str(out)) == 1
     assert "bound propagation" in capsys.readouterr().err
+
+
+def test_certify_without_majorant_writes_its_report_then_one_error_line(tmp_path, capsys):
+    src, out, rc = certified_setup(tmp_path, "operator: cos(x1)\nx0: 0.5\nscheme: newton\n"
+                                             "constants: {M: 1.5, K: 1.0}\n")
+    assert rc == 0
+    capsys.readouterr()
+    assert run_cli("certify", src, "--trace", str(out)) == 1
+    assert_one_error_line(capsys, "no majorant: M_star = 1.5 >= 1")
+    rep = read_json(out / "certify.json")
+    assert rep["error"].startswith("no majorant") and rep["certificates"] == []
+
+
+def test_run_failure_is_an_exception_until_main(tmp_path):
+    src = write_yaml(tmp_path, "f.yaml", "operator: log(x1) + 1\nx0: 0.0\n")
+    with pytest.raises(StepFailure, match="step 1 failed: ") as info:
+        cli._execute_run(cli._resolve_for_run(load_config(src)), tmp_path / "o", 1e-12)
+    assert info.value.step == 1
+
+
+def test_sweep_records_each_failing_job_and_exits_0(tmp_path, capsys):
+    src = write_yaml(tmp_path, "f.yaml", "operator: log(x1) + 1\nx0: 0.0\n")
+    out = tmp_path / "sw"
+    assert run_cli("sweep", src, "--param", "seed", "--values", "1,2", "--out", str(out)) == 0
+    assert "error" not in capsys.readouterr().err
+    rows = read_rows(out / "summary.csv")
+    assert [(r["value"], r["exit"]) for r in rows] == [("1", "1"), ("2", "1")]
+    assert all(r["stop_reason"].startswith("step 1 failed: ") for r in rows)
 
 
 def test_certify_needs_existing_trace(tmp_path, capsys):

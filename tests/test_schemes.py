@@ -7,7 +7,8 @@ from fpcert.core import NormKind, OperatorSpec, Vector, identity_operator
 from fpcert.schemes import (InjectionMode, InnerDivergenceError,
                             IterationTrace, PerturbationPlan, SchemeError,
                             SchemeKind, SingularLinearSystemError, StepFailure,
-                            StopRule, _solve_affine, run_outer, step_custom)
+                            StopRule, _solve_affine, guard_radius, run_outer,
+                            step_custom)
 from fpcert.sequences import ScalarSequence
 
 
@@ -84,6 +85,38 @@ def test_divergence_is_a_stop_reason_not_an_exception():
                       stop=StopRule(max_n=200))
     assert trace.stop_reason == "diverged"
     assert abs(trace.iterates[-1][0]) > 1e6
+
+
+def test_stop_rule_reached_names_the_tolerance_met():
+    both = StopRule(r_tol=1e-3, residual_tol=1e-6)
+    assert both.reached(1e-3, 1e-6) == "r_tol"  # r_tol is tested first
+    assert both.reached(2e-3, 1e-6) == "residual_tol"
+    assert both.reached(2e-3, 2e-6) is None
+    assert both.reached(math.inf, 1e-6) == "residual_tol"
+    assert StopRule().reached(0.0, 0.0) is None  # a tolerance of 0 is off
+
+
+def test_run_at_its_fixed_point_stops_at_x0_only_on_the_residual():
+    x0 = Vector([2.0])  # the fixed point of x/2 + 1
+    on_r = run_outer(linear_half(), SchemeKind.CONTRACTION, x0, stop=StopRule(max_n=5, r_tol=1.0))
+    assert (on_r.steps, on_r.stop_reason) == (1, "r_tol")
+    on_residual = run_outer(linear_half(), SchemeKind.CONTRACTION, x0,
+                            stop=StopRule(max_n=5, residual_tol=1.0))
+    assert (on_residual.steps, on_residual.stop_reason) == (0, "residual_tol")
+
+
+def test_divergence_is_the_first_iterate_past_the_guard_radius():
+    doubling = OperatorSpec(dim=1, evaluator=lambda x: Vector([2.0 * x[0] + 1.0]))
+    trace = run_outer(doubling, SchemeKind.CONTRACTION, Vector([1.0]), stop=StopRule(max_n=200))
+    sizes = [abs(x[0]) for x in trace.iterates]
+    assert trace.stop_reason == "diverged" and guard_radius(1.0) == 2e6
+    assert sizes[-1] > guard_radius(1.0) >= max(sizes[:-1])
+
+
+def test_the_guard_is_tested_before_the_tolerances():
+    jump = OperatorSpec(dim=1, evaluator=lambda x: Vector([1e7]))
+    trace = run_outer(jump, SchemeKind.CONTRACTION, Vector([0.0]), stop=StopRule(r_tol=1e300))
+    assert (trace.steps, trace.stop_reason) == (1, "diverged")
 
 
 def test_stop_rule_validation():
