@@ -182,7 +182,7 @@ class CatalogEntry:
         return self.config.get("kind", "fixed_point")
 
 
-SIN1 = math.sin(1.0)
+SIN1 = 0.8414709848078966  # the double just above sin(1); math.sin(1.0) is one ulp below
 DOTTIE = 0.7390851332151607  # fixed point of cos, to double precision
 
 # shared parts of the catalog mappings; resolving never mutates them

@@ -154,9 +154,18 @@ def test_catalog_operators_evaluate_at_start():
 
 def test_cos_entry_constants():
     r = resolve_config({"catalog": "cos-fixed-point"})
-    assert r.constants_cfg == {"M": math.sin(1.0), "K": 1.0}
+    assert r.constants_cfg == {"M": 0.8414709848078966, "K": 1.0}
     c = r.constants()
-    assert c.M == math.sin(1.0) and c.K == 1.0
+    assert c.M == 0.8414709848078966 and c.K == 1.0
+
+
+def test_sin1_is_the_least_double_not_below_sin_1():
+    # sup |cos'| over the cos iterates is sin(1), so the declared M must not be below it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        sin1 = mpmath.sin(1)
+        assert mpmath.mpf(problems.SIN1) >= sin1
+        assert mpmath.mpf(math.nextafter(problems.SIN1, 0.0)) < sin1
 
 
 def test_catalog_entries_are_problem_files():
