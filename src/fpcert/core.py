@@ -133,12 +133,15 @@ class OperatorSpec:
         return out
 
     def derivative_at(self, x: Vector, h: Vector) -> Vector:
-        if self.derivative is not None:
-            out = self.derivative(x, h)
-            if not isinstance(out, Vector):
-                out = Vector(out)
-            return out
-        return gateaux_fd(self, x, h)
+        if self.derivative is None:
+            return gateaux_fd(self, x, h)
+        out = self.derivative(x, h)
+        if not isinstance(out, Vector):
+            out = Vector(out)
+        if out.dim != self.dim:
+            raise OperatorEvaluationError("derivative of operator %s returned dim %d, expected %d"
+                                          % (self.name or "?", out.dim, self.dim))
+        return out
 
     def jacobian(self, x: Vector) -> np.ndarray:
         """A'(x) as a dim x dim matrix, one derivative_at call per coordinate."""

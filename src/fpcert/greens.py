@@ -56,6 +56,10 @@ class GridFunction:
         self.nodes.setflags(write=False)
         self.values.setflags(write=False)
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GridFunction) and np.array_equal(self.nodes, other.nodes)
+                and np.array_equal(self.values, other.values))
+
     @staticmethod
     def uniform(T_end: float, m: int, fill: float = 0.0) -> "GridFunction":
         """m intervals (m+1 nodes) on [0, T_end], constant fill value."""

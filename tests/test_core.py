@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fpcert.core import (BallDomain, CoreError, NormKind, OperatorSpec, Vector,
-                         gateaux_fd, identity_operator, matrix_norm, matrix_of,
-                         norm_of)
+from fpcert.core import (BallDomain, CoreError, NormKind, OperatorEvaluationError,
+                         OperatorSpec, Vector, gateaux_fd, identity_operator, matrix_norm,
+                         matrix_of, norm_of)
+from fpcert.schemes import SchemeKind, StepFailure, run_outer
 
 
 def scalar_op(f, df=None):
@@ -159,6 +160,24 @@ def test_derivative_at_prefers_analytic():
     op = scalar_op(lambda t: t * t, df=lambda t: 2.0 * t)
     d = op.derivative_at(Vector([2.0]), Vector([1.0]))
     assert d[0] == 4.0
+
+
+def test_derivative_of_the_wrong_length_names_the_operator():
+    calls = []
+
+    def two_entries(x, h):
+        calls.append(h)
+        return Vector([h[0], h[0]])
+
+    bad = OperatorSpec(dim=1, evaluator=lambda x: Vector([0.5 * x[0]]),
+                       derivative=two_entries, name="bad")
+    with pytest.raises(OperatorEvaluationError,
+                       match=r"^derivative of operator bad returned dim 2, expected 1$"):
+        bad.jacobian(Vector([1.0]))
+    assert len(calls) == 1
+    with pytest.raises(StepFailure, match=r"^step 1 failed: derivative of operator bad "
+                                          r"returned dim 2, expected 1$"):
+        run_outer(bad, SchemeKind.NEWTON, Vector([1.0]))
 
 
 def test_derivative_linearity_when_supplied():

@@ -58,6 +58,22 @@ def test_sup_distance_requires_same_nodes():
     assert a.sup_distance(c) == pytest.approx(0.3)
 
 
+def test_grid_functions_compare_by_value():
+    a = GridFunction([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+    b = GridFunction(np.linspace(0.0, 1.0, 3), np.arange(1.0, 4.0))
+    assert a == b and not a != b
+    assert a != a.with_values([1.0, 2.0, 4.0])
+    assert a != GridFunction([0.0, 0.25, 1.0], [1.0, 2.0, 3.0])
+    assert a != (a.nodes, a.values)
+
+
+def test_integral_traces_compare_by_value():
+    k, A, x0 = exp_growth_setup(20)
+    first, again = (run_integral_iteration(k, A, x0, stop=StopRule(max_n=5)) for _ in range(2))
+    assert first.grids[1] is not again.grids[1]
+    assert first == again
+
+
 # -- kernels ---------------------------------------------------------------
 
 
