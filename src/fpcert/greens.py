@@ -224,8 +224,7 @@ def run_integral_iteration(k: KernelSpec, A: OperatorSpec, x0: GridFunction,
         if reason is not None:
             trace.stop_reason = reason
             break
-    final = apply_integral_operator(k, A, x)
-    trace.residual.append(final.sup_distance(x))
+    trace.residual.append(apply_integral_operator(k, A, x).sup_distance(x))
     return trace
 
 

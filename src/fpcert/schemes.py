@@ -295,12 +295,10 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
     guard = guard_radius(norm_of(x0, norm))
     # no step exists at x_0, so only its residual can stop the run there
     reason = stop.reached(math.inf, residual0)
-    if reason is not None:
-        trace.stop_reason = reason
-        return trace
-
     x_prev = x0
     for n in range(1, stop.max_n + 1):
+        if reason is not None:
+            break
         try:
             if scheme is SchemeKind.CONTRACTION:
                 x, defect, injected = step_contraction(A, x_prev, n, plan, norm, rng)
@@ -329,8 +327,6 @@ def run_outer(A: OperatorSpec, scheme: SchemeKind, x0: Vector,
         trace.injected.append(injected)
 
         reason = "diverged" if norm_of(x, norm) > guard else stop.reached(trace.r[-1], residual)
-        if reason is not None:
-            trace.stop_reason = reason
-            return trace
         x_prev = x
+    trace.stop_reason = reason or "max_n"
     return trace
