@@ -224,7 +224,8 @@ def run_integral_iteration(k: KernelSpec, A: OperatorSpec, x0: GridFunction,
         if reason is not None:
             trace.stop_reason = reason
             break
-    trace.residual.append(apply_integral_operator(k, A, x).sup_distance(x))
+    final = apply_integral_operator(k, A, x)
+    trace.residual.append(final.sup_distance(x))
     return trace
 
 
