@@ -24,27 +24,33 @@ seeds per side about 11 minutes more, 7 of them for the seeds past the
 first.  A whole pair run took 48 minutes on a 2-vCPU Intel Xeon host with
 Python 3.11.
 
---layers times the in-process layer workloads of LAYER_WORKLOADS instead,
-on instance 0 of seed 1 of the benchmark's generators: parsing the 930
-newton-dense trees, compiling them (`exprparse._compile`, fresh trees each
-call, with one evaluation of each), one newton-dense Jacobian (900 entries,
-30 times), one m = 800 kernel matrix (641,601 kernel evaluations, on a fresh
-kernel each time, so with its compilation), the fredholm-sweep operator at
-the 801 nodes of an m = 800 grid (`greens._pointwise`: 801 `apply` calls,
-each building two Vectors) and noisy-certify's `certify` at horizon
-1000.  Every workload runs in a fresh process per side and round, which
-imports its side's `src/fpcert` and `bench/workloads.py`, makes the
-untimed setup, then times the number of calls LAYER_WORKLOADS gives and
-reports their median and a sha256 of the last call's output, which is
-serialized after the timed calls (the parse workload's `repr` of its trees
-took about a third of its time; the parse numbers in `BENCH_17_layers.json`
-to `BENCH_19_layers.json` include it); it runs on one CPU, as
-`bench/run.py` does.  Rounds alternate which side goes
-first, as the pairs do.  The JSON holds each side's per-round medians with
-their median and quartiles, the rounds the change won, and whether every
-output of both sides was bit-equal; the exit code is 1 if one was not.
-Its LAYER_ROUNDS = 5 rounds of the six workloads took 23 s on the host
-above, where the pinned rounds of one side spread by up to about 10%.
+--layers times the layer workloads of LAYER_WORKLOADS instead, on instance 0
+of seed 1 of the benchmark's generators: parsing the 930 newton-dense trees,
+compiling them (`exprparse._compile`, fresh trees each call, with one
+evaluation of each), one newton-dense Jacobian (900 entries, 30 times), one
+m = 800 kernel matrix (641,601 kernel evaluations, on a fresh kernel each
+time, so with its compilation), the fredholm-sweep operator at the 801 nodes
+of an m = 800 grid (`greens._pointwise`: 801 `apply` calls, each building two
+Vectors), noisy-certify's `certify` at horizon 1000, and newton-dense set-up.
+Every workload runs in a fresh process per side and round, on one CPU, as
+`bench/run.py` does.  That process imports its side's `src/fpcert` and
+`bench/workloads.py`, makes the untimed setup, then times the number of calls
+LAYER_WORKLOADS gives and reports their median and a sha256 of the last
+call's output, which is serialized after the timed calls (the parse
+workload's `repr` of its trees took about a third of its time; the parse
+numbers in `BENCH_17_layers.json` to `BENCH_19_layers.json` include it).
+Set-up (`setup-newton-dense`) is timed as `bench/run.py`'s set-up child
+times it: each of its 21 samples is a fresh interpreter, which inherits the
+one CPU, imports `fpcert.problems` and loads the problem file, timed from
+before the import to after the load; its output is the resolved problem's
+`digest`, of every sample, and the process that starts the samples imports
+no fpcert itself.  Rounds alternate which side goes first, as
+the pairs do.  The JSON holds each side's per-round medians with their median
+and quartiles, the rounds the change won, and whether every output of both
+sides was bit-equal; the exit code is 1 if one was not.  LAYER_ROUNDS = 5
+rounds of the six in-process workloads took 23 s on the host above, where
+the pinned rounds of one side spread by up to about 10%; set-up adds about
+TBD s.
 """
 from __future__ import annotations
 
@@ -79,11 +85,24 @@ LAYERS = ("exprparse.parse_calls", "exprparse.parse_s",
           "majorant.cert_calls", "majorant.cert_self_s")
 
 
-# in-process layer workloads (--layers): name -> timed calls per process
+# layer workloads (--layers): name -> timed calls per process, or for
+# setup-newton-dense the fresh processes per round
 LAYER_WORKLOADS = {"parse-newton-dense": 5, "compile-newton-dense": 5,
                    "jacobian-newton-dense": 5, "kernel-matrix-800": 5,
-                   "pointwise-fredholm-800": 20, "noisy-certify-1000": 3}
+                   "pointwise-fredholm-800": 20, "noisy-certify-1000": 3,
+                   "setup-newton-dense": 21}
 LAYER_ROUNDS = 5
+
+# one setup-newton-dense sample: import fpcert.problems and load a problem
+# file in a fresh interpreter, as bench/run.py's set-up child does
+_SETUP_CHILD = """
+import sys, time
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+from fpcert.problems import load_problem
+resolved = load_problem(sys.argv[2])
+print(repr(time.perf_counter() - t0), resolved.digest)
+"""
 
 
 def layer_worker(name: str, side: Path, tmp: Path) -> dict:
@@ -98,6 +117,20 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
     sys.path[:0] = [str(side / "src"), str(side / "bench")]
     import numpy as np
     import workloads
+    if name == "setup-newton-dense":
+        # only the sample processes import fpcert, each for the first time
+        problem = workloads.make_instance("newton-dense", 1, 0, tmp).calls[0].argv[1]
+        times, digests = [], []
+        for _ in range(LAYER_WORKLOADS[name]):
+            done = subprocess.run([sys.executable, "-c", _SETUP_CHILD, str(side / "src"),
+                                   problem], cwd=side, capture_output=True, text=True,
+                                  timeout=120, check=True)
+            seconds, digest = done.stdout.split()
+            times.append(float(seconds))
+            digests.append(digest)
+        # every sample's digest is hashed, so bit-equal outputs mean all of them agree
+        return {"median_s": statistics.median(times), "times_s": times,
+                "output_sha256": hashlib.sha256(" ".join(digests).encode()).hexdigest()}
     from fpcert import cli, exprparse, greens, problems
     from fpcert.core import identity_operator
     assert Path(problems.__file__).resolve().is_relative_to(side.resolve())
@@ -268,7 +301,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base", help="the commit to compare against")
     parser.add_argument("--out", help="the JSON file to write")
     parser.add_argument("--layers", action="store_true",
-                        help="time the in-process layer workloads instead")
+                        help="time the layer workloads instead")
     parser.add_argument("--layer-worker", help=argparse.SUPPRESS)
     parser.add_argument("--side", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -165,12 +165,14 @@ def _dump_json(path: Path, payload: dict):
 
 
 def _execute_run(resolved: ResolvedProblem, out_dir: Path, inner_tol: float) -> Tuple[int, dict]:
-    _make_dir(out_dir)
+    """Run the problem, then write its artifacts to out_dir, made only once the
+    run has returned, so that a run that fails leaves no directory behind."""
     if resolved.kind == "integral":
         return _execute_integral(resolved, out_dir)
     trace = run_outer(resolved.operator, resolved.scheme, resolved.x0,
                       plan=resolved.plan, stop=resolved.stop, norm=resolved.norm,
                       inner_tol=inner_tol, custom_factory=resolved.custom_factory())
+    _make_dir(out_dir)
     _write_trace_csv(out_dir / "trace.csv", trace)
     _write_iterates_csv(out_dir / "iterates.csv", trace)
     return _write_run_json(out_dir, resolved, trace, scheme=resolved.scheme.value,
@@ -182,6 +184,7 @@ def _execute_integral(resolved: ResolvedProblem, out_dir: Path) -> Tuple[int, di
     setup = resolved.integral
     x0 = GridFunction.uniform(setup.T_end, setup.m)
     trace = run_integral_iteration(setup.kernel(), resolved.operator, x0, resolved.stop)
+    _make_dir(out_dir)
     _write_integral_trace_csv(out_dir / "trace.csv", trace)
     _write_solution_csv(out_dir / "solution.csv", trace.grids[-1])
     own = {"m": setup.m, "T_end": setup.T_end}

@@ -10,7 +10,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BallDomain, CoreError, OperatorSpec, Vector, matrix_norm, norm_of
+from . import core
+from .core import BallDomain, CoreError, OperatorSpec, Vector, matrix_norm
+
+# norm_of is read through core at each call: problems imports this module only
+# when an estimate block resolves, which may be while bench/tracer.py has
+# core.norm_of wrapped, and a name bound then would keep the wrapper after
+# uninstall() puts core's back
 
 SAFETY_FACTOR = 1.1
 
@@ -26,7 +32,7 @@ def _sample_pair(ball: BallDomain, rng: np.random.Generator):
     pts = []
     for _ in range(2):
         raw = rng.uniform(-1.0, 1.0, size=ball.center.dim)
-        n = norm_of(Vector(raw), ball.norm)
+        n = core.norm_of(Vector(raw), ball.norm)
         if n == 0.0:
             pts.append(ball.center)
             continue
@@ -44,7 +50,7 @@ def _max_ratio(gap_of_images: Callable[[Vector, Vector], float], ball: BallDomai
     best = 0.0
     for _ in range(samples):
         x, y = _sample_pair(ball, rng)
-        gap = norm_of(x - y, ball.norm)
+        gap = core.norm_of(x - y, ball.norm)
         if gap == 0.0:
             continue
         ratio = gap_of_images(x, y) / gap
@@ -60,7 +66,7 @@ def estimate_lipschitz_M(A: OperatorSpec, ball: BallDomain, samples: int = 200,
     A lower estimate; deterministic per seed, and nondecreasing in `samples`
     because the pair stream is a prefix-stable function of the seed.
     """
-    return _max_ratio(lambda x, y: norm_of(A.apply(x) - A.apply(y), ball.norm),
+    return _max_ratio(lambda x, y: core.norm_of(A.apply(x) - A.apply(y), ball.norm),
                       ball, samples, seed)
 
 

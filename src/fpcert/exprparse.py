@@ -100,7 +100,7 @@ class _Node:
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Lit(_Node):
     value: float
     pos: int = field(default=-1, compare=False)
@@ -110,7 +110,7 @@ class Lit(_Node):
         _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Var(_Node):
     name: str
     pos: int = field(default=-1, compare=False)
@@ -126,7 +126,7 @@ class Neg(_Node):
     pos: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Bin(_Node):
     op: str  # + - * / ^
     left: "Expr"
@@ -184,7 +184,7 @@ class _Hashed:
         return self.h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Call(_Node):
     fn: str
     arg: "Expr"

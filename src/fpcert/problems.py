@@ -16,20 +16,22 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
 
 from .core import (BallDomain, CoreError, NormKind, OperatorEvaluationError, OperatorSpec,
                    Vector, norm_of)
-from .estimate import SAFETY_FACTOR, estimate_lipschitz_K, estimate_lipschitz_M, with_safety
 from .exprparse import ExprError, eval_expr, parse_expr
-from .greens import KernelSpec, build_volterra_kernel, kernel_from_expression
 from .majorant import REGIMES, ProblemConstants
-from .rootfind import GammaSpec, RootfindError, wrap_root_problem
 from .schemes import InjectionMode, PerturbationPlan, SchemeError, SchemeKind, StopRule
 from .sequences import ScalarSequence, SequenceError, sequence_from_config, sequence_to_config
+
+# greens, rootfind and estimate are imported where an integral problem, a root
+# problem or an estimate block is resolved, so a problem loads only what it uses
+if TYPE_CHECKING:
+    from .greens import KernelSpec
 
 
 class ProblemError(ValueError):
@@ -355,6 +357,7 @@ class ResolvedProblem:
         if est is None:
             M, K = c["M"], c.get("K", 0.0)
         else:
+            from .estimate import estimate_lipschitz_K, estimate_lipschitz_M, with_safety
             ball = BallDomain(self.x0, est["radius"], self.norm)
             samples, seed = est["samples"], est["seed"]
             try:
@@ -447,8 +450,9 @@ _KEYS = {
     "constants.estimate": {"radius": float, "samples": int, "seed": int, "safety": float},
 }
 
-# the sampling settings of an estimate block that leaves them out
-_ESTIMATE_DEFAULTS = {"radius": 1.0, "samples": 200, "seed": 0, "safety": SAFETY_FACTOR}
+# the sampling settings of an estimate block that leaves them out, but for
+# safety, which defaults to estimate.SAFETY_FACTOR
+_ESTIMATE_DEFAULTS = {"radius": 1.0, "samples": 200, "seed": 0}
 
 
 def _listed(keys) -> str:
@@ -496,7 +500,7 @@ def resolve_config(cfg: dict) -> ResolvedProblem:
             entry = get_entry(cfg["catalog"])
             return _resolve(_from_catalog(cfg, entry), entry)
         return _resolve(cfg)
-    except (CoreError, RootfindError, SchemeError) as exc:
+    except (CoreError, SchemeError) as exc:
         raise ProblemError(str(exc)) from exc
 
 
@@ -589,7 +593,11 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
 
     gamma = None
     if kind == "root":
-        gamma = GammaSpec(**{"kind": "newton", **_block(cfg, "gamma")})
+        from .rootfind import GammaSpec, RootfindError, wrap_root_problem
+        try:
+            gamma = GammaSpec(**{"kind": "newton", **_block(cfg, "gamma")})
+        except RootfindError as exc:
+            raise ProblemError(str(exc)) from exc
         operator = wrap_root_problem(operator, gamma)
     elif "gamma" in cfg:
         raise ProblemError("gamma block is only meaningful for root problems")
@@ -606,6 +614,7 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
         _require(0.0 < T_end < math.inf, "integral.T_end", "positive and finite", T_end)
         m = icfg.get("m", 100)
         _require(m >= 1, "integral.m", "at least 1", m)
+        from .greens import build_volterra_kernel, kernel_from_expression
         if kernel_kind == "volterra_unit":
             spec = build_volterra_kernel(T_end)
         else:
@@ -629,7 +638,9 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
                 raise ProblemError("constants block gives both estimate and %s; "
                                    "declare the constants or sample them, not both"
                                    % _listed(analytic))
-            est = dict(_ESTIMATE_DEFAULTS, **_block(constants_cfg, "constants.estimate"))
+            from .estimate import SAFETY_FACTOR
+            est = {**_ESTIMATE_DEFAULTS, "safety": SAFETY_FACTOR,
+                   **_block(constants_cfg, "constants.estimate")}
             for key, ok, what in (("radius", lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
                                   ("samples", lambda v: v >= 10, "at least 10"),
                                   ("safety", lambda v: v >= 1.0, ">= 1")):

@@ -396,6 +396,24 @@ def test_sweep_records_each_failing_job_and_exits_0(tmp_path, capsys):
     rows = read_rows(out / "summary.csv")
     assert [(r["value"], r["exit"]) for r in rows] == [("1", "1"), ("2", "1")]
     assert all(r["stop_reason"].startswith("step 1 failed: ") for r in rows)
+    assert [p.name for p in out.iterdir()] == ["summary.csv"]
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    src = write_yaml(tmp_path, "f.yaml", "operator: log(x1) + 1\nx0: 0.0\n")
+    out = tmp_path / "o"
+    assert run_cli("run", src, "--out", str(out)) == 1
+    assert "step 1 failed: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_integral_run_leaves_no_output_directory(tmp_path, capsys):
+    src = write_yaml(tmp_path, "f.yaml", "kind: integral\noperator: log(x1)\nx0: 0.0\n"
+                                         "integral: {m: 4}\n")
+    out = tmp_path / "o"
+    assert run_cli("run", src, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_certify_needs_existing_trace(tmp_path, capsys):
