@@ -96,6 +96,5 @@ def test_star_import_and_dir():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         fpcert.no_such_name
-    assert not hasattr(fpcert, "_private")
     with pytest.raises(ImportError):
         exec("from fpcert import no_such_name", {})
