@@ -41,7 +41,10 @@ lines.  The pipelines are:
   fixed point) or no majorant (a newton problem with M = 1.5, which still
   writes `certify.json`), a `sweep` with an empty value list, and a seed
   `sweep` whose two jobs both fail at step 1 and are recorded in
-  `summary.csv`, which exits 0.
+  `summary.csv`, which exits 0; then a `run` with an infinite
+  `--inner-tol`, and `certify` of two copies of linear-contraction's trace,
+  one whose `run.json` has an infinite `inner_tol` and one with every `r_n`
+  of `trace.csv` halved.
 
 Exit codes are printed too, with the last line a call wrote to stderr (the
 error a failing `run` reports), or the exception a call raised; paths are
@@ -50,8 +53,11 @@ relative to OUT_DIR.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -176,6 +182,28 @@ REFUSED_CERTIFY = (
 )
 
 
+def edit_inner_tol(trace: Path) -> None:
+    """Set run.json's inner_tol to infinity, which JSON writes as Infinity."""
+    info = json.loads((trace / "run.json").read_text())
+    info["inner_tol"] = float("inf")
+    (trace / "run.json").write_text(json.dumps(info, indent=2, sort_keys=True) + "\n")
+
+
+def halve_r(trace: Path) -> None:
+    """Halve every r_n of trace.csv."""
+    with open(trace / "trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        if row[1]:
+            row[1] = format(float(row[1]) / 2, ".17g")
+    with open(trace / "trace.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+# certify of an edited copy of linear-contraction's trace, which certify refuses
+EDITED_TRACES = (("inner-tol-infinite", edit_inner_tol), ("r-n-halved", halve_r))
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -242,6 +270,14 @@ def main(argv) -> int:
     (d / "problem.yaml").write_text(yaml.safe_dump({"operator": "log(x1) + 1", "x0": 0.0}))
     call(["sweep", str(d / "problem.yaml"), "--param", "seed", "--values", "1,2",
           "--out", str(d / "sweep")])
+    call(["run", "linear-contraction", "--inner-tol", "inf",
+          "--out", str(refusal / "run-inner-tol-infinite")])
+    for name, edit in EDITED_TRACES:
+        trace = refusal / name / "trace"
+        shutil.copytree(out / "catalog" / "linear-contraction" / "trace", trace)
+        edit(trace)
+        call(["certify", "linear-contraction", "--trace", str(trace),
+              "--out", str(refusal / name / "h200")])
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print("%s  %s" % (hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out)))
     return 0

@@ -31,7 +31,8 @@ evaluation of each), one newton-dense Jacobian (900 entries, 30 times), one
 m = 800 kernel matrix (641,601 kernel evaluations, on a fresh kernel each
 time, so with its compilation), the fredholm-sweep operator at the 801 nodes
 of an m = 800 grid (`greens._pointwise`: 801 `apply` calls, each building two
-Vectors), noisy-certify's `certify` at horizon 1000, and newton-dense set-up.
+Vectors), noisy-certify's `certify` at horizon 1000, and the set-up of
+newton-dense and of fredholm-sweep.
 Every workload runs in a fresh process per side and round, on one CPU, as
 `bench/run.py` does.  That process imports its side's `src/fpcert` and
 `bench/workloads.py`, makes the untimed setup, then times the number of calls
@@ -39,9 +40,10 @@ LAYER_WORKLOADS gives and reports their median and a sha256 of the last
 call's output, which is serialized after the timed calls (the parse
 workload's `repr` of its trees took about a third of its time; the parse
 numbers in `BENCH_17_layers.json` to `BENCH_19_layers.json` include it).
-Set-up (`setup-newton-dense`) is timed as `bench/run.py`'s set-up child
-times it: each of its 21 samples is a fresh interpreter, which inherits the
-one CPU, imports `fpcert.problems` and loads the problem file, timed from
+Set-up (`setup-newton-dense`, `setup-fredholm-sweep`) is timed as
+`bench/run.py`'s set-up child times it: each of its 21 samples is a fresh
+interpreter, which inherits the one CPU, imports `fpcert.problems` and loads
+instance 0's problem file, timed from
 before the import to after the load; its output is the resolved problem's
 `digest`, of every sample, and the process that starts the samples imports
 no fpcert itself.  Rounds alternate which side goes first, as
@@ -51,7 +53,7 @@ sides was bit-equal; the exit code is 1 if one was not.  LAYER_ROUNDS = 5
 rounds of the six in-process workloads took 23 s on the host above, where
 the pinned rounds of one side spread by up to about 10%; set-up adds about
 27 s (2.7 s per side and round on a 2-vCPU Intel Xeon host with Python
-3.11), and its rounds of one side spread by under 2%.
+3.11) per set-up workload, and its rounds of one side spread by under 2%.
 """
 from __future__ import annotations
 
@@ -86,15 +88,15 @@ LAYERS = ("exprparse.parse_calls", "exprparse.parse_s",
           "majorant.cert_calls", "majorant.cert_self_s")
 
 
-# layer workloads (--layers): name -> timed calls per process, or for
-# setup-newton-dense the fresh processes per round
+# layer workloads (--layers): name -> timed calls per process, or for a
+# setup-<workload> the fresh processes per round
 LAYER_WORKLOADS = {"parse-newton-dense": 5, "compile-newton-dense": 5,
                    "jacobian-newton-dense": 5, "kernel-matrix-800": 5,
                    "pointwise-fredholm-800": 20, "noisy-certify-1000": 3,
-                   "setup-newton-dense": 21}
+                   "setup-newton-dense": 21, "setup-fredholm-sweep": 21}
 LAYER_ROUNDS = 5
 
-# one setup-newton-dense sample: import fpcert.problems and load a problem
+# one setup-<workload> sample: import fpcert.problems and load a problem
 # file in a fresh interpreter, as bench/run.py's set-up child does
 _SETUP_CHILD = """
 import sys, time
@@ -118,13 +120,13 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
     sys.path[:0] = [str(side / "src"), str(side / "bench")]
     import numpy as np
     import workloads
-    if name == "setup-newton-dense":
+    if name.startswith("setup-"):
         # only the sample processes import fpcert, each for the first time
-        problem = workloads.make_instance("newton-dense", 1, 0, tmp).calls[0].argv[1]
+        problem = workloads.make_instance(name[len("setup-"):], 1, 0, tmp).out / "problem.yaml"
         times, digests = [], []
         for _ in range(LAYER_WORKLOADS[name]):
             done = subprocess.run([sys.executable, "-c", _SETUP_CHILD, str(side / "src"),
-                                   problem], cwd=side, capture_output=True, text=True,
+                                   str(problem)], cwd=side, capture_output=True, text=True,
                                   timeout=120, check=True)
             seconds, digest = done.stdout.split()
             times.append(float(seconds))

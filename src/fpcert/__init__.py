@@ -2,14 +2,16 @@
 
 The package splits into three layers: operators and iteration schemes
 (`core`, `schemes`, `exprparse`, `rootfind`, `greens`), the majorant
-recurrence with its decay-regime certificates (`sequences`, `majorant`,
-`estimate`), and the problem catalog plus CLI on top (`problems`, `cli`).
+recurrence with its decay-regime certificates (`sequences`, `regimes`,
+`majorant`, `estimate`), and the problem catalog plus CLI on top
+(`problems`, `cli`).
 
 `import fpcert` loads none of them.  Each public name is served on first use
 from the module that defines it (PEP 562), which imports that module only
-then; `import fpcert.problems` loads `core`, `exprparse`, `schemes`,
-`sequences` and `majorant` with it.  `greens`, `rootfind` and `estimate` load
-when an integral problem, a root problem or an estimate block resolves.
+then; `import fpcert.problems` loads `core`, `exprparse`, `regimes`,
+`schemes` and `sequences` with it.  `greens`, `rootfind` and `estimate` load
+when an integral problem, a root problem or an estimate block resolves, and
+`majorant` when a problem's constants are built.
 """
 
 import importlib

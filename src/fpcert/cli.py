@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .core import OperatorEvaluationError
+from .core import CoreError, NormKind, OperatorEvaluationError, Vector, norm_of
 from .greens import GreensError, GridFunction, IntegralTrace, run_integral_iteration
 from .majorant import (MajorantError, certify as run_certificate, majorant_from_constants,
                        precheck, tail_bound)
@@ -127,6 +127,48 @@ def _read_trace_r(path: Path) -> List[float]:
             except ValueError:
                 raise CliError("%s, line %d: r_n %r is not a number" % (path, line, row["r_n"]))
     return r
+
+
+def _read_iterates(path: Path, dim: int) -> List[Vector]:
+    """The iterates x_0, x_1, ... of iterates.csv, whose columns are n, x1..x<dim>."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except FileNotFoundError:
+        raise CliError("no iterates.csv in the trace directory (run `fpcert run` first)")
+    except (OSError, ValueError, csv.Error) as exc:  # a directory, or no UTF-8 text
+        raise CliError("cannot read %s: %s" % (path, _reason(exc)))
+    header = ["n"] + ["x%d" % (i + 1) for i in range(dim)]
+    if not rows or rows[0] != header:
+        raise CliError("%s, line 1: the header is not %s" % (path, ",".join(header)))
+    iterates = []
+    for line, row in enumerate(rows[1:], 2):
+        try:
+            if len(row) != len(header):
+                raise ValueError("%d fields where the header has %d" % (len(row), len(header)))
+            iterates.append(Vector(list(map(float, row[1:]))))
+        except (ValueError, CoreError) as exc:
+            raise CliError("%s, line %d: %s" % (path, line, exc))
+    return iterates
+
+
+def _check_r(r_meas: List[float], trace_dir: Path, dim: int, norm: NormKind) -> None:
+    """Refuse a trace.csv whose r_n is not ||x_{n+1} - x_n|| of iterates.csv.
+
+    `run` writes both files with 17 significant digits, which round-trip, and
+    computes r_n this way, so a trace as written matches bit for bit."""
+    path = trace_dir / "iterates.csv"
+    xs = _read_iterates(path, dim)
+    for n, r in enumerate(r_meas):
+        if n + 1 >= len(xs):
+            raise CliError("step %d: %s has no x_%d to check r_%d against" % (n, path, n + 1, n))
+        recomputed = norm_of(xs[n + 1] - xs[n], norm)
+        if recomputed != r:
+            raise CliError("step %d: trace.csv has r_%d = %s, but iterates.csv gives %s"
+                           % (n, n, _fmt(r), _fmt(recomputed)))
+    if len(xs) > len(r_meas) + 1:
+        raise CliError("step %d: %s has x_%d, but trace.csv has no r_%d"
+                       % (len(r_meas), path, len(r_meas) + 1, len(r_meas)))
 
 
 def _read_run_json(path: Path) -> dict:
@@ -238,6 +280,11 @@ def cmd_certify(args) -> int:
     except (TypeError, ValueError):
         raise CliError("cannot read %s: inner_tol %r is not a number"
                        % (trace_dir / "run.json", run_info["inner_tol"]))
+    if not (math.isfinite(inner_tol) and inner_tol >= 0.0):
+        # the slack below grows with it: an infinite one would pass every margin
+        raise CliError("cannot read %s: inner_tol %r is not a finite number >= 0"
+                       % (trace_dir / "run.json", run_info["inner_tol"]))
+    _check_r(r_meas, trace_dir, resolved.x0.dim, resolved.norm)
     slack = 10.0 * inner_tol + 1e-12
     horizon = args.horizon
 
@@ -378,6 +425,17 @@ def cmd_catalog(args) -> int:
 # entry point
 
 
+def _inner_tol(text: str) -> float:
+    """An --inner-tol value, a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError("must be a finite number >= 0, got %r" % text)
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors, which collides with the
     # divergence-guard exit code; route usage errors through CliError instead
@@ -395,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("problem", help="catalog name or YAML problem file")
     run_p.add_argument("--out", help="output directory (default fpcert-out/<name>)")
     run_p.add_argument("--seed", type=int, help="override the perturbation seed")
-    run_p.add_argument("--inner-tol", type=float, default=1e-12,
+    run_p.add_argument("--inner-tol", type=_inner_tol, default=1e-12,
                        help="inner solve tolerance (default 1e-12)")
     run_p.set_defaults(func=cmd_run)
 
@@ -414,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument("--out")
     sweep_p.add_argument("--seed", type=int)
-    sweep_p.add_argument("--inner-tol", type=float, default=1e-12)
+    sweep_p.add_argument("--inner-tol", type=_inner_tol, default=1e-12)
     sweep_p.set_defaults(func=cmd_sweep)
 
     cat_p = sub.add_parser("catalog", help="list built-in problems")

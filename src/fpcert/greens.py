@@ -12,18 +12,23 @@ kernel's first evaluation.  That function gives the walk's bits; at a
 failing (t, s) it raises the walk's positioned error, and
 KernelSpec.evaluate adds the point.  The kernel's kind is decided at that
 first evaluation too, so an entry costs one call of the kernel's function.
+
+bound_propagate imports majorant when it runs, so that loading an integral
+problem does not import the certificate machinery.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from .core import OperatorSpec, Vector
 from .exprparse import EvalDomainError, Expr, bind, parse_expr
-from .majorant import PreconditionError, ProblemConstants, step_inequality
 from .schemes import SchemeKind, StopRule, guard_radius
+
+if TYPE_CHECKING:
+    from .majorant import ProblemConstants
 
 
 class GreensError(ValueError):
@@ -247,6 +252,7 @@ def bound_propagate(k: KernelSpec, constants: ProblemConstants, r_prev: GridFunc
     contraction/custom, curvature form for newton); margins below -h^2 fail,
     anything inside that quadrature slack passes.
     """
+    from .majorant import PreconditionError, step_inequality
     if not np.array_equal(r_prev.nodes, r_cur.nodes):
         raise GreensError("grid functions live on different node sets")
     try:

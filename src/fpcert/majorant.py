@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
+from .regimes import WITNESSES
 from .schemes import SchemeKind
 from .sequences import ScalarSequence, SequenceError
 
@@ -625,15 +626,15 @@ class _Regime(NamedTuple):
     fallback: Optional[Callable[[MajorantParams, int], Dict[str, float]]] = None
 
 
-REGIMES: Dict[str, _Regime] = {
-    "bounded": _Regime((), _no_witnesses),
-    "uniform_max": _Regime((), _no_witnesses),
-    "sandwich": _Regime(("C1", "C2"), _sandwich_grid,
-                        lambda p, N: {"C1": 0.5, "C2": _needed_c2(p, N)}),
-    "geometric": _Regime(("chi", "mu", "lambda0_tilde", "C_mu"), _geometric_grid,
-                         lambda p, N: {"chi": 0.5, "mu": 0.0, "lambda0_tilde": 1.0, "C_mu": 1.0}),
-    "quadratic": _Regime(("chi", "mu"), _quadratic_grid, lambda p, N: {"chi": 0.5, "mu": 0.0}),
-}
+# the witness names come from regimes.WITNESSES; each regime adds its grid and fallback
+REGIMES: Dict[str, _Regime] = {name: _Regime(WITNESSES[name], *search) for name, search in {
+    "bounded": (_no_witnesses,),
+    "uniform_max": (_no_witnesses,),
+    "sandwich": (_sandwich_grid, lambda p, N: {"C1": 0.5, "C2": _needed_c2(p, N)}),
+    "geometric": (_geometric_grid,
+                  lambda p, N: {"chi": 0.5, "mu": 0.0, "lambda0_tilde": 1.0, "C_mu": 1.0}),
+    "quadratic": (_quadratic_grid, lambda p, N: {"chi": 0.5, "mu": 0.0}),
+}.items()}
 
 
 def _regime(regime: str) -> _Regime:

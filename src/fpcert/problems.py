@@ -8,6 +8,12 @@ averaging weight, a known solution).  A catalog reference becomes that mapping
 with its overrides applied, and one resolver turns every mapping, built-in or
 from a file, into a ResolvedProblem; only the digest's identity fields tell
 the two apart.
+
+Loading a problem imports `core`, `exprparse`, `regimes`, `schemes` and
+`sequences`.  A `certificates` block is checked against `regimes.WITNESSES`,
+so the certificates themselves (`majorant`) load only where `constants_for`
+builds a problem's constants; `greens`, `rootfind` and `estimate` load where
+an integral problem, a root problem or an estimate block resolves.
 """
 from __future__ import annotations
 
@@ -24,14 +30,16 @@ import yaml
 from .core import (BallDomain, CoreError, NormKind, OperatorEvaluationError, OperatorSpec,
                    Vector, norm_of)
 from .exprparse import ExprError, eval_expr, parse_expr
-from .majorant import REGIMES, ProblemConstants
+from .regimes import WITNESSES
 from .schemes import InjectionMode, PerturbationPlan, SchemeError, SchemeKind, StopRule
 from .sequences import ScalarSequence, SequenceError, sequence_from_config, sequence_to_config
 
 # greens, rootfind and estimate are imported where an integral problem, a root
-# problem or an estimate block is resolved, so a problem loads only what it uses
+# problem or an estimate block is resolved, and majorant where constants_for
+# builds the constants, so a problem loads only what it uses
 if TYPE_CHECKING:
     from .greens import KernelSpec
+    from .majorant import ProblemConstants
 
 
 class ProblemError(ValueError):
@@ -282,6 +290,7 @@ def constants_for(M: float, K: float, scheme: SchemeKind, plan: PerturbationPlan
     custom averaged: both constants scale by theta.  Explicit m_star/k_star
     replace the scheme-implied values (the per-index sequences stay implied).
     """
+    from .majorant import ProblemConstants
     eps_meas = norm_of(operator.apply(x0) - x0, norm)
     zero = ScalarSequence.zero()
     if scheme is SchemeKind.CONTRACTION:
@@ -412,16 +421,16 @@ def _parse_certs(cfg) -> List[CertRequest]:
         if extra:
             raise ProblemError("unknown certificate request keys: %s" % _listed(extra))
         regime = item["regime"]
-        if regime not in REGIMES:
+        if regime not in WITNESSES:
             raise ProblemError("unknown certificate regime %r (expected one of %s)"
-                               % (regime, ", ".join(REGIMES)))
+                               % (regime, ", ".join(WITNESSES)))
         wit = item.get("witnesses")
         if wit == "search":
             wit = None
         if wit is not None:
             if not isinstance(wit, dict):
                 raise ProblemError("witnesses must be a mapping or \"search\"")
-            names = REGIMES[regime].witnesses
+            names = WITNESSES[regime]
             unknown = _listed(set(wit) - set(names))
             missing = ", ".join(k for k in names if k not in wit)
             if unknown or missing:

@@ -299,6 +299,26 @@ def test_run_inner_tol_recorded(tmp_path):
     assert defects and all(d <= 1e-6 for d in defects)
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "gentle-newton"],
+    ["sweep", "gentle-newton", "--param", "seed", "--values", "1,2"],
+], ids=["run", "sweep"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1e-9", "abc"])
+def test_inner_tol_must_be_a_finite_number_at_least_0(tmp_path, capsys, command, value):
+    # certify's slack grows with inner_tol, so an infinite one would pass every margin
+    out = tmp_path / "out"
+    assert run_cli(*command, "--inner-tol=" + value, "--out", str(out)) == 1
+    assert_one_error_line(capsys, "error: argument --inner-tol: must be a finite number >= 0, "
+                                  "got %r" % value)
+    assert not out.exists()
+
+
+def test_inner_tol_0_runs(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "gentle-newton", "--inner-tol", "0", "--out", str(out)) == 0
+    assert read_json(out / "run.json")["inner_tol"] == 0.0
+
+
 # -- certify ----------------------------------------------------------------
 
 
@@ -465,7 +485,10 @@ def test_out_naming_an_existing_file(tmp_path, capsys, argv):
     ("{\"problem\": ", "Expecting value: line 1 column 13 (char 12)"),
     ("[1, 2]", "it holds no JSON object"),
     ({"inner_tol": "abc"}, "inner_tol 'abc' is not a number"),
-], ids=["cut-short", "array", "inner-tol"])
+    ({"inner_tol": float("inf")}, "inner_tol inf is not a finite number >= 0"),
+    ({"inner_tol": float("nan")}, "inner_tol nan is not a finite number >= 0"),
+    ({"inner_tol": -1e-6}, "inner_tol -1e-06 is not a finite number >= 0"),
+], ids=["cut-short", "array", "inner-tol", "inner-tol-inf", "inner-tol-nan", "inner-tol-neg"])
 def test_certify_run_json_that_cannot_be_read(tmp_path, capsys, content, reason):
     out = tmp_path / "t"
     assert run_cli("run", "linear-contraction", "--out", str(out)) == 0
@@ -488,6 +511,96 @@ def test_certify_trace_with_r_n_that_is_no_number(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("certify", "linear-contraction", "--trace", str(out)) == 1
     assert_one_error_line(capsys, "%s, line 4: r_n '0.1x' is not a number" % (out / "trace.csv"))
+
+
+def edit_csv(path, edit):
+    """Rewrite the CSV file at path with edit(rows) applied to its rows, header included."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def scale_r(factor, first):
+    """An edit_csv edit: every r_n from n = first on times factor."""
+    def edit(rows):
+        for row in rows[1 + first:]:
+            if row[1]:
+                row[1] = repr(float(row[1]) * factor)
+    return edit
+
+
+@pytest.mark.parametrize("factor, first, step", [(0.5, 0, 0), (1000.0, 1, 1)],
+                         ids=["halved", "later-times-1000"])
+def test_certify_refuses_r_n_that_the_iterates_do_not_give(tmp_path, capsys, factor, first,
+                                                            step):
+    out = tmp_path / "t"
+    assert run_cli("run", "linear-contraction", "--out", str(out)) == 0
+    r = [float(row["r_n"]) for row in read_rows(out / "trace.csv") if row["r_n"]]
+    edit_csv(out / "trace.csv", scale_r(factor, first))
+    capsys.readouterr()
+    assert run_cli("certify", "linear-contraction", "--trace", str(out)) == 1
+    assert_one_error_line(capsys, "error: step %d: trace.csv has r_%d = %s, but iterates.csv "
+                                  "gives %s" % (step, step, cli._fmt(r[step] * factor),
+                                                cli._fmt(r[step])))
+    assert not (out / "certify.json").exists()
+
+
+def test_certify_refuses_an_infinite_inner_tol_before_the_r_n_check(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert run_cli("run", "linear-contraction", "--out", str(out)) == 0
+    edit_csv(out / "trace.csv", scale_r(1000.0, 1))
+    info = dict(read_json(out / "run.json"), inner_tol=float("inf"))
+    (out / "run.json").write_text(json.dumps(info))
+    capsys.readouterr()
+    assert run_cli("certify", "linear-contraction", "--trace", str(out)) == 1
+    assert_one_error_line(capsys, "cannot read %s: inner_tol inf is not a finite number >= 0"
+                          % (out / "run.json"))
+
+
+def drop_last(rows):
+    del rows[-1]
+
+
+def add_row(rows):
+    rows.append([str(len(rows) - 1)] + rows[-1][1:])
+
+
+def bad_value(rows):
+    rows[3][1] = "0.1x"
+
+
+def short_row(rows):
+    del rows[3][1]
+
+
+def bad_header(rows):
+    rows[0][1] = "y1"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (None, "no iterates.csv in the trace directory (run `fpcert run` first)"),
+    (drop_last, "step %(last)d: ITER has no x_%(steps)d to check r_%(last)d against"),
+    (add_row, "step %(steps)d: ITER has x_%(next)d, but trace.csv has no r_%(steps)d"),
+    (bad_value, "ITER, line 4: could not convert string to float: '0.1x'"),
+    (short_row, "ITER, line 4: 1 fields where the header has 2"),
+    (bad_header, "ITER, line 1: the header is not n,x1"),
+], ids=["missing", "row-missing", "row-added", "not-a-number", "short-row", "header"])
+def test_certify_refuses_iterates_it_cannot_check_r_n_against(tmp_path, capsys, edit,
+                                                              message):
+    out = tmp_path / "t"
+    assert run_cli("run", "linear-contraction", "--out", str(out)) == 0
+    steps = read_json(out / "run.json")["steps"]
+    iterates = out / "iterates.csv"
+    if edit is None:
+        iterates.unlink()
+    else:
+        edit_csv(iterates, edit)
+    capsys.readouterr()
+    assert run_cli("certify", "linear-contraction", "--trace", str(out)) == 1
+    assert_one_error_line(capsys, "error: " + message.replace("ITER", str(iterates)) % {
+        "steps": steps, "last": steps - 1, "next": steps + 1})
 
 
 def test_certify_with_estimated_constants(tmp_path):

@@ -2,7 +2,8 @@
 
 `fpcert/__init__.py` serves its public names lazily (PEP 562), and `problems`
 imports `greens`, `rootfind` and `estimate` only where an integral problem, a
-root problem or an estimate block resolves.  Which modules a load imports is
+root problem or an estimate block resolves, and `majorant` only where a
+problem's constants are built.  Which modules a load imports is
 only visible in a process that has imported nothing else, so those tests run
 a fresh interpreter each.
 """
@@ -17,6 +18,8 @@ import fpcert
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LAZY = {"fpcert.greens", "fpcert.rootfind", "fpcert.estimate"}
+# what no load imports: the certificates and the CLI
+NEVER = {"fpcert.majorant", "fpcert.cli"}
 
 _LOAD = """
 import json, sys
@@ -46,10 +49,12 @@ def test_newton_problem_loads_no_module_it_does_not_use(tmp_path):
                            "derivative: [['0', '-0.1*sin(x2)', '0'], ['0', '0', '0.1*cos(x3)'],"
                            " ['0.1', '0', '0']]\n"
                            "x0: [0.0, 0.0, 0.0]\nscheme: newton\n"
-                           "constants: {M: 0.1, K: 0.1}\n")
+                           "constants: {M: 0.1, K: 0.1}\n"
+                           "certificates: [{regime: bounded},"
+                           " {regime: sandwich, witnesses: {C1: 0.5, C2: 1.0}}]\n")
     loaded = modules_after_load(path)
-    assert not loaded & (LAZY | {"fpcert.cli"}), sorted(loaded)
-    assert {"fpcert.problems", "fpcert.core", "fpcert.exprparse"} <= loaded
+    assert not loaded & (LAZY | NEVER), sorted(loaded)
+    assert {"fpcert.problems", "fpcert.core", "fpcert.exprparse", "fpcert.regimes"} <= loaded
 
 
 @pytest.mark.parametrize("text, needed", [
@@ -62,7 +67,7 @@ def test_newton_problem_loads_no_module_it_does_not_use(tmp_path):
 def test_each_kind_imports_exactly_the_module_it_needs(tmp_path, text, needed):
     loaded = modules_after_load(write(tmp_path, text))
     assert loaded & LAZY == {needed}
-    assert "fpcert.cli" not in loaded
+    assert not loaded & NEVER, sorted(loaded)
 
 
 def test_import_fpcert_loads_no_submodule():
@@ -78,8 +83,9 @@ def test_every_public_name_is_its_defining_modules_object():
     for name in fpcert.__all__:
         if name == "__version__":
             continue
+        value = getattr(fpcert, name)  # imports the module, if no earlier test did
         module = sys.modules["fpcert." + fpcert._EXPORTS[name]]
-        assert getattr(fpcert, name) is getattr(module, name), name
+        assert value is getattr(module, name), name
         assert module.__dict__[name] is fpcert.__dict__[name], name  # cached on first use
 
 
