@@ -39,8 +39,8 @@ def test_every_traced_target_exists_and_uninstalls():
 
 
 # bench/run.py imports only fpcert.cli before it installs the tracer, and
-# problems imports greens, rootfind and estimate lazily, so the tracer must
-# find every traced module through cli alone.  While it is installed, each
+# problems imports greens, rootfind, estimate and majorant lazily, so the
+# tracer must find every traced module through cli alone.  While it is installed, each
 # lazy module loads (a root, an integral and an estimate-block problem); after
 # uninstall() no fpcert module may still hold a wrapper.
 _CONTRACT = """
@@ -48,7 +48,7 @@ import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import fpcert.cli
 import tracer
-assert "fpcert.greens" in sys.modules
+assert "fpcert.greens" in sys.modules and "fpcert.majorant" in sys.modules
 tr = tracer.Tracer()
 tr.install()
 try:
