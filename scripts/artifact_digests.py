@@ -44,7 +44,11 @@ lines.  The pipelines are:
   `summary.csv`, which exits 0; then a `run` with an infinite
   `--inner-tol`, and `certify` of two copies of linear-contraction's trace,
   one whose `run.json` has an infinite `inner_tol` and one with every `r_n`
-  of `trace.csv` halved.
+  of `trace.csv` halved;
+- integral file problems: a `run` that starts from `x0: 0.5`, and the `run`
+  refusals of a `scheme`, a `norm` and each noise key of the `perturbation`
+  block, which an integral problem does not take, then a `sweep` of
+  volterra-exp over `eps`, refused before it writes anything.
 
 Exit codes are printed too, with the last line a call wrote to stderr (the
 error a failing `run` reports), or the exception a call raised; paths are
@@ -182,6 +186,19 @@ REFUSED_CERTIFY = (
 )
 
 
+INTEGRAL = {"kind": "integral", "operator": "x1 + 1", "x0": 0.0,
+            "integral": {"kernel": "0.2*exp(-(t-s)^2)", "T_end": 1.0, "m": 8}}
+# integral problems an integral `run` refuses, each for one key it does not take
+REFUSED_INTEGRAL = (
+    ("scheme", {"scheme": "newton"}),
+    ("norm", {"norm": "euclidean"}),
+    ("eps", {"perturbation": {"mode": "additive-deterministic", "eps": 0.5}}),
+    ("sigma", {"perturbation": {"sigma": {"kind": "table", "entries": [0.0, 0.1]}}}),
+    ("gamma", {"perturbation": {"gamma": {"kind": "geometric", "c": 0.1, "ratio": 0.5}}}),
+    ("mode", {"perturbation": {"mode": "additive-seeded-random"}}),
+)
+
+
 def edit_inner_tol(trace: Path) -> None:
     """Set run.json's inner_tol to infinity, which JSON writes as Infinity."""
     info = json.loads((trace / "run.json").read_text())
@@ -278,6 +295,17 @@ def main(argv) -> int:
         edit(trace)
         call(["certify", "linear-contraction", "--trace", str(trace),
               "--out", str(refusal / name / "h200")])
+    d = out / "integral" / "x0-half"
+    d.mkdir(parents=True)
+    (d / "problem.yaml").write_text(yaml.safe_dump(dict(INTEGRAL, x0=0.5)))
+    call(["run", str(d / "problem.yaml"), "--out", str(d / "trace")])
+    for key, extra in REFUSED_INTEGRAL:
+        d = refusal / ("integral-" + key)
+        d.mkdir(parents=True)
+        (d / "problem.yaml").write_text(yaml.safe_dump(dict(INTEGRAL, **extra)))
+        call(["run", str(d / "problem.yaml"), "--out", str(d / "trace")])
+    call(["sweep", "volterra-exp", "--param", "eps", "--values", "0.1,0.5",
+          "--out", str(refusal / "integral-sweep-eps")])
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print("%s  %s" % (hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out)))
     return 0

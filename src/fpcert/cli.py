@@ -20,12 +20,14 @@ import sys
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .core import CoreError, NormKind, OperatorEvaluationError, Vector, norm_of
+import numpy as np
+
+from .core import OperatorEvaluationError, Vector, norm_of
 from .greens import GreensError, GridFunction, IntegralTrace, run_integral_iteration
 from .majorant import (MajorantError, certify as run_certificate, majorant_from_constants,
                        precheck, tail_bound)
 from .problems import (CATALOG, CertRequest, ProblemError, ResolvedProblem, load_config,
-                       override_param, resolve_config)
+                       override_param, resolve_config, var_names)
 from .schemes import IterationTrace, StepFailure, run_outer
 
 EXIT_OK = 0
@@ -92,9 +94,8 @@ def _write_trace_csv(path: Path, trace: IterationTrace):
 
 
 def _write_iterates_csv(path: Path, trace: IterationTrace):
-    dim = trace.iterates[0].dim
-    _write_csv(path, ["n"] + ["x%d" % (i + 1) for i in range(dim)],
-               ([n] + [x[i] for i in range(dim)] for n, x in enumerate(trace.iterates)))
+    _write_csv(path, ["n"] + var_names(trace.iterates[0].dim),
+               ([n] + x.coords.tolist() for n, x in enumerate(trace.iterates)))
 
 
 def _write_integral_trace_csv(path: Path, trace: IntegralTrace):
@@ -110,78 +111,88 @@ def _write_solution_csv(path: Path, g: GridFunction):
     _write_csv(path, ["node", "value"], zip(g.nodes, g.values))
 
 
-def _read_trace_r(path: Path) -> List[float]:
+def _read_artifact(path: Path):
+    """run.json as parsed JSON, or a CSV artifact as its rows of fields."""
     try:
+        if path.suffix == ".json":
+            with open(path) as fh:
+                return json.load(fh)
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = [(reader.line_num, row) for row in reader]
+            return list(csv.reader(fh))
     except FileNotFoundError:
-        raise CliError("no trace.csv in the trace directory (run `fpcert run` first)")
-    except (OSError, ValueError, csv.Error) as exc:  # a directory, or no UTF-8 text
+        raise CliError("no %s in the trace directory (run `fpcert run` first)" % path.name)
+    except (OSError, ValueError, csv.Error) as exc:  # a directory, or no UTF-8 text or JSON
         raise CliError("cannot read %s: %s" % (path, _reason(exc)))
+
+
+def _read_run(trace_dir: Path, resolved: ResolvedProblem) -> Tuple[List[float], float]:
+    """The r_n of trace.csv and the inner_tol of run.json, once trace_dir is
+    checked against the problem.
+
+    Every r_n must be ||x_{n+1} - x_n|| of iterates.csv.  `run` computes it
+    that way and writes both files with 17 significant digits, which
+    round-trip, so a trace as written matches bit for bit."""
+    info_path = trace_dir / "run.json"
+    info = _read_artifact(info_path)
+    if not isinstance(info, dict):
+        raise CliError("cannot read %s: it holds no JSON object" % info_path)
+    if info.get("digest") != resolved.digest:
+        raise CliError("trace digest %s does not match problem digest %s"
+                       % (info.get("digest"), resolved.digest))
+    path = trace_dir / "trace.csv"
+    rows = _read_artifact(path)
     r = []
-    for line, row in rows:
-        if row.get("r_n"):
+    for line, row in enumerate(rows[1:], 2):
+        cell = dict(zip(rows[0], row)).get("r_n")
+        if cell:
             try:
-                r.append(float(row["r_n"]))
+                r.append(float(cell))
             except ValueError:
-                raise CliError("%s, line %d: r_n %r is not a number" % (path, line, row["r_n"]))
-    return r
-
-
-def _read_iterates(path: Path, dim: int) -> List[Vector]:
-    """The iterates x_0, x_1, ... of iterates.csv, whose columns are n, x1..x<dim>."""
+                raise CliError("%s, line %d: r_n %r is not a number" % (path, line, cell))
+    if not r:
+        raise CliError("trace has no completed steps to certify")
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except FileNotFoundError:
-        raise CliError("no iterates.csv in the trace directory (run `fpcert run` first)")
-    except (OSError, ValueError, csv.Error) as exc:  # a directory, or no UTF-8 text
-        raise CliError("cannot read %s: %s" % (path, _reason(exc)))
-    header = ["n"] + ["x%d" % (i + 1) for i in range(dim)]
+        inner_tol = float(info.get("inner_tol", 1e-12))
+    except (TypeError, ValueError):
+        raise CliError("cannot read %s: inner_tol %r is not a number"
+                       % (info_path, info["inner_tol"]))
+    if not (math.isfinite(inner_tol) and inner_tol >= 0.0):
+        # certify's slack grows with it: an infinite one would pass every margin
+        raise CliError("cannot read %s: inner_tol %r is not a finite number >= 0"
+                       % (info_path, info["inner_tol"]))
+
+    path = trace_dir / "iterates.csv"
+    rows = _read_artifact(path)
+    header = ["n"] + var_names(resolved.x0.dim)
     if not rows or rows[0] != header:
         raise CliError("%s, line 1: the header is not %s" % (path, ",".join(header)))
-    iterates = []
+    xs = []
     for line, row in enumerate(rows[1:], 2):
         try:
             if len(row) != len(header):
                 raise ValueError("%d fields where the header has %d" % (len(row), len(header)))
-            iterates.append(Vector(list(map(float, row[1:]))))
-        except (ValueError, CoreError) as exc:
+            x = list(map(float, row[1:]))
+            if not all(map(math.isfinite, x)):  # Vector's message, without building one
+                raise ValueError("vector entries must be finite, got %r" % (np.array(x),))
+        except ValueError as exc:
             raise CliError("%s, line %d: %s" % (path, line, exc))
-    return iterates
-
-
-def _check_r(r_meas: List[float], trace_dir: Path, dim: int, norm: NormKind) -> None:
-    """Refuse a trace.csv whose r_n is not ||x_{n+1} - x_n|| of iterates.csv.
-
-    `run` writes both files with 17 significant digits, which round-trip, and
-    computes r_n this way, so a trace as written matches bit for bit."""
-    path = trace_dir / "iterates.csv"
-    xs = _read_iterates(path, dim)
-    for n, r in enumerate(r_meas):
-        if n + 1 >= len(xs):
-            raise CliError("step %d: %s has no x_%d to check r_%d against" % (n, path, n + 1, n))
-        recomputed = norm_of(xs[n + 1] - xs[n], norm)
-        if recomputed != r:
+        xs.append(x)
+    xs = np.array(xs).reshape(-1, len(header) - 1)
+    with np.errstate(over="ignore"):  # Vector refuses an overflowed difference the loop reaches
+        steps = xs[1:] - xs[:-1]
+    # one Vector per difference: norm_of then reads a fresh array, as in `run`
+    for n, (r_n, step) in enumerate(zip(r, steps)):
+        recomputed = norm_of(Vector(step), resolved.norm)
+        if recomputed != r_n:
             raise CliError("step %d: trace.csv has r_%d = %s, but iterates.csv gives %s"
-                           % (n, n, _fmt(r), _fmt(recomputed)))
-    if len(xs) > len(r_meas) + 1:
+                           % (n, n, _fmt(r_n), _fmt(recomputed)))
+    n = len(steps)
+    if n < len(r):
+        raise CliError("step %d: %s has no x_%d to check r_%d against" % (n, path, n + 1, n))
+    if n > len(r):
         raise CliError("step %d: %s has x_%d, but trace.csv has no r_%d"
-                       % (len(r_meas), path, len(r_meas) + 1, len(r_meas)))
-
-
-def _read_run_json(path: Path) -> dict:
-    try:
-        with open(path) as fh:
-            info = json.load(fh)
-    except FileNotFoundError:
-        raise CliError("no run.json in the trace directory (run `fpcert run` first)")
-    except (OSError, ValueError) as exc:  # a directory, or no JSON
-        raise CliError("cannot read %s: %s" % (path, _reason(exc)))
-    if not isinstance(info, dict):
-        raise CliError("cannot read %s: it holds no JSON object" % path)
-    return info
+                       % (len(r), path, len(r) + 1, len(r)))
+    return r, inner_tol
 
 
 def _make_dir(path: Path) -> None:
@@ -224,7 +235,7 @@ def _execute_run(resolved: ResolvedProblem, out_dir: Path, inner_tol: float) -> 
 
 def _execute_integral(resolved: ResolvedProblem, out_dir: Path) -> Tuple[int, dict]:
     setup = resolved.integral
-    x0 = GridFunction.uniform(setup.T_end, setup.m)
+    x0 = GridFunction.uniform(setup.T_end, setup.m, fill=resolved.x0[0])
     trace = run_integral_iteration(setup.kernel(), resolved.operator, x0, resolved.stop)
     _make_dir(out_dir)
     _write_integral_trace_csv(out_dir / "trace.csv", trace)
@@ -268,23 +279,7 @@ def cmd_certify(args) -> int:
         raise CliError("certificates apply to fixed_point/root runs; integral runs "
                        "are checked by bound propagation")
     trace_dir = Path(args.trace)
-    run_info = _read_run_json(trace_dir / "run.json")
-    if run_info.get("digest") != resolved.digest:
-        raise CliError("trace digest %s does not match problem digest %s"
-                       % (run_info.get("digest"), resolved.digest))
-    r_meas = _read_trace_r(trace_dir / "trace.csv")
-    if not r_meas:
-        raise CliError("trace has no completed steps to certify")
-    try:
-        inner_tol = float(run_info.get("inner_tol", 1e-12))
-    except (TypeError, ValueError):
-        raise CliError("cannot read %s: inner_tol %r is not a number"
-                       % (trace_dir / "run.json", run_info["inner_tol"]))
-    if not (math.isfinite(inner_tol) and inner_tol >= 0.0):
-        # the slack below grows with it: an infinite one would pass every margin
-        raise CliError("cannot read %s: inner_tol %r is not a finite number >= 0"
-                       % (trace_dir / "run.json", run_info["inner_tol"]))
-    _check_r(r_meas, trace_dir, resolved.x0.dim, resolved.norm)
+    r_meas, inner_tol = _read_run(trace_dir, resolved)
     slack = 10.0 * inner_tol + 1e-12
     horizon = args.horizon
 

@@ -58,7 +58,8 @@ def _number(value, key: str, convert=float):
                            % (key, "an integer" if convert is int else "a number", value)) from None
 
 
-def _var_names(dim: int) -> List[str]:
+def var_names(dim: int) -> List[str]:
+    """The variable names x1..x<dim>, which are also the coordinate columns of iterates.csv."""
     return ["x%d" % (i + 1) for i in range(dim)]
 
 
@@ -86,7 +87,7 @@ def _expression_operator(exprs: Sequence[str], dim: int,
     """
     if len(exprs) != dim:
         raise ProblemError("operator needs %d expressions, got %d" % (dim, len(exprs)))
-    names = _var_names(dim)
+    names = var_names(dim)
     allowed = frozenset(names)
     trees = [parse_expr(t, allowed) for t in exprs]
 
@@ -633,6 +634,13 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
                 raise ProblemError("bad kernel expression: %s" % exc)
         if dim != 1:
             raise ProblemError("integral problems are scalar (dim 1) in this version")
+        # the Picard iteration of greens takes the sup norm and no noise
+        if scheme is not SchemeKind.CONTRACTION:
+            raise ProblemError("scheme %s is not available for integral problems, which run "
+                               "the contraction iteration" % scheme.value)
+        if norm is not NormKind.SUP:
+            raise ProblemError("norm %s is not available for integral problems, which use "
+                               "the sup norm" % norm.value)
         integral = IntegralSetup(kernel_kind, T_end, m, spec,
                                  exact=entry.exact if entry else None)
     elif "integral" in cfg:
@@ -659,6 +667,15 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
             raise ProblemError("constants block needs M (or an estimate sub-block)")
 
     plan = _parse_plan(cfg)
+    if integral is not None:
+        # a seed alone is harmless, so `run volterra-exp --seed 3` still runs
+        for key in ("eps", "sigma", "gamma"):
+            if getattr(plan, key).sup_tail(0) > 0.0:
+                raise ProblemError("perturbation.%s is not available for integral problems, "
+                                   "which take no noise" % key)
+        if plan.mode is not InjectionMode.NONE:
+            raise ProblemError("perturbation.mode %s is not available for integral problems, "
+                               "which take no noise" % plan.mode.value)
     stop = StopRule(**_block(cfg, "stop"))
     certs = _parse_certs(cfg.get("certificates"))
 

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fpcert import cli
@@ -436,6 +437,78 @@ def test_failed_integral_run_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+_INTEGRAL = ("kind: integral\noperator: x1 + 1\n"
+             "integral: {kernel: \"0.2*exp(-(t-s)^2)\", T_end: 1.0, m: 8}\n")
+
+
+def test_integral_run_starts_from_x0(tmp_path):
+    from fpcert.greens import GridFunction, run_integral_iteration
+    from fpcert.problems import load_problem
+    traces = {}
+    for x0 in (0.5, 0.0):
+        src = write_yaml(tmp_path, "x0-%s.yaml" % x0, _INTEGRAL + "x0: %r\n" % x0)
+        out = tmp_path / ("x0-%s" % x0)
+        assert run_cli("run", src, "--out", str(out)) == 0
+        traces[x0] = (out / "trace.csv").read_text()
+        r = [float(row["r_n"]) for row in read_rows(out / "trace.csv") if row["r_n"]]
+        resolved = load_problem(src)
+        setup = resolved.integral
+        want = run_integral_iteration(setup.kernel(), resolved.operator,
+                                      GridFunction.uniform(setup.T_end, setup.m, x0),
+                                      resolved.stop)
+        assert want.grids[0].values.tolist() == [x0] * (setup.m + 1)
+        assert r == want.r
+    assert traces[0.5] != traces[0.0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("scheme: newton\n", "scheme newton is not available for integral problems"),
+    ("scheme: modified_newton\n", "scheme modified_newton is not available for integral"),
+    ("norm: euclidean\n", "norm euclidean is not available for integral problems"),
+    ("norm: one\n", "norm one is not available for integral problems"),
+    ("perturbation: {eps: 0.5}\n", "perturbation.eps is not available for integral"),
+    ("perturbation: {mode: additive-deterministic, eps: 0.5}\n",
+     "perturbation.eps is not available for integral"),
+    ("perturbation: {sigma: {kind: table, entries: [0, 0.1]}}\n",
+     "perturbation.sigma is not available for integral"),
+    ("perturbation: {gamma: {kind: geometric, c: 0.1, ratio: 0.5}}\n",
+     "perturbation.gamma is not available for integral"),
+    ("perturbation: {mode: additive-seeded-random}\n",
+     "perturbation.mode additive-seeded-random is not available for integral"),
+])
+def test_integral_problem_refuses_scheme_norm_and_noise(tmp_path, capsys, text, message):
+    src = write_yaml(tmp_path, "p.yaml", _INTEGRAL + "x0: 0.0\n" + text)
+    out = tmp_path / "o"
+    assert run_cli("run", src, "--out", str(out)) == 1
+    assert_one_error_line(capsys, "error: " + message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "scheme: contraction\nnorm: sup\n",
+    "perturbation: {seed: 3}\n",
+    "perturbation: {mode: none, eps: 0, sigma: {kind: zero}, gamma: {kind: geometric, c: 0,"
+    " ratio: 2}}\n",
+])
+def test_integral_problem_takes_the_noise_free_defaults(tmp_path, text):
+    src = write_yaml(tmp_path, "p.yaml", _INTEGRAL + "x0: 0.0\n" + text)
+    assert run_cli("run", src, "--out", str(tmp_path / "o")) == 0
+
+
+def test_integral_catalog_run_with_a_seed(tmp_path):
+    out = tmp_path / "v"
+    assert run_cli("run", "volterra-exp", "--seed", "3", "--out", str(out)) == 0
+    assert read_json(out / "run.json")["stop_reason"] == "residual_tol"
+
+
+def test_integral_eps_sweep_is_refused_before_any_output(tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "volterra-exp", "--param", "eps", "--values", "0.1,0.5",
+                   "--out", str(out)) == 1
+    assert_one_error_line(capsys, "error: perturbation.eps is not available for integral")
+    assert not out.exists()
+
+
 def test_certify_needs_existing_trace(tmp_path, capsys):
     assert run_cli("certify", "linear-contraction",
                    "--trace", str(tmp_path / "missing")) == 1
@@ -601,6 +674,42 @@ def test_certify_refuses_iterates_it_cannot_check_r_n_against(tmp_path, capsys, 
     assert run_cli("certify", "linear-contraction", "--trace", str(out)) == 1
     assert_one_error_line(capsys, "error: " + message.replace("ITER", str(iterates)) % {
         "steps": steps, "last": steps - 1, "next": steps + 1})
+
+
+def test_certify_refuses_an_iterate_that_is_not_finite(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert run_cli("run", "two-dim-system", "--out", str(out)) == 0
+    iterates = out / "iterates.csv"
+    x = [float(v) for v in next(csv.reader(iterates.read_text().splitlines()[3:]))[1:]]
+    edit_csv(iterates, lambda rows: rows[3].__setitem__(2, "nan"))
+    capsys.readouterr()
+    assert run_cli("certify", "two-dim-system", "--trace", str(out)) == 1
+    assert_one_error_line(capsys, "error: %s, line 4: vector entries must be finite, got %r"
+                          % (iterates, np.array([x[0], float("nan")])))
+
+
+_DIM3 = ("operator: [\"0.3*cos(x2) + 0.1*x3\", \"0.3*sin(x1)\", \"0.2*cos(x1 + x2)\"]\n"
+         "derivative: [[\"0\", \"-0.3*sin(x2)\", \"0.1\"], [\"0.3*cos(x1)\", \"0\", \"0\"],"
+         " [\"-0.2*sin(x1 + x2)\", \"-0.2*sin(x1 + x2)\", \"0\"]]\n"
+         "x0: [0.5, -0.25, 1.0]\nscheme: newton\nconstants: {M: 0.5, K: 0.5}\n")
+
+
+@pytest.mark.parametrize("norm", ["one", "euclidean"])
+def test_certify_rechecks_r_n_in_the_problem_norm(tmp_path, capsys, norm):
+    src = write_yaml(tmp_path, "p.yaml", _DIM3 + "norm: %s\n" % norm)
+    out = tmp_path / "t"
+    assert run_cli("run", src, "--out", str(out)) == 0
+    capsys.readouterr()
+    run_cli("certify", src, "--trace", str(out))
+    assert capsys.readouterr().err == ""
+    assert (out / "certify.json").exists()
+    # the recheck ran in this norm: a sup-norm r_0 is refused
+    rows = list(csv.reader((out / "iterates.csv").read_text().splitlines()))
+    sup = cli._fmt(max(abs(float(a) - float(b)) for a, b in zip(rows[2][1:], rows[1][1:])))
+    edit_csv(out / "trace.csv", lambda rows: rows[1].__setitem__(1, sup))
+    assert run_cli("certify", src, "--trace", str(out)) == 1
+    assert_one_error_line(capsys, "error: step 0: trace.csv has r_0 = %s, but iterates.csv "
+                                  "gives " % sup)
 
 
 def test_certify_with_estimated_constants(tmp_path):
