@@ -680,7 +680,7 @@ def test_certify_refuses_an_iterate_that_is_not_finite(tmp_path, capsys):
     out = tmp_path / "t"
     assert run_cli("run", "two-dim-system", "--out", str(out)) == 0
     iterates = out / "iterates.csv"
-    x = [float(v) for v in next(csv.reader(iterates.read_text().splitlines()[3:]))[1:]]
+    x = [float(v) for v in list(csv.reader(iterates.read_text().splitlines()))[3][1:]]
     edit_csv(iterates, lambda rows: rows[3].__setitem__(2, "nan"))
     capsys.readouterr()
     assert run_cli("certify", "two-dim-system", "--trace", str(out)) == 1
@@ -700,6 +700,7 @@ def test_certify_rechecks_r_n_in_the_problem_norm(tmp_path, capsys, norm):
     out = tmp_path / "t"
     assert run_cli("run", src, "--out", str(out)) == 0
     capsys.readouterr()
+    # past the recheck: certify writes its report, whether or not every certificate holds
     run_cli("certify", src, "--trace", str(out))
     assert capsys.readouterr().err == ""
     assert (out / "certify.json").exists()
