@@ -42,9 +42,10 @@ lines.  The pipelines are:
   writes `certify.json`), a `sweep` with an empty value list, and a seed
   `sweep` whose two jobs both fail at step 1 and are recorded in
   `summary.csv`, which exits 0; then a `run` with an infinite
-  `--inner-tol`, and `certify` of two copies of linear-contraction's trace,
-  one whose `run.json` has an infinite `inner_tol` and one with every `r_n`
-  of `trace.csv` halved;
+  `--inner-tol`, and `certify` of three copies of linear-contraction's trace:
+  one whose `run.json` has an infinite `inner_tol`, one with every `r_n`
+  of `trace.csv` halved, and one whose x_0 = -1e308 and x_1 = 1e308 differ
+  by more than the float range, with r_0 = inf;
 - integral file problems: a `run` that starts from `x0: 0.5`, and the `run`
   refusals of a `scheme`, a `norm` and each noise key of the `perturbation`
   block, which an integral problem does not take, then a `sweep` of
@@ -206,19 +207,39 @@ def edit_inner_tol(trace: Path) -> None:
     (trace / "run.json").write_text(json.dumps(info, indent=2, sort_keys=True) + "\n")
 
 
-def halve_r(trace: Path) -> None:
-    """Halve every r_n of trace.csv."""
-    with open(trace / "trace.csv", newline="") as fh:
+def edit_csv(path: Path, edit) -> None:
+    """Rewrite the CSV file at path with edit(rows) applied to its rows, header included."""
+    with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    for row in rows[1:]:
-        if row[1]:
-            row[1] = format(float(row[1]) / 2, ".17g")
-    with open(trace / "trace.csv", "w", newline="") as fh:
+    edit(rows)
+    with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def halve_r(trace: Path) -> None:
+    """Halve every r_n of trace.csv."""
+    def edit(rows):
+        for row in rows[1:]:
+            if row[1]:
+                row[1] = format(float(row[1]) / 2, ".17g")
+    edit_csv(trace / "trace.csv", edit)
+
+
+def overflow_step(trace: Path) -> None:
+    """Set x_0 = -1e308 and x_1 = 1e308, whose difference is past the float
+    range, and r_0 = inf."""
+    def iterates(rows):
+        rows[1:3] = [["0", "-1e308"], ["1", "1e308"]]
+
+    def r(rows):
+        rows[1][1] = "inf"
+    edit_csv(trace / "iterates.csv", iterates)
+    edit_csv(trace / "trace.csv", r)
+
+
 # certify of an edited copy of linear-contraction's trace, which certify refuses
-EDITED_TRACES = (("inner-tol-infinite", edit_inner_tol), ("r-n-halved", halve_r))
+EDITED_TRACES = (("inner-tol-infinite", edit_inner_tol), ("r-n-halved", halve_r),
+                 ("step-overflow", overflow_step))
 
 
 def main(argv) -> int:

@@ -31,8 +31,8 @@ evaluation of each), one newton-dense Jacobian (900 entries, 30 times), one
 m = 800 kernel matrix (641,601 kernel evaluations, on a fresh kernel each
 time, so with its compilation), the fredholm-sweep operator at the 801 nodes
 of an m = 800 grid (`greens._pointwise`: 801 `apply` calls, each building two
-Vectors), noisy-certify's `certify` at horizon 1000, and the set-up of
-newton-dense and of fredholm-sweep.
+Vectors), noisy-certify's `certify` at horizon 1000, the set-up of
+newton-dense and of fredholm-sweep, and `import fpcert.cli`.
 Every workload runs in a fresh process per side and round, on one CPU, as
 `bench/run.py` does.  That process imports its side's `src/fpcert` and
 `bench/workloads.py`, makes the untimed setup, then times the number of calls
@@ -46,7 +46,10 @@ interpreter, which inherits the one CPU, imports `fpcert.problems` and loads
 instance 0's problem file, timed from
 before the import to after the load; its output is the resolved problem's
 `digest`, of every sample, and the process that starts the samples imports
-no fpcert itself.  Rounds alternate which side goes first, as
+no fpcert itself.  `import-cli` is timed the same way, from before
+`import fpcert.cli` to after it, which every `fpcert` command pays before it
+reads its problem; its output is the sorted list of the fpcert modules that
+import loaded.  Rounds alternate which side goes first, as
 the pairs do.  The JSON holds each side's per-round medians with their median
 and quartiles, the rounds the change won, and whether every output of both
 sides was bit-equal; the exit code is 1 if one was not.  LAYER_ROUNDS = 5
@@ -89,11 +92,11 @@ LAYERS = ("exprparse.parse_calls", "exprparse.parse_s",
 
 
 # layer workloads (--layers): name -> timed calls per process, or for a
-# setup-<workload> the fresh processes per round
+# setup-<workload> and import-cli the fresh processes per round
 LAYER_WORKLOADS = {"parse-newton-dense": 5, "compile-newton-dense": 5,
                    "jacobian-newton-dense": 5, "kernel-matrix-800": 5,
                    "pointwise-fredholm-800": 20, "noisy-certify-1000": 3,
-                   "setup-newton-dense": 21, "setup-fredholm-sweep": 21}
+                   "setup-newton-dense": 21, "setup-fredholm-sweep": 21, "import-cli": 21}
 LAYER_ROUNDS = 5
 
 # one setup-<workload> sample: import fpcert.problems and load a problem
@@ -105,6 +108,17 @@ sys.path.insert(0, sys.argv[1])
 from fpcert.problems import load_problem
 resolved = load_problem(sys.argv[2])
 print(repr(time.perf_counter() - t0), resolved.digest)
+"""
+
+# one import-cli sample: what every fpcert command pays before it reads its
+# problem; its output is the fpcert modules the import loaded
+_IMPORT_CHILD = """
+import sys, time
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import fpcert.cli
+seconds = time.perf_counter() - t0
+print(repr(seconds), ",".join(sorted(m for m in sys.modules if m.startswith("fpcert."))))
 """
 
 
@@ -120,20 +134,22 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
     sys.path[:0] = [str(side / "src"), str(side / "bench")]
     import numpy as np
     import workloads
-    if name.startswith("setup-"):
+    if name.startswith("setup-") or name == "import-cli":
         # only the sample processes import fpcert, each for the first time
-        problem = workloads.make_instance(name[len("setup-"):], 1, 0, tmp).out / "problem.yaml"
-        times, digests = [], []
+        child = ["-c", _IMPORT_CHILD, str(side / "src")]
+        if name != "import-cli":
+            problem = workloads.make_instance(name[len("setup-"):], 1, 0, tmp).out
+            child = ["-c", _SETUP_CHILD, str(side / "src"), str(problem / "problem.yaml")]
+        times, outputs = [], []
         for _ in range(LAYER_WORKLOADS[name]):
-            done = subprocess.run([sys.executable, "-c", _SETUP_CHILD, str(side / "src"),
-                                   str(problem)], cwd=side, capture_output=True, text=True,
-                                  timeout=120, check=True)
-            seconds, digest = done.stdout.split()
+            done = subprocess.run([sys.executable] + child, cwd=side, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            seconds, output = done.stdout.split()
             times.append(float(seconds))
-            digests.append(digest)
-        # every sample's digest is hashed, so bit-equal outputs mean all of them agree
+            outputs.append(output)
+        # every sample's output is hashed, so bit-equal outputs mean all of them agree
         return {"median_s": statistics.median(times), "times_s": times,
-                "output_sha256": hashlib.sha256(" ".join(digests).encode()).hexdigest()}
+                "output_sha256": hashlib.sha256(" ".join(outputs).encode()).hexdigest()}
     from fpcert import cli, exprparse, greens, problems
     from fpcert.core import identity_operator
     assert Path(problems.__file__).resolve().is_relative_to(side.resolve())

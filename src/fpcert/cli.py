@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import OperatorEvaluationError, Vector, norm_of
+from .core import CoreError, OperatorEvaluationError, Vector, norm_of
 from .greens import GreensError, GridFunction, IntegralTrace, run_integral_iteration
 from .majorant import (MajorantError, certify as run_certificate, majorant_from_constants,
                        precheck, tail_bound)
@@ -182,7 +182,11 @@ def _read_run(trace_dir: Path, resolved: ResolvedProblem) -> Tuple[List[float], 
         steps = xs[1:] - xs[:-1]
     # one Vector per difference: norm_of then reads a fresh array, as in `run`
     for n, (r_n, step) in enumerate(zip(r, steps)):
-        recomputed = norm_of(Vector(step), resolved.norm)
+        try:
+            recomputed = norm_of(Vector(step), resolved.norm)
+        except CoreError:  # every iterate is finite, so their difference overflowed
+            raise CliError("step %d: x_%d - x_%d of %s is past the float range"
+                           % (n, n + 1, n, path))
         if recomputed != r_n:
             raise CliError("step %d: trace.csv has r_%d = %s, but iterates.csv gives %s"
                            % (n, n, _fmt(r_n), _fmt(recomputed)))

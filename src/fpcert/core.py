@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import FrozenInstanceError
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,11 +35,55 @@ class NormKind(enum.Enum):
         return parse_enum(NormKind, name, "norm", CoreError)
 
 
-@dataclass(frozen=True)
-class Vector:
+class Record:
+    """Equality and repr read from a field list, as a dataclass generates them,
+    but with no per-class source: each @dataclass compiles its methods with
+    exec when its module is imported, which a fresh process pays for every
+    class on the load path.
+
+    A subclass names its fields in constructor order in _fields and stores
+    them from its own __init__ with _fill.  _compare names the fields that
+    equality (and a Frozen record's hash) reads, and _shown those that repr
+    shows; None means all of them.  A Record is mutable and unhashable."""
+
+    _fields: Tuple[str, ...] = ()
+    _compare: Optional[Tuple[str, ...]] = None
+    _shown: Optional[Tuple[str, ...]] = None
+
+    def _fill(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._compare or self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            ["%s=%r" % (n, getattr(self, n)) for n in self._shown or self._fields]))
+
+
+class Frozen(Record):
+    """A Record that hashes its compared fields and, once built, refuses
+    assignment and deletion as a frozen dataclass does."""
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+
+class Vector(Frozen):
     """Immutable finite point in R^d, d >= 1."""
 
-    coords: np.ndarray
+    _fields = ("coords",)
 
     def __init__(self, coords: Union[Sequence[float], np.ndarray]):
         arr = np.array(coords, dtype=float)  # a copy: no caller's array can change it
@@ -70,6 +114,8 @@ class Vector:
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and np.array_equal(self.coords, other.coords)
 
+    __hash__ = Frozen.__hash__  # hash((coords,)), which numpy refuses
+
     def __repr__(self) -> str:
         return "Vector(%s)" % np.array2string(self.coords, separator=", ")
 
@@ -85,21 +131,18 @@ def norm_of(v: Vector, kind: NormKind) -> float:
     raise CoreError("unknown norm kind %r" % kind)
 
 
-@dataclass(frozen=True)
-class BallDomain:
+class BallDomain(Frozen):
     """Closed ball around center with given radius in a chosen norm."""
 
-    center: Vector
-    radius: float
-    norm: NormKind
+    _fields = ("center", "radius", "norm")
 
-    def __post_init__(self):
-        if self.radius < 0 or not math.isfinite(self.radius):
-            raise CoreError("ball radius must be finite and >= 0, got %r" % self.radius)
+    def __init__(self, center: Vector, radius: float, norm: NormKind):
+        if radius < 0 or not math.isfinite(radius):
+            raise CoreError("ball radius must be finite and >= 0, got %r" % radius)
+        self._fill(center, radius, norm)
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Frozen):
     """An operator A: R^d -> R^d with an optional analytic derivative.
 
     evaluator maps Vector -> Vector; derivative, when present, maps
@@ -107,14 +150,15 @@ class OperatorSpec:
     falls back to a central finite difference.
     """
 
-    dim: int
-    evaluator: Callable[[Vector], Vector] = field(compare=False)
-    derivative: Optional[Callable[[Vector, Vector], Vector]] = field(default=None, compare=False)
-    name: str = ""
+    _fields = ("dim", "evaluator", "derivative", "name")
+    _compare = ("dim", "name")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, evaluator: Callable[[Vector], Vector],
+                 derivative: Optional[Callable[[Vector, Vector], Vector]] = None,
+                 name: str = ""):
+        if dim < 1:
             raise CoreError("operator dim must be >= 1")
+        self._fill(dim, evaluator, derivative, name)
 
     def apply(self, x: Vector) -> Vector:
         if x.dim != self.dim:

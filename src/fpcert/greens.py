@@ -18,12 +18,11 @@ problem does not import the certificate machinery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from .core import OperatorSpec, Vector
+from .core import Frozen, OperatorSpec, Record, Vector
 from .exprparse import EvalDomainError, Expr, bind, parse_expr
 from .schemes import SchemeKind, StopRule, guard_radius
 
@@ -35,12 +34,10 @@ class GreensError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(Frozen):
     """Values on a strictly increasing node set starting at t = 0."""
 
-    nodes: np.ndarray
-    values: np.ndarray
+    _fields = ("nodes", "values")
 
     def __init__(self, nodes, values):
         nodes = np.asarray(nodes, dtype=float)
@@ -56,14 +53,15 @@ class GridFunction:
                               % (values.shape, nodes.shape))
         if not np.all(np.isfinite(values)):
             raise GreensError("grid values must be finite")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
+        self._fill(nodes, values)
         self.nodes.setflags(write=False)
         self.values.setflags(write=False)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GridFunction) and np.array_equal(self.nodes, other.nodes)
                 and np.array_equal(self.values, other.values))
+
+    __hash__ = Frozen.__hash__  # hash((nodes, values)), which numpy refuses
 
     @staticmethod
     def uniform(T_end: float, m: int, fill: float = 0.0) -> "GridFunction":
@@ -91,8 +89,7 @@ def _unit_kernel(t: float, s: float) -> float:
     return 1.0 if s <= t else 0.0
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(Frozen):
     """A kernel G(t, s) on [0, T_end]: the Volterra unit kernel or a parsed expression.
 
     The first evaluation picks the kernel's function of (t, s) once: the
@@ -101,17 +98,17 @@ class KernelSpec:
     problem that never builds a kernel matrix (certify) compiles nothing.
     Kernels are equal when their kind, T_end and expression are.
     """
-    kind: str                      # "volterra_unit" | "expression"
-    T_end: float
-    expr: Optional[Expr] = None
+    _fields = ("kind", "T_end", "expr")
 
-    def __post_init__(self):
-        if self.kind not in ("volterra_unit", "expression"):
+    def __init__(self, kind: str,  # "volterra_unit" | "expression"
+                 T_end: float, expr: Optional[Expr] = None):
+        if kind not in ("volterra_unit", "expression"):
             raise GreensError("kernel kind must be volterra_unit or expression")
-        if self.T_end <= 0:
+        if T_end <= 0:
             raise GreensError("T_end must be positive")
-        if self.kind == "expression" and self.expr is None:
+        if kind == "expression" and expr is None:
             raise GreensError("expression kernel needs a parsed expression")
+        self._fill(kind, T_end, expr)
         # a plain attribute, read per entry: the stub until the first evaluation
         object.__setattr__(self, "_kernel", self._first)
 
@@ -179,13 +176,15 @@ def apply_integral_operator(k: KernelSpec, A: OperatorSpec, x: GridFunction) -> 
     return x.with_values(_kernel_quadrature(k, x.nodes, _pointwise(A, x.values)))
 
 
-@dataclass
-class IntegralTrace:
-    grids: List[GridFunction]
-    r: List[float]            # sup node distance between consecutive iterates
-    r_tilde: List[float]
-    residual: List[float]     # sup |T(x_n) - x_n| per iterate
-    stop_reason: str
+class IntegralTrace(Record):
+    _fields = ("grids", "r", "r_tilde", "residual", "stop_reason")
+
+    def __init__(self, grids: List[GridFunction],
+                 r: List[float],          # sup node distance between consecutive iterates
+                 r_tilde: List[float],
+                 residual: List[float],   # sup |T(x_n) - x_n| per iterate
+                 stop_reason: str):
+        self._fill(grids, r, r_tilde, residual, stop_reason)
 
     @property
     def steps(self) -> int:
@@ -234,14 +233,12 @@ def run_integral_iteration(k: KernelSpec, A: OperatorSpec, x0: GridFunction,
     return trace
 
 
-@dataclass
-class BoundReport:
-    n: int
-    scheme: SchemeKind
-    margins: np.ndarray
-    min_margin: float
-    slack: float
-    ok: bool
+class BoundReport(Record):
+    _fields = ("n", "scheme", "margins", "min_margin", "slack", "ok")
+
+    def __init__(self, n: int, scheme: SchemeKind, margins: np.ndarray, min_margin: float,
+                 slack: float, ok: bool):
+        self._fill(n, scheme, margins, min_margin, slack, ok)
 
 
 def bound_propagate(k: KernelSpec, constants: ProblemConstants, r_prev: GridFunction,

@@ -21,14 +21,13 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
 
-from .core import (BallDomain, CoreError, NormKind, OperatorEvaluationError, OperatorSpec,
-                   Vector, norm_of)
+from .core import (BallDomain, CoreError, Frozen, NormKind, OperatorEvaluationError,
+                   OperatorSpec, Record, Vector, norm_of)
 from .exprparse import ExprError, eval_expr, parse_expr
 from .regimes import WITNESSES
 from .schemes import InjectionMode, PerturbationPlan, SchemeError, SchemeKind, StopRule
@@ -166,27 +165,32 @@ def averaged_factory(A: OperatorSpec, theta: float) -> Callable[[int, Vector, Ve
 # catalog
 
 
-@dataclass(frozen=True)
-class IntegralSetup:
-    kernel_kind: str     # volterra_unit | expression text
-    T_end: float
-    m: int
-    spec: KernelSpec = field(compare=False, repr=False)   # built once by the resolver
-    exact: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
+class IntegralSetup(Frozen):
+    _fields = ("kernel_kind", "T_end", "m", "spec", "exact")
+    _compare = ("kernel_kind", "T_end", "m")
+    _shown = ("kernel_kind", "T_end", "m", "exact")
+
+    def __init__(self, kernel_kind: str,  # volterra_unit | expression text
+                 T_end: float, m: int,
+                 spec: KernelSpec,        # built once by the resolver
+                 exact: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+        self._fill(kernel_kind, T_end, m, spec, exact)
 
     def kernel(self) -> KernelSpec:
         return self.spec
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Frozen):
     """A built-in problem: the problem-file mapping a user would write, plus
     what a file cannot state (an averaging weight, a known solution)."""
-    summary: str
-    config: dict                               # the YAML problem-file schema
-    theta: Optional[float] = None              # custom scheme only
-    fixed_point: Optional[Tuple[float, ...]] = None
-    exact: Optional[Callable[[np.ndarray], np.ndarray]] = None   # integral kind only
+    _fields = ("summary", "config", "theta", "fixed_point", "exact")
+
+    def __init__(self, summary: str,
+                 config: dict,                    # the YAML problem-file schema
+                 theta: Optional[float] = None,   # custom scheme only
+                 fixed_point: Optional[Tuple[float, ...]] = None,
+                 exact: Optional[Callable[[np.ndarray], np.ndarray]] = None):  # integral only
+        self._fill(summary, config, theta, fixed_point, exact)
 
     @property
     def kind(self) -> str:
@@ -323,34 +327,34 @@ def constants_for(M: float, K: float, scheme: SchemeKind, plan: PerturbationPlan
 # problem files
 
 
-@dataclass(frozen=True)
-class CertRequest:
-    regime: str
-    witnesses: Optional[Dict[str, float]] = None   # None -> grid search
+class CertRequest(Frozen):
+    _fields = ("regime", "witnesses")
+
+    def __init__(self, regime: str,
+                 witnesses: Optional[Dict[str, float]] = None):  # None -> grid search
+        self._fill(regime, witnesses)
 
 
-@dataclass
-class ResolvedProblem:
-    name: str
-    kind: str
-    operator: OperatorSpec
-    scheme: SchemeKind
-    norm: NormKind
-    x0: Vector
-    plan: PerturbationPlan
-    stop: StopRule
-    theta: Optional[float]
-    # the constants block: M (K, M_star, K_star), or estimate with all four
-    # sampling settings filled in; None when the problem declares none
-    constants_cfg: Optional[dict]
-    cert_requests: List[CertRequest]
-    integral: Optional[IntegralSetup]
-    fixed_point: Optional[Vector]
-    digest: str
-    # parses the derivative block, once, and returns its entry trees (row-major;
-    # [] without one); the first Jacobian build of the operator calls it, and a
-    # run calls it up front, so that a malformed entry fails before any step
-    parse_derivative: Callable[[], list]
+class ResolvedProblem(Record):
+    """constants_cfg is the constants block: M (K, M_star, K_star), or
+    estimate with all four sampling settings filled in; None when the problem
+    declares none.  parse_derivative parses the derivative block, once, and
+    returns its entry trees (row-major; [] without one); the first Jacobian
+    build of the operator calls it, and a run calls it up front, so that a
+    malformed entry fails before any step."""
+
+    _fields = ("name", "kind", "operator", "scheme", "norm", "x0", "plan", "stop", "theta",
+               "constants_cfg", "cert_requests", "integral", "fixed_point", "digest",
+               "parse_derivative")
+
+    def __init__(self, name: str, kind: str, operator: OperatorSpec, scheme: SchemeKind,
+                 norm: NormKind, x0: Vector, plan: PerturbationPlan, stop: StopRule,
+                 theta: Optional[float], constants_cfg: Optional[dict],
+                 cert_requests: List[CertRequest], integral: Optional[IntegralSetup],
+                 fixed_point: Optional[Vector], digest: str,
+                 parse_derivative: Callable[[], list]):
+        self._fill(name, kind, operator, scheme, norm, x0, plan, stop, theta, constants_cfg,
+                   cert_requests, integral, fixed_point, digest, parse_derivative)
 
     def custom_factory(self):
         if self.scheme is not SchemeKind.CUSTOM:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import NormKind, OperatorSpec, Vector, norm_of, parse_enum
+from .core import Frozen, NormKind, OperatorSpec, Record, Vector, norm_of, parse_enum
 from .sequences import ScalarSequence
 
 
@@ -63,8 +62,7 @@ class InjectionMode(enum.Enum):
         return parse_enum(InjectionMode, name, "perturbation mode", SchemeError)
 
 
-@dataclass(frozen=True)
-class PerturbationPlan:
+class PerturbationPlan(Frozen):
     """Declared inexactness budgets plus how to exercise them.
 
     eps, sigma, gamma are per-step budgets; injection draws perturbations of
@@ -73,24 +71,27 @@ class PerturbationPlan:
     random mode uses the seeded generator).
     """
 
-    eps: ScalarSequence = field(default_factory=ScalarSequence.zero)
-    sigma: ScalarSequence = field(default_factory=ScalarSequence.zero)
-    gamma: ScalarSequence = field(default_factory=ScalarSequence.zero)
-    mode: InjectionMode = InjectionMode.NONE
-    seed: int = 0
+    _fields = ("eps", "sigma", "gamma", "mode", "seed")
+
+    def __init__(self, eps: Optional[ScalarSequence] = None,
+                 sigma: Optional[ScalarSequence] = None,
+                 gamma: Optional[ScalarSequence] = None,
+                 mode: InjectionMode = InjectionMode.NONE, seed: int = 0):
+        # a budget left out is a fresh zero sequence
+        zero = ScalarSequence.zero
+        self._fill(zero() if eps is None else eps, zero() if sigma is None else sigma,
+                   zero() if gamma is None else gamma, mode, seed)
 
 
-@dataclass(frozen=True)
-class StopRule:
-    max_n: int = 50
-    r_tol: float = 0.0
-    residual_tol: float = 0.0
+class StopRule(Frozen):
+    _fields = ("max_n", "r_tol", "residual_tol")
 
-    def __post_init__(self):
-        if self.max_n < 1:
+    def __init__(self, max_n: int = 50, r_tol: float = 0.0, residual_tol: float = 0.0):
+        if max_n < 1:
             raise SchemeError("max_n must be >= 1")
-        if self.r_tol < 0 or self.residual_tol < 0:
+        if r_tol < 0 or residual_tol < 0:
             raise SchemeError("tolerances must be >= 0")
+        self._fill(max_n, r_tol, residual_tol)
 
     def reached(self, r: float, residual: float) -> Optional[str]:
         """The tolerance a step of size r ending at this residual meets, r_tol
@@ -107,17 +108,20 @@ def guard_radius(size: float) -> float:
     return 1e6 * (1.0 + size)
 
 
-@dataclass
-class IterationTrace:
+class IterationTrace(Record):
     """Everything a run produced, index-aligned as documented in the module."""
 
-    iterates: List[Vector]
-    r: List[float]                 # r[n] = ||x_{n+1} - x_n||, n = 0..steps-1
-    r_tilde: List[float]           # r_tilde[n] = ||x_n - x_0||, n = 0..steps
-    residual: List[float]          # ||A(x_n) - x_n||, n = 0..steps
-    inner_defect: List[float]      # defect of the step producing x_n, n = 1..steps
-    injected: List[float]          # additive noise norm of that step, n = 1..steps
-    stop_reason: str
+    _fields = ("iterates", "r", "r_tilde", "residual", "inner_defect", "injected",
+               "stop_reason")
+
+    def __init__(self, iterates: List[Vector],
+                 r: List[float],             # r[n] = ||x_{n+1} - x_n||, n = 0..steps-1
+                 r_tilde: List[float],       # r_tilde[n] = ||x_n - x_0||, n = 0..steps
+                 residual: List[float],      # ||A(x_n) - x_n||, n = 0..steps
+                 inner_defect: List[float],  # defect of the step producing x_n, n = 1..steps
+                 injected: List[float],      # additive noise norm of that step, n = 1..steps
+                 stop_reason: str):
+        self._fill(iterates, r, r_tilde, residual, inner_defect, injected, stop_reason)
 
     @property
     def steps(self) -> int:

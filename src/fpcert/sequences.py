@@ -8,30 +8,28 @@ summable exactly when that entry is zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from .core import Frozen
 
 
 class SequenceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ScalarSequence:
+class ScalarSequence(Frozen):
     """A map n -> float for n >= 0, with optional tail analytics.
 
     kind is one of: zero, constant, geometric, power, table,
     affine (scale*base + offset), pairsum (scale*(base(n) + base(n+1))).
     """
 
-    kind: str
-    c: float = 0.0
-    ratio: float = 0.0
-    p: float = 0.0
-    entries: tuple = ()
-    base: Optional["ScalarSequence"] = None
-    scale: float = 1.0
-    offset: float = 0.0
+    _fields = ("kind", "c", "ratio", "p", "entries", "base", "scale", "offset")
+
+    def __init__(self, kind: str, c: float = 0.0, ratio: float = 0.0, p: float = 0.0,
+                 entries: tuple = (), base: Optional["ScalarSequence"] = None,
+                 scale: float = 1.0, offset: float = 0.0):
+        self._fill(kind, c, ratio, p, entries, base, scale, offset)
 
     # -- constructors -------------------------------------------------
 

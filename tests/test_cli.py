@@ -688,6 +688,22 @@ def test_certify_refuses_an_iterate_that_is_not_finite(tmp_path, capsys):
                           % (iterates, np.array([x[0], float("nan")])))
 
 
+def test_certify_refuses_iterates_whose_difference_is_past_the_float_range(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert run_cli("run", "linear-contraction", "--out", str(out)) == 0
+    iterates = out / "iterates.csv"
+
+    def overflow(rows):
+        rows[1:3] = [["0", "-1e308"], ["1", "1e308"]]
+    edit_csv(iterates, overflow)
+    edit_csv(out / "trace.csv", lambda rows: rows[1].__setitem__(1, "inf"))
+    capsys.readouterr()
+    assert run_cli("certify", "linear-contraction", "--trace", str(out)) == 1
+    assert_one_error_line(capsys, "error: step 0: x_1 - x_0 of %s is past the float range"
+                          % iterates)
+    assert not (out / "certify.json").exists()
+
+
 _DIM3 = ("operator: [\"0.3*cos(x2) + 0.1*x3\", \"0.3*sin(x1)\", \"0.2*cos(x1 + x2)\"]\n"
          "derivative: [[\"0\", \"-0.3*sin(x2)\", \"0.1\"], [\"0.3*cos(x1)\", \"0\", \"0\"],"
          " [\"-0.2*sin(x1 + x2)\", \"-0.2*sin(x1 + x2)\", \"0\"]]\n"

@@ -44,14 +44,17 @@ def write(tmp_path, text):
     return path
 
 
+_NEWTON_DIM3 = ("operator: ['0.1*cos(x2)', '0.1*sin(x3)', '0.1*x1']\n"
+                "derivative: [['0', '-0.1*sin(x2)', '0'], ['0', '0', '0.1*cos(x3)'],"
+                " ['0.1', '0', '0']]\n"
+                "x0: [0.0, 0.0, 0.0]\nscheme: newton\n"
+                "constants: {M: 0.1, K: 0.1}\n"
+                "certificates: [{regime: bounded},"
+                " {regime: sandwich, witnesses: {C1: 0.5, C2: 1.0}}]\n")
+
+
 def test_newton_problem_loads_no_module_it_does_not_use(tmp_path):
-    path = write(tmp_path, "operator: ['0.1*cos(x2)', '0.1*sin(x3)', '0.1*x1']\n"
-                           "derivative: [['0', '-0.1*sin(x2)', '0'], ['0', '0', '0.1*cos(x3)'],"
-                           " ['0.1', '0', '0']]\n"
-                           "x0: [0.0, 0.0, 0.0]\nscheme: newton\n"
-                           "constants: {M: 0.1, K: 0.1}\n"
-                           "certificates: [{regime: bounded},"
-                           " {regime: sandwich, witnesses: {C1: 0.5, C2: 1.0}}]\n")
+    path = write(tmp_path, _NEWTON_DIM3)
     loaded = modules_after_load(path)
     assert not loaded & (LAZY | NEVER), sorted(loaded)
     assert {"fpcert.problems", "fpcert.core", "fpcert.exprparse", "fpcert.regimes"} <= loaded
@@ -68,6 +71,33 @@ def test_each_kind_imports_exactly_the_module_it_needs(tmp_path, text, needed):
     loaded = modules_after_load(write(tmp_path, text))
     assert loaded & LAZY == {needed}
     assert not loaded & NEVER, sorted(loaded)
+
+
+_DATACLASSES = """
+import dataclasses, json, sys
+sys.path.insert(0, sys.argv[1])
+from fpcert.problems import load_problem
+for path in sys.argv[2:]:
+    load_problem(path)
+print(json.dumps(sorted(
+    "%s.%s" % (name, attr) for name, module in list(sys.modules.items())
+    if name.startswith("fpcert.") for attr, value in vars(module).items()
+    if isinstance(value, type) and value.__module__ == name and dataclasses.is_dataclass(value))))
+"""
+
+
+def test_only_the_expression_nodes_are_dataclasses_after_a_load(tmp_path):
+    # @dataclass compiles generated methods at import, so the record classes a
+    # load imports are plain classes; the five expression node classes are not
+    newton = tmp_path / "newton.yaml"
+    newton.write_text(_NEWTON_DIM3)
+    integral = write(tmp_path, "kind: integral\noperator: x1 + 1\nx0: 0.0\n"
+                               "integral: {kernel: volterra_unit, T_end: 1.0, m: 10}\n")
+    done = subprocess.run([sys.executable, "-c", _DATACLASSES, str(SRC), str(newton),
+                           str(integral)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["fpcert.exprparse.%s" % name
+                                       for name in ("Bin", "Call", "Lit", "Neg", "Var")]
 
 
 def test_import_fpcert_loads_no_submodule():
