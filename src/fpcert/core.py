@@ -51,7 +51,10 @@ class Record:
     _shown: Optional[Tuple[str, ...]] = None
 
     def _fill(self, *values) -> None:
-        self.__dict__.update(zip(self._fields, values))
+        # one attribute at a time: updating __dict__ as a whole would give the
+        # instance a dict of its own, which every later attribute read pays for
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, n) for n in self._compare or self._fields])
