@@ -411,6 +411,20 @@ def cert_uniform_max(p: MajorantParams, N: int) -> Certificate:
                    first=0)
 
 
+def _window_disc(eta: float, C1: float, C2: float) -> float:
+    """(1-C1)^2 - 4 eta C2: the sandwich window C2 <= (1-C1)^2/(4 eta) holds iff >= 0."""
+    return (1.0 - C1) ** 2 - 4.0 * eta * C2
+
+
+def _c_rho(eta: float, C1: float, C2: float, disc: float) -> float:
+    """The sandwich's upper constant for witnesses whose window disc is >= 0: the
+    larger root ((1-C1) + sqrt(disc))/(2 eta C2), or its finite limit 1/(1-C1)
+    when eta*C2 = 0."""
+    if eta * C2 == 0.0:
+        return 1.0 / (1.0 - C1)
+    return ((1.0 - C1) + math.sqrt(disc)) / (2.0 * eta * C2)
+
+
 def cert_sandwich(p: MajorantParams, N: int, C1: float, C2: float) -> Certificate:
     """Two-sided decay pinned to rho: rho_{n-1} <= r_n <= C_rho * rho_{n-1}.
 
@@ -426,7 +440,7 @@ def cert_sandwich(p: MajorantParams, N: int, C1: float, C2: float) -> Certificat
     _lambda_blanket(h, log)
     if not (0.0 <= C1 < 1.0):
         log.fail("need 0 <= C1 < 1, got %r" % C1)
-    disc_w = (1.0 - C1) ** 2 - 4.0 * p.eta * C2
+    disc_w = _window_disc(p.eta, C1, C2)
     # not >=: an infinite C2 makes disc_w NaN when eta = 0
     if C2 < 0.0 or not disc_w >= 0.0:
         log.fail("need 0 <= C2 <= (1-C1)^2/(4 eta), got C2 = %r" % C2)
@@ -434,11 +448,9 @@ def cert_sandwich(p: MajorantParams, N: int, C1: float, C2: float) -> Certificat
         log.fail("rho must stay positive for ratio conditions")
     C_rho = math.nan
     if log.ok:
+        C_rho = _c_rho(p.eta, C1, C2, disc_w)
         if p.eta * C2 == 0.0:
-            C_rho = 1.0 / (1.0 - C1)
             log.detail.append("eta*C2 = 0: using the finite limit root 1/(1-C1)")
-        else:
-            C_rho = ((1.0 - C1) + math.sqrt(disc_w)) / (2.0 * p.eta * C2)
         for k in range(N):
             ratio = rho[k + 1] / rho[k]
             if not _le(lam[k + 1], C1 * ratio):
@@ -614,26 +626,121 @@ def _no_witnesses(p: MajorantParams, N: int, grid: int) -> Iterable[Dict[str, fl
     return ({},)
 
 
+# screens: a screen built from (p, N) once per search returns a predicate that
+# is False only for witnesses cert_<regime> rejects, or None when it rejects
+# every witness.  Each test in a screen is one of cert_<regime>'s premises,
+# evaluated with the float expression cert_<regime> evaluates it with, so no
+# rounding margin is needed: a candidate a screen drops fails that premise in
+# cert_<regime> too.  A horizon-wide premise is tested at one index, the one
+# that asks the most of the witnesses (_binding).
+
+_Screen = Callable[[Dict[str, float]], bool]
+
+
+def _keep_all(p: MajorantParams, N: int) -> Optional[_Screen]:
+    return lambda witnesses: True
+
+
+def _binding(lhs: Sequence[float], scale: Sequence[float]) -> Optional[int]:
+    """The index k whose premise lhs[k] <= c * scale[k] needs the largest c >= 0.
+
+    That is the largest lhs[k]/scale[k], where a zero or underflowed scale
+    needs an infinite c.  An lhs within _ABS_SLACK holds for every c >= 0 and
+    is passed over; None if every lhs is.
+    """
+    best, need = None, -1.0
+    for k, (a, s) in enumerate(zip(lhs, scale)):
+        if a > _ABS_SLACK:
+            r = a / s if s > 0.0 else math.inf
+            if r > need:
+                best, need = k, r
+    return best
+
+
+def _sandwich_screen(p: MajorantParams, N: int) -> Optional[_Screen]:
+    """The lambda-ratio premise at its binding index, and the start window."""
+    h = _horizon(p, N)
+    if h.lam_neg is not None or h.lam_sup >= 1.0 or h.rho_nonpos:
+        return None
+    lam, rho = h.lam, h.rho
+    ratios = [rho[k + 1] / rho[k] for k in range(N)]
+    k = _binding(lam[1:], ratios)
+
+    def keep(w: Dict[str, float]) -> bool:
+        C1, C2 = w["C1"], w["C2"]
+        disc = _window_disc(p.eta, C1, C2)
+        if not (0.0 <= C1 < 1.0) or C2 < 0.0 or not disc >= 0.0:
+            return False
+        if k is not None and not _le(lam[k + 1], C1 * ratios[k]):
+            return False
+        return _le(h.r1, _c_rho(p.eta, C1, C2, disc) * rho[0])
+    return keep
+
+
+def _geometric_screen(p: MajorantParams, N: int) -> Optional[_Screen]:
+    """The published eta premise at n = 1, and the published rho premise at its
+    binding index."""
+    h = _horizon(p, N)
+    if h.lam_nonpos or h.lam_sup >= 1.0:
+        return None
+    lam, rho = h.lam, h.rho
+    prods, prod = [], 1.0   # prod_{k=1}^{n} lambda_k, n = 1..N-1, as cert_geometric forms it
+    for n in range(1, N):
+        prod *= lam[n]
+        prods.append(prod)
+    k = _binding(rho[1:N], prods)
+
+    def keep(w: Dict[str, float]) -> bool:
+        chi, mu = w["chi"], w["mu"]
+        z = w["lambda0_tilde"] * w["C_mu"]
+        if N >= 1 and not _le(p.eta * z, (1.0 - chi) * mu * lam[1]):
+            return False
+        return k is None or _le(rho[k + 1], chi * mu * z * prods[k])
+    return keep
+
+
+def _quadratic_screen(p: MajorantParams, N: int) -> Optional[_Screen]:
+    """eta > 0 and eta*r0 < 1, then the lambda and rho budgets at their binding
+    indices."""
+    h = _horizon(p, N)
+    if p.eta <= 0.0 or not p.eta * p.r0 < 1.0:
+        return None
+    lam, theta_pow = h.lam, h.theta_pow
+    eta_rho = [p.eta * v for v in h.rho[:N]]
+    k = _binding(lam[:N], theta_pow)
+    j = _binding(eta_rho, theta_pow[1:])
+
+    def keep(w: Dict[str, float]) -> bool:
+        chi, mu = w["chi"], w["mu"]
+        return ((k is None or _le(lam[k], chi * mu * theta_pow[k]))
+                and (j is None or _le(eta_rho[j], (1.0 - chi) * mu * theta_pow[j + 1])))
+    return keep
+
+
 class _Regime(NamedTuple):
     """witnesses: the names cert_<regime> takes after (p, N), in its argument
     order; grid: the search candidates in order; fallback: the witnesses whose
     failure certify reports when the search finds nothing (a witness-free
-    regime has none: certify runs it directly).
+    regime has none: certify runs it directly); screen: the search's
+    predicate on candidates (see the screens above).
     """
 
     witnesses: Tuple[str, ...]
     grid: Callable[[MajorantParams, int, int], Iterable[Dict[str, float]]]
     fallback: Optional[Callable[[MajorantParams, int], Dict[str, float]]] = None
+    screen: Callable[[MajorantParams, int], Optional[_Screen]] = _keep_all
 
 
 # the witness names come from regimes.WITNESSES; each regime adds its grid and fallback
 REGIMES: Dict[str, _Regime] = {name: _Regime(WITNESSES[name], *search) for name, search in {
     "bounded": (_no_witnesses,),
     "uniform_max": (_no_witnesses,),
-    "sandwich": (_sandwich_grid, lambda p, N: {"C1": 0.5, "C2": _needed_c2(p, N)}),
+    "sandwich": (_sandwich_grid, lambda p, N: {"C1": 0.5, "C2": _needed_c2(p, N)},
+                 _sandwich_screen),
     "geometric": (_geometric_grid,
-                  lambda p, N: {"chi": 0.5, "mu": 0.0, "lambda0_tilde": 1.0, "C_mu": 1.0}),
-    "quadratic": (_quadratic_grid, lambda p, N: {"chi": 0.5, "mu": 0.0}),
+                  lambda p, N: {"chi": 0.5, "mu": 0.0, "lambda0_tilde": 1.0, "C_mu": 1.0},
+                  _geometric_screen),
+    "quadratic": (_quadratic_grid, lambda p, N: {"chi": 0.5, "mu": 0.0}, _quadratic_screen),
 }.items()}
 
 
@@ -673,11 +780,25 @@ def certify(p: MajorantParams, regime: str, N: int,
 
 def search_witnesses(p: MajorantParams, regime: str, N: int,
                      grid: int = 16) -> Optional[Certificate]:
-    """Coarse witness search; returns the first valid certificate or None."""
-    for witnesses in _regime(regime).grid(p, N, grid):
-        cert = _run(regime, p, N, witnesses)
-        if cert.valid:
-            return cert
+    """Coarse witness search; returns the first valid certificate or None.
+
+    The regime's screen skips, before their O(N) premise scans, the grid
+    candidates that fail a premise of cert_<regime> it can test in O(1), and
+    the whole grid when a premise no witness changes fails.  cert_<regime>
+    still judges every candidate the screen keeps.  A skipped candidate is one
+    cert_<regime> rejects, and rejected candidates are never reported, so the
+    certificate found, and the fallback certify reports when none is, are the
+    ones a search without the screen gives.
+    """
+    spec = _regime(regime)
+    keep = spec.screen(p, N)
+    if keep is None:
+        return None
+    for witnesses in spec.grid(p, N, grid):
+        if keep(witnesses):
+            cert = _run(regime, p, N, witnesses)
+            if cert.valid:
+                return cert
     return None
 
 

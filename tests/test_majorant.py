@@ -469,6 +469,156 @@ def test_search_witnesses_none_when_impossible():
     assert search_witnesses(params(lam=1.2), "bounded", 10) is None
 
 
+# -- witness-search screens ---------------------------------------------------
+# search_witnesses skips the grid candidates its regime's screen drops; the
+# reference loop below runs every candidate, as the search did before screens.
+
+SEARCHED = ("sandwich", "geometric", "quadratic")
+
+
+def unscreened_search(p, regime, N, grid=16):
+    for witnesses in majorant.REGIMES[regime].grid(p, N, grid):
+        cert = majorant._run(regime, p, N, witnesses)
+        if cert.valid:
+            return cert
+    return None
+
+
+def search_outcome(search, p, regime, N):
+    """Each field's repr of the certificate found, None, or the error raised."""
+    try:
+        cert = search(p, regime, N)
+    except (ArithmeticError, MajorantError) as exc:
+        return repr(exc)
+    return cert and [repr(getattr(cert, f.name)) for f in dataclasses.fields(Certificate)]
+
+
+NEAR_SLACK = st.floats(1e-310, 1e-290)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def screened_params(draw):
+    """Majorant shapes that put the screens' premises near their edges."""
+    shape = draw(st.sampled_from(["newton-dense", "eta-zero", "tiny-lambda", "near-1e-300",
+                                  "table"]))
+    eta = draw(st.just(0.0) | st.floats(0.0, 2.0))
+    r0 = draw(st.floats(0.0, 3.0))
+    if shape == "newton-dense":
+        # lambda = 0 and a halving rho: theta^(2^n) underflows long before rho does
+        lam = ScalarSequence.zero()
+        rho = ScalarSequence.pair_sum(ScalarSequence.geometric(draw(st.floats(1e-6, 0.1)), 0.5),
+                                      draw(st.floats(1.0, 2.0)))
+        eta = draw(st.floats(1e-3, 2.0))
+    elif shape == "eta-zero":
+        eta = 0.0
+        lam = ScalarSequence.geometric(draw(st.floats(0.0, 0.99)), draw(UNIT))
+        rho = ScalarSequence.geometric(draw(st.floats(0.0, 0.1)), draw(st.floats(0.0, 2.0)))
+    elif shape == "tiny-lambda":
+        # products of lambda underflow within a few indices
+        lam = ScalarSequence.geometric(draw(st.floats(1e-250, 1e-5)), draw(UNIT))
+        rho = ScalarSequence.geometric(draw(st.floats(0.0, 0.1)), draw(UNIT))
+    elif shape == "near-1e-300":
+        lam = ScalarSequence.constant(draw(st.floats(0.0, 0.99) | NEAR_SLACK))
+        rho = ScalarSequence.geometric(draw(NEAR_SLACK), draw(st.floats(0.0, 2.0)))
+        r0 = draw(NEAR_SLACK | st.floats(0.0, 3.0))
+        eta = draw(st.just(0.0) | NEAR_SLACK | st.floats(0.0, 2.0))
+    else:
+        lam = ScalarSequence.from_table(draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                                      max_size=8)))
+        rho = ScalarSequence.from_table(draw(st.lists(st.floats(0.0, 0.1), min_size=1,
+                                                      max_size=8)))
+    return MajorantParams(eta, lam, rho, r0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=screened_params(), N=st.integers(0, 60))
+def test_screened_search_finds_what_the_unscreened_grid_finds(p, N):
+    for regime in SEARCHED:
+        assert search_outcome(search_witnesses, p, regime, N) == \
+            search_outcome(unscreened_search, p, regime, N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=screened_params(), N=st.integers(0, 60))
+def test_every_candidate_a_screen_drops_fails_its_certificate(p, N):
+    for regime in SEARCHED:
+        spec = majorant.REGIMES[regime]
+        keep = spec.screen(p, N)
+        for witnesses in spec.grid(p, N, 16):
+            if keep is None or not keep(witnesses):
+                assert not majorant._run(regime, p, N, witnesses).valid, (regime, witnesses)
+
+
+# the majorant of newton-dense instance 0 (seed 1): M = M_star = K = K_star = 0.3,
+# newton, eps_n = 1e-3 * 0.5^n; and that of noisy-certify instance 0
+NEWTON_DENSE = majorant_from_constants(
+    ProblemConstants(0.3, 0.3, 0.3, 0.3, eps_seq=ScalarSequence.geometric(1e-3, 0.5)),
+    SchemeKind.NEWTON, r0=1.0196881747876978)
+NOISY = params(0.0, 0.5, 0.02, 1.01)
+
+
+def count_cert_calls(monkeypatch):
+    """Count the calls of each cert_<regime> that _run looks up."""
+    calls = dict.fromkeys(SEARCHED, 0)
+    for regime in SEARCHED:
+        real = getattr(majorant, "cert_" + regime)
+
+        def counted(*args, _real=real, _regime=regime):
+            calls[_regime] += 1
+            return _real(*args)
+        monkeypatch.setattr(majorant, "cert_" + regime, counted)
+    return calls
+
+
+def grid_size(p, regime, N):
+    return sum(1 for _ in majorant.REGIMES[regime].grid(p, N, 16))
+
+
+def test_newton_dense_quadratic_search_runs_no_candidate(monkeypatch):
+    # theta^(2^n) underflows to 0 while rho_n > 0, so every candidate fails
+    # the rho budget; certify runs only the fallback
+    assert grid_size(NEWTON_DENSE, "quadratic", 200) == 257
+    calls = count_cert_calls(monkeypatch)
+    cert = certify(NEWTON_DENSE, "quadratic", 200)
+    assert not cert.valid and cert.detail == ["rho budget fails at index 0"]
+    assert calls == {"sandwich": 0, "geometric": 0, "quadratic": 1}
+
+
+@pytest.mark.parametrize("N", [500, 1000])
+def test_noisy_searches_run_no_candidate(monkeypatch, N):
+    # eta = 0 rules out quadratic; every sandwich candidate fails the lambda
+    # ratio or the start window, every geometric one the published rho premise
+    assert [grid_size(NOISY, r, N) for r in SEARCHED] == [272, 960, 257]
+    calls = count_cert_calls(monkeypatch)
+    for regime in SEARCHED:
+        assert not certify(NOISY, regime, N).valid
+    assert calls == dict.fromkeys(SEARCHED, 1)
+
+
+def test_the_grid_misses_a_valid_sandwich_witness():
+    # the start window needs C_rho >= r_1/rho_0 = 26.25, that is C1 >= 0.9619
+    assert cert_sandwich(NOISY, 500, 0.97, majorant._needed_c2(NOISY, 500)).valid
+
+
+@pytest.mark.xfail(strict=True, reason="the sandwich grid stops at C1 = 15/16")
+def test_sandwich_search_finds_the_witness_the_grid_misses():
+    assert certify(NOISY, "sandwich", 500).valid
+
+
+@pytest.mark.xfail(strict=True, reason="r0 prod lambda is rounded, not rounded down")
+def test_geometric_lower_bound_is_below_the_exact_recurrence():
+    mpmath = pytest.importorskip("mpmath")
+    p = params(0.0, 0.3, 0.0, 1.0)
+    cert = certify(p, "geometric", 3)
+    assert cert.valid and cert.lower[2] == 0.09
+    with mpmath.workdps(50):
+        exact = [mpmath.mpf(p.r0)]
+        for n in range(1, 4):
+            exact.append(mpmath.mpf(p.lam(n - 1)) * exact[-1])
+        assert all(mpmath.mpf(lo) <= r for lo, r in zip(cert.lower, exact))
+
+
 # -- detail text ------------------------------------------------------------
 # Certificate calls that between them reach every detail line majorant writes
 # (premise failures, notes and closings), with the outcome each gave before
