@@ -31,8 +31,12 @@ evaluation of each), one newton-dense Jacobian (900 entries, 30 times), one
 m = 800 kernel matrix (641,601 kernel evaluations, on a fresh kernel each
 time, so with its compilation), the fredholm-sweep operator at the 801 nodes
 of an m = 800 grid (`greens._pointwise`: 801 `apply` calls, each building two
-Vectors), noisy-certify's `certify` at horizon 1000, the set-up of
-newton-dense and of fredholm-sweep, and `import fpcert.cli`.
+Vectors), noisy-certify's `certify` at horizon 1000, newton-dense's `certify`
+at the benchmark's horizon 200 (`certify-newton-dense`, the very call whose
+`certify_p50_s` the benchmark measures), the set-up of newton-dense and of
+fredholm-sweep, and `import fpcert.cli`.  Each timed call of a certify
+workload is one `fpcert.cli.main` call, after an untimed `run`, and its
+output is the bytes of the `certify.json` the last call wrote.
 Every workload runs in a fresh process per side and round, on one CPU, as
 `bench/run.py` does.  That process imports its side's `src/fpcert` and
 `bench/workloads.py`, makes the untimed setup, then times the number of calls
@@ -53,10 +57,13 @@ import loaded.  Rounds alternate which side goes first, as
 the pairs do.  The JSON holds each side's per-round medians with their median
 and quartiles, the rounds the change won, and whether every output of both
 sides was bit-equal; the exit code is 1 if one was not.  LAYER_ROUNDS = 5
-rounds of the six in-process workloads took 23 s on the host above, where
-the pinned rounds of one side spread by up to about 10%; set-up adds about
-27 s (2.7 s per side and round on a 2-vCPU Intel Xeon host with Python
-3.11) per set-up workload, and its rounds of one side spread by under 2%.
+rounds of the six in-process workloads before `certify-newton-dense` took
+23 s on the host above, where the pinned rounds of one side spread by up to
+about 10%; `certify-newton-dense` adds about 10 s (a process of about 1 s per
+side and round: its untimed `run`, then 21 calls of about 17 ms); set-up
+adds about 27 s (2.7 s per side and round on a 2-vCPU Intel Xeon host with
+Python 3.11) per set-up workload, and its rounds of one side spread by under
+2%.
 """
 from __future__ import annotations
 
@@ -96,8 +103,13 @@ LAYERS = ("exprparse.parse_calls", "exprparse.parse_s",
 LAYER_WORKLOADS = {"parse-newton-dense": 5, "compile-newton-dense": 5,
                    "jacobian-newton-dense": 5, "kernel-matrix-800": 5,
                    "pointwise-fredholm-800": 20, "noisy-certify-1000": 3,
+                   "certify-newton-dense": 21,
                    "setup-newton-dense": 21, "setup-fredholm-sweep": 21, "import-cli": 21}
 LAYER_ROUNDS = 5
+
+# certify layer workloads: name -> (benchmark workload, --horizon)
+CERTIFY_HORIZONS = {"noisy-certify-1000": ("noisy-certify", "1000"),
+                    "certify-newton-dense": ("newton-dense", "200")}
 
 # one setup-<workload> sample: import fpcert.problems and load a problem
 # file in a fresh interpreter, as bench/run.py's set-up child does
@@ -200,11 +212,12 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
 
         def call():
             return greens._pointwise(operator, values)
-    elif name == "noisy-certify-1000":
-        inst = workloads.make_instance("noisy-certify", 1, 0, tmp)
+    elif name in CERTIFY_HORIZONS:
+        workload, horizon = CERTIFY_HORIZONS[name]
+        inst = workloads.make_instance(workload, 1, 0, tmp)
         solve, certify = inst.calls
         argv = list(certify.argv)
-        argv[argv.index("--horizon") + 1] = "1000"
+        argv[argv.index("--horizon") + 1] = horizon
         report = Path(argv[argv.index("--trace") + 1]) / "certify.json"
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(solve.argv) == solve.expected_exit

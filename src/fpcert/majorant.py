@@ -658,7 +658,9 @@ def _binding(lhs: Sequence[float], scale: Sequence[float]) -> Optional[int]:
 
 
 def _sandwich_screen(p: MajorantParams, N: int) -> Optional[_Screen]:
-    """The lambda-ratio premise at its binding index, and the start window."""
+    """The lambda blanket and rho positivity, which no witness changes, then the
+    witness ranges, the lambda-ratio premise at its binding index and the start
+    window."""
     h = _horizon(p, N)
     if h.lam_neg is not None or h.lam_sup >= 1.0 or h.rho_nonpos:
         return None
@@ -731,7 +733,8 @@ class _Regime(NamedTuple):
     screen: Callable[[MajorantParams, int], Optional[_Screen]] = _keep_all
 
 
-# the witness names come from regimes.WITNESSES; each regime adds its grid and fallback
+# the witness names come from regimes.WITNESSES; each regime adds its grid, fallback
+# and screen
 REGIMES: Dict[str, _Regime] = {name: _Regime(WITNESSES[name], *search) for name, search in {
     "bounded": (_no_witnesses,),
     "uniform_max": (_no_witnesses,),
