@@ -33,13 +33,12 @@ _EXPORTS = {
                      "majorant_from_constants", "precheck", "search_witnesses",
                      "simulate_recurrence", "tail_bound"), "majorant"),
     **dict.fromkeys(("CATALOG", "ProblemError", "ResolvedProblem", "catalog_names",
-                     "constants_for", "get_entry", "load_problem", "resolve_config"),
-                    "problems"),
+                     "constants_for", "get_entry", "load_problem", "resolve_config",
+                     "sequence_from_config"), "problems"),
     **dict.fromkeys(("GammaSpec", "RootfindError", "wrap_root_problem"), "rootfind"),
     **dict.fromkeys(("InjectionMode", "IterationTrace", "PerturbationPlan", "SchemeError",
                      "SchemeKind", "StepFailure", "StopRule", "run_outer"), "schemes"),
-    **dict.fromkeys(("ScalarSequence", "SequenceError", "sequence_from_config"),
-                    "sequences"),
+    **dict.fromkeys(("ScalarSequence", "SequenceError"), "sequences"),
 }
 
 __all__ = [*_EXPORTS, "__version__"]

@@ -7,7 +7,8 @@ problem-file mapping a user would write, plus what a file cannot state (an
 averaging weight, a known solution).  A catalog reference becomes that mapping
 with its overrides applied, and one resolver turns every mapping, built-in or
 from a file, into a ResolvedProblem; only the digest's identity fields tell
-the two apart.
+the two apart.  `_block` and `_sequence` check every block's keys, and every
+number of a file goes through `_number`, which names the key at fault.
 
 Loading a problem imports `core`, `exprparse`, `regimes`, `schemes` and
 `sequences`.  A `certificates` block is checked against `regimes.WITNESSES`,
@@ -31,7 +32,7 @@ from .core import (BallDomain, CoreError, Frozen, NormKind, OperatorEvaluationEr
 from .exprparse import ExprError, eval_expr, parse_expr
 from .regimes import WITNESSES
 from .schemes import InjectionMode, PerturbationPlan, SchemeError, SchemeKind, StopRule
-from .sequences import ScalarSequence, SequenceError, sequence_from_config, sequence_to_config
+from .sequences import ScalarSequence, SequenceError
 
 # greens, rootfind and estimate are imported where an integral problem, a root
 # problem or an estimate block is resolved, and majorant where constants_for
@@ -46,12 +47,14 @@ class ProblemError(ValueError):
 
 
 def _number(value, key: str, convert=float):
-    """convert(value) for a problem-file value; ProblemError naming key if it is no number,
-    or for int no whole one (int would drop a fraction)."""
+    """convert(value) for a problem-file value, read as a float first if it is a string (YAML
+    1.1 reads 1e-3 and 1e3 as strings, for want of a dot); ProblemError naming key if it is no
+    number, a boolean (YAML 1.1's yes/no/on/off) or for int no whole one (int drops a fraction)."""
     try:
-        if convert is int and isinstance(value, float) and not value.is_integer():
+        v = float(value) if isinstance(value, str) else value
+        if isinstance(v, bool) or (convert is int and isinstance(v, float) and not v.is_integer()):
             raise ValueError(value)
-        return convert(value)
+        return convert(v)
     except (TypeError, ValueError, OverflowError):
         raise ProblemError("%s must be %s, got %r"
                            % (key, "an integer" if convert is int else "a number", value)) from None
@@ -315,9 +318,9 @@ def constants_for(M: float, K: float, scheme: SchemeKind, plan: PerturbationPlan
     else:
         raise ProblemError("unknown scheme %r" % scheme)
     if m_star is not None:
-        m_imp = float(m_star)
+        m_imp = m_star
     if k_star is not None:
-        k_imp = float(k_star)
+        k_imp = k_star
     return ProblemConstants(M=M, M_star=m_imp, K=K, K_star=k_imp, eps=eps_meas,
                             eps_seq=plan.eps, sigma_seq=plan.sigma, gamma_seq=plan.gamma,
                             M_seq=m_seq, K_seq=k_seq)
@@ -405,12 +408,62 @@ def _digest(plan: PerturbationPlan, stop: StopRule, integral: Optional[IntegralS
 
 def _parse_plan(cfg: dict) -> PerturbationPlan:
     block = _block(cfg, "perturbation")
-    try:
-        seqs = {k: sequence_from_config(block.get(k)) for k in ("eps", "sigma", "gamma")}
-    except SequenceError as exc:
-        raise ProblemError("bad perturbation block: %s" % exc)
+    seqs = {k: _sequence(block.get(k), "perturbation." + k) for k in ("eps", "sigma", "gamma")}
     return PerturbationPlan(**{**block, **seqs,
                                "mode": InjectionMode.parse(block.get("mode", "none"))})
+
+
+# each kind a sequence mapping can name: its constructor, and the keys the
+# mapping takes besides kind, which are the constructor's arguments in order
+# and the names of the fields that hold them
+_KINDS = {"zero": (ScalarSequence.zero, ()),
+          "constant": (ScalarSequence.constant, ("c",)),
+          "geometric": (ScalarSequence.geometric, ("c", "ratio")),
+          "power": (ScalarSequence.power, ("c", "p")),
+          "table": (ScalarSequence.from_table, ("entries",))}
+
+
+def sequence_from_config(cfg) -> ScalarSequence:
+    return _sequence(cfg, "sequence")
+
+
+def _sequence(value, path: str) -> ScalarSequence:
+    """The sequence stated at path: zero if absent, a constant if a bare number, else a
+    mapping {kind, ...} with the keys _KINDS gives, each number read under its own path."""
+    if value is None:
+        return ScalarSequence.zero()
+    if not isinstance(value, dict):
+        make, args = ScalarSequence.constant, [_number(value, path)]
+    else:
+        kind = value.get("kind")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ProblemError("%s.kind must be one of %s, got %r"
+                               % (path, "|".join(sorted(_KINDS)), kind))
+        make, keys = _KINDS[kind]
+        extra = set(value) - {"kind", *keys}
+        if extra:
+            raise ProblemError("unknown %s keys: %s" % (path, _listed(extra)))
+        args = []
+        for k in keys:
+            key, v = "%s.%s" % (path, k), value.get(k)
+            if k == "entries":
+                _require(isinstance(v, list), key, "a list of numbers", v)
+                v = [_number(e, "%s[%d]" % (key, i)) for i, e in enumerate(v)]
+            else:
+                v = _number(v, key)
+            args.append(v)
+    try:
+        return make(*args)
+    except SequenceError as exc:
+        raise ProblemError("%s: %s" % (path, exc)) from None
+
+
+def sequence_to_config(seq: ScalarSequence) -> dict:
+    """The mapping sequence_from_config reads back as seq; the affine and pairsum
+    combinators have no file form and are written as their kind alone."""
+    keys = _KINDS[seq.kind][1] if seq.kind in _KINDS else ()
+    return {"kind": seq.kind, **{k: list(getattr(seq, k)) if k == "entries" else getattr(seq, k)
+                                 for k in keys}}
 
 
 def _parse_certs(cfg) -> List[CertRequest]:
@@ -597,7 +650,8 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
         raise ProblemError("x0 must be a number or a list of numbers, got %r" % (x0_cfg,))
     if len(x0_cfg) != dim:
         raise ProblemError("x0 has %d coordinates, dim is %d" % (len(x0_cfg), dim))
-    x0 = Vector([_number(v, "x0") for v in x0_cfg])
+    x0_list = [_number(v, "x0") for v in x0_cfg]
+    x0 = Vector(x0_list)
 
     try:
         # parse_derivative reads the unwrapped expression derivative, which a root wrap hides
@@ -683,7 +737,6 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
     stop = StopRule(**_block(cfg, "stop"))
     certs = _parse_certs(cfg.get("certificates"))
 
-    x0_list = [float(v) for v in x0_cfg]
     gamma_cfg = {"kind": gamma.kind, "alpha": gamma.alpha} if gamma else None
     if entry is None:
         # a file problem is keyed by its content

@@ -3,7 +3,9 @@
 Perturbation schedules and majorant coefficients are all sequences of this
 shape.  Closed forms (constant, geometric, power) know their own tail sums
 and summability; a table is constant beyond its last entry, so its tail is
-summable exactly when that entry is zero.
+summable exactly when that entry is zero.  This module is the arithmetic and
+the tail analytics only: `problems` reads a sequence from a problem file and
+writes it back for the problem digest.
 """
 from __future__ import annotations
 
@@ -197,69 +199,3 @@ class ScalarSequence(Frozen):
         if k == "pairsum":
             return self.base.is_summable()
         raise SequenceError("summability unavailable for sequence kind %r" % k)
-
-
-# each kind a problem-file mapping can name: its constructor, and the keys the
-# mapping takes besides kind, which are the constructor's arguments in order
-# and the names of the fields that hold them
-_KINDS = {"zero": (ScalarSequence.zero, ()),
-          "constant": (ScalarSequence.constant, ("c",)),
-          "geometric": (ScalarSequence.geometric, ("c", "ratio")),
-          "power": (ScalarSequence.power, ("c", "p")),
-          "table": (ScalarSequence.from_table, ("entries",))}
-
-
-def sequence_from_config(cfg) -> ScalarSequence:
-    """Build a sequence from problem-file config.
-
-    Accepts a bare number (constant) or a mapping with a 'kind' key:
-    {kind: constant, c}, {kind: geometric, c, ratio}, {kind: power, c, p},
-    {kind: table, entries: [...]} (constant beyond the last entry), {kind: zero}.
-    A mapping with any other key is rejected.
-    """
-    if cfg is None:
-        return ScalarSequence.zero()
-    if isinstance(cfg, (int, float)):
-        return ScalarSequence.constant(float(cfg))
-    if not isinstance(cfg, dict):
-        raise SequenceError("sequence config must be a number or mapping, got %r" % (cfg,))
-    kind = cfg.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise SequenceError("unknown sequence kind %r (expected %s)"
-                            % (kind, "|".join(sorted(_KINDS))))
-    make, keys = _KINDS[kind]
-    extra = set(cfg) - {"kind", *keys}
-    if extra:
-        raise SequenceError("unknown %s sequence keys: %s"
-                            % (kind, ", ".join(sorted(map(str, extra)))))
-    return make(*(_entries(cfg) if k == "entries" else _num(cfg, k) for k in keys))
-
-
-def sequence_to_config(seq: ScalarSequence) -> dict:
-    """The problem-file mapping that sequence_from_config reads back as seq.
-
-    The affine and pairsum combinators have no file form; they are written as
-    their kind alone.
-    """
-    keys = _KINDS[seq.kind][1] if seq.kind in _KINDS else ()
-    cfg = {"kind": seq.kind}
-    for k in keys:
-        v = getattr(seq, k)
-        cfg[k] = list(v) if k == "entries" else v
-    return cfg
-
-
-def _entries(cfg: dict) -> list:
-    entries = cfg.get("entries")
-    if not isinstance(entries, list) or not all(isinstance(v, (int, float)) for v in entries):
-        raise SequenceError("table sequence needs an entries list of numbers: %r" % (cfg,))
-    return entries
-
-
-def _num(cfg: dict, key: str) -> float:
-    if key not in cfg:
-        raise SequenceError("sequence config missing %r: %r" % (key, cfg))
-    v = cfg[key]
-    if not isinstance(v, (int, float)):
-        raise SequenceError("sequence field %r must be a number, got %r" % (key, v))
-    return float(v)

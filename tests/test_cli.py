@@ -878,7 +878,7 @@ def test_non_string_key_rejected(tmp_path, capsys, text, block):
     ("catalog: perturbed-linear\nperturbation: {sed: 3}\n", "perturbation", "sed"),
     ("operator: 0.5*x1 + 1\nx0: 0.0\n"
      "perturbation: {mode: additive-deterministic, eps: {kind: constant, c: 0.01, ratio: 0.5}}\n",
-     "constant sequence", "ratio"),
+     "perturbation.eps", "ratio"),
     ("operator: 0.5*x1 + 1\nx0: 0.0\nconstants: {M: 0.5, estimate: {samples: 20}}\n",
      "estimate", "M"),
 ], ids=["constants", "constants.estimate", "gamma", "integral", "catalog-perturbation",

@@ -16,7 +16,8 @@ from fpcert.majorant import (Certificate, MajorantError, MajorantParams,
                              precheck, recurrence_step, search_witnesses,
                              simulate_capped, simulate_recurrence, tail_bound)
 from fpcert.schemes import SchemeKind
-from fpcert.sequences import ScalarSequence, sequence_from_config
+from fpcert.problems import sequence_from_config
+from fpcert.sequences import ScalarSequence
 
 
 def params(eta=0.0, lam=0.5, rho=0.0, r0=1.0):

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import fpcert
 from fpcert import problems
 from fpcert.core import BallDomain, NormKind, Vector
 from fpcert.estimate import (SAFETY_FACTOR, estimate_lipschitz_K, estimate_lipschitz_M,
@@ -18,7 +20,9 @@ from fpcert.exprparse import _compile, parse_expr
 from fpcert.problems import (CATALOG, CertRequest, ProblemError,
                              averaged_factory, catalog_names, constants_for,
                              get_entry, load_config, load_problem, operator_from_expressions,
-                             override_param, resolve_config)
+                             override_param, resolve_config, sequence_from_config,
+                             sequence_to_config)
+from fpcert.regimes import WITNESSES
 from fpcert.schemes import (InjectionMode, PerturbationPlan, SchemeKind,
                             StopRule, run_outer)
 from fpcert.sequences import ScalarSequence
@@ -363,6 +367,148 @@ def test_certificate_requests():
         resolve_config(minimal_cfg(certificates="search"))
     with pytest.raises(ProblemError):
         resolve_config(minimal_cfg(certificates=[{"regime": "cubic"}]))
+
+
+# -- perturbation sequences ----------------------------------------------------
+
+
+def test_sequence_from_config_forms():
+    assert fpcert.sequence_from_config is sequence_from_config
+    assert sequence_from_config(0.25)(7) == 0.25
+    assert sequence_from_config(0)(3) == 0.0
+    g = sequence_from_config({"kind": "geometric", "c": 1.0, "ratio": 0.5})
+    assert g(2) == 0.25
+    p = sequence_from_config({"kind": "power", "c": 2.0, "p": 2.0})
+    assert p(2) == pytest.approx(0.5)
+    z = sequence_from_config({"kind": "zero"})
+    assert z(5) == 0.0
+    t = sequence_from_config({"kind": "table", "entries": [0.5, 0.25, 0.1]})
+    assert t == ScalarSequence.from_table([0.5, 0.25, 0.1])
+    assert t(1) == 0.25 and t(9) == 0.1    # constant beyond the last entry
+    for bad in ({"kind": "table"}, {"kind": "table", "entries": []},
+                {"kind": "table", "entries": [0.1, "x"]}, {"kind": "table", "entries": [-0.1]},
+                {"kind": "fourier"}, "not a sequence", math.inf, math.nan,
+                {"kind": "constant", "c": math.inf}, {"kind": "geometric", "c": math.nan}):
+        with pytest.raises(ProblemError):
+            sequence_from_config(bad)
+
+
+@pytest.mark.parametrize("value, message", [
+    ({"kind": "constant", "c": -0.1},
+     "perturbation.eps: constant sequence must be finite and nonnegative, got -0.1"),
+    ({"kind": "geometric", "c": 0.1}, "perturbation.eps.ratio must be a number, got None"),
+    ({"kind": "table", "entries": [0.1, "x"]},
+     "perturbation.eps.entries[1] must be a number, got 'x'"),
+    ({"kind": "table", "entries": 0.1},
+     "perturbation.eps.entries must be a list of numbers, got 0.1"),
+    ({"kind": "table", "entries": [0.01, True, False]},
+     "perturbation.eps.entries[1] must be a number, got True"),
+    ({"kind": "constant", "c": 0.1, "ratio": 0.5}, "unknown perturbation.eps keys: ratio"),
+    ({"kind": "fourier"},
+     "perturbation.eps.kind must be one of constant|geometric|power|table|zero, got 'fourier'"),
+    ([0.1], "perturbation.eps must be a number, got [0.1]"),
+])
+def test_sequence_errors_name_their_path(value, message):
+    with pytest.raises(ProblemError) as exc:
+        resolve_config(minimal_cfg(perturbation={"eps": value}))
+    assert str(exc.value) == message
+
+
+_NONNEG = st.floats(min_value=0.0, max_value=1e300)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FILE_SEQUENCES = st.one_of(
+    st.just(ScalarSequence.zero()),
+    st.builds(ScalarSequence.constant, _NONNEG),
+    st.builds(ScalarSequence.geometric, _NONNEG, _NONNEG),
+    st.builds(ScalarSequence.power, _NONNEG, _FINITE),
+    st.builds(ScalarSequence.from_table, st.lists(_NONNEG, min_size=1, max_size=8)))
+
+
+@given(seq=FILE_SEQUENCES)
+def test_sequence_config_round_trip(seq):
+    cfg = sequence_to_config(seq)
+    assert sequence_from_config(cfg) == seq
+    if seq.kind == "table":
+        assert cfg["entries"] == list(seq.entries)     # a list, as a problem file has it
+
+
+def test_combinators_are_written_as_their_kind_alone():
+    base = ScalarSequence.geometric(0.5, 0.5)
+    assert sequence_to_config(base.affine(2.0, 0.1)) == {"kind": "affine"}
+    assert sequence_to_config(ScalarSequence.pair_sum(base, 0.5)) == {"kind": "pairsum"}
+
+
+# -- the number rule -------------------------------------------------------------
+
+_ROOT = {"kind": "root", "operator": "x1^2 - 2", "derivative": [["2*x1"]], "x0": 1.5,
+         "gamma": {"kind": "damped"}}
+_INTEGRAL = {"kind": "integral", "operator": "x1 + 1", "x0": 0.0, "integral": {}}
+_BLOCK_BASES = {"perturbation": minimal_cfg(), "stop": minimal_cfg(), "gamma": _ROOT,
+                "integral": _INTEGRAL, "constants": minimal_cfg(constants={"M": 0.5}),
+                "constants.estimate": minimal_cfg(constants={"estimate": {}})}
+_SEQUENCE_FIELDS = {"constant": {"c": 0.1}, "geometric": {"c": 0.1, "ratio": 0.5},
+                    "power": {"c": 0.1, "p": 2.0}}
+
+
+def _with_value(base: dict, path: str, value) -> dict:
+    """A copy of base with value at the dotted path."""
+    cfg = copy.deepcopy(base)
+    *blocks, key = path.split(".")
+    block = cfg
+    for name in blocks:
+        block = block.setdefault(name, {})
+    block[key] = value
+    return cfg
+
+
+def _number_cases():
+    """(test id, the key an error names, its type, value -> problem mapping) for
+    every number a problem file states."""
+    for block, keys in problems._KEYS.items():
+        for key, convert in keys.items():
+            path = "%s.%s" % (block, key)
+            if convert is not None:
+                yield path, path, convert, partial(_with_value, _BLOCK_BASES[block], path)
+    yield "dim", "dim", int, lambda v: minimal_cfg(dim=v)
+    yield "x0", "x0", float, lambda v: minimal_cfg(x0=[0.5, v], operator=["x1", "x2"])
+    for regime, names in WITNESSES.items():
+        for name in names:
+            key = "%s witness %s" % (regime, name)
+            yield key, key, float, lambda v, r=regime, ns=names, n=name: minimal_cfg(
+                certificates=[{"regime": r, "witnesses": {**dict.fromkeys(ns, 0.5), n: v}}])
+    for seq in ("eps", "sigma", "gamma"):
+        path = "perturbation." + seq
+        yield path, path, float, partial(_with_value, minimal_cfg(), path)
+        for kind, fields in _SEQUENCE_FIELDS.items():
+            for field in fields:
+                yield ("%s.%s-%s" % (path, field, kind), "%s.%s" % (path, field), float,
+                       lambda v, s=seq, k=kind, fs=fields, f=field: minimal_cfg(
+                           perturbation={s: {"kind": k, **fs, f: v}}))
+        yield (path + ".entries", path + ".entries[1]", float,
+               lambda v, s=seq: minimal_cfg(perturbation={s: {"kind": "table",
+                                                              "entries": [0.1, v]}}))
+
+
+def _outcome(cfg):
+    """What a problem mapping resolves to, or the error that refuses it."""
+    try:
+        r = resolve_config(cfg)
+    except ProblemError as exc:
+        return str(exc)
+    return r.digest, r.constants_cfg, [c.witnesses for c in r.cert_requests]
+
+
+@pytest.mark.parametrize("key, convert, build",
+                         [case[1:] for case in _number_cases()],
+                         ids=[case[0] for case in _number_cases()])
+def test_every_number_follows_one_rule(key, convert, build):
+    # YAML 1.1 reads true/yes/on as a boolean: a number is due, so it is refused
+    assert _outcome(build(yaml.safe_load("on"))) == "%s must be %s, got True" % (
+        key, "an integer" if convert is int else "a number")
+    # and reads a float only with a dot: 1e-3 stays a string, which reads as the number
+    written, dotted = (("1e1", "1.0e+1") if convert is int else ("1e-3", "1.0e-3"))
+    assert isinstance(yaml.safe_load(written), str)
+    assert _outcome(build(yaml.safe_load(written))) == _outcome(build(yaml.safe_load(dotted)))
 
 
 def test_digest_separates_problems_but_not_certificates():

@@ -1,10 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
-from fpcert.sequences import (ScalarSequence, SequenceError, sequence_from_config,
-                              sequence_to_config)
+from fpcert.sequences import ScalarSequence, SequenceError
 
 
 def brute_tail(seq, n0, terms=4000):
@@ -122,54 +120,7 @@ def test_non_finite_parameters_rejected(bad):
                   lambda: ScalarSequence.geometric(1.0, bad),
                   lambda: ScalarSequence.power(bad, 2.0),
                   lambda: ScalarSequence.power(1.0, bad),
-                  lambda: ScalarSequence.from_table([0.1, bad]),
-                  lambda: sequence_from_config(bad),
-                  lambda: sequence_from_config({"kind": "constant", "c": bad})):
+                  lambda: ScalarSequence.from_table([0.1, bad])):
         with pytest.raises(SequenceError):
             build()
 
-
-def test_sequence_from_config_forms():
-    assert sequence_from_config(0.25)(7) == 0.25
-    assert sequence_from_config(0)(3) == 0.0
-    g = sequence_from_config({"kind": "geometric", "c": 1.0, "ratio": 0.5})
-    assert g(2) == 0.25
-    p = sequence_from_config({"kind": "power", "c": 2.0, "p": 2.0})
-    assert p(2) == pytest.approx(0.5)
-    z = sequence_from_config({"kind": "zero"})
-    assert z(5) == 0.0
-    t = sequence_from_config({"kind": "table", "entries": [0.5, 0.25, 0.1]})
-    assert t == ScalarSequence.from_table([0.5, 0.25, 0.1])
-    assert t(1) == 0.25 and t(9) == 0.1    # constant beyond the last entry
-    for bad in ({"kind": "table"}, {"kind": "table", "entries": []},
-                {"kind": "table", "entries": [0.1, "x"]}, {"kind": "table", "entries": [-0.1]}):
-        with pytest.raises(SequenceError):
-            sequence_from_config(bad)
-    with pytest.raises(SequenceError):
-        sequence_from_config({"kind": "fourier"})
-    with pytest.raises(SequenceError):
-        sequence_from_config("not a sequence")
-
-
-_NONNEG = st.floats(min_value=0.0, max_value=1e300)
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-FILE_SEQUENCES = st.one_of(
-    st.just(ScalarSequence.zero()),
-    st.builds(ScalarSequence.constant, _NONNEG),
-    st.builds(ScalarSequence.geometric, _NONNEG, _NONNEG),
-    st.builds(ScalarSequence.power, _NONNEG, _FINITE),
-    st.builds(ScalarSequence.from_table, st.lists(_NONNEG, min_size=1, max_size=8)))
-
-
-@given(seq=FILE_SEQUENCES)
-def test_sequence_config_round_trip(seq):
-    cfg = sequence_to_config(seq)
-    assert sequence_from_config(cfg) == seq
-    if seq.kind == "table":
-        assert cfg["entries"] == list(seq.entries)     # a list, as a problem file has it
-
-
-def test_combinators_are_written_as_their_kind_alone():
-    base = ScalarSequence.geometric(0.5, 0.5)
-    assert sequence_to_config(base.affine(2.0, 0.1)) == {"kind": "affine"}
-    assert sequence_to_config(ScalarSequence.pair_sum(base, 0.5)) == {"kind": "pairsum"}
