@@ -13,7 +13,9 @@ lines.  The pipelines are:
 - catalog references with overrides, each a `run`: volterra-exp at its own
   mesh and at m = 100, damped-root at alpha 0.25 (also `certify`) and 0.5,
   seed, stop and mode overrides of the perturbed entries, a name plus scheme
-  override, a null perturbation block and a newton run of averaged-cos;
+  override, a null perturbation block, a newton run of averaged-cos, and an
+  eps override of linear-contraction written `c: 1e-3`, which YAML 1.1 reads
+  as a string and the number rule as 0.001 (also `certify`);
 - the paths the catalog defaults miss, each `run` then `certify` with all five
   regimes at horizon 200: newton and modified_newton overrides with eps, sigma
   and gamma budgets in both injection modes, file problems with an `estimate`
@@ -45,7 +47,8 @@ lines.  The pipelines are:
   `--inner-tol`, and `certify` of three copies of linear-contraction's trace:
   one whose `run.json` has an infinite `inner_tol`, one with every `r_n`
   of `trace.csv` halved, and one whose x_0 = -1e308 and x_1 = 1e308 differ
-  by more than the float range, with r_0 = inf;
+  by more than the float range, with r_0 = inf; then a `run` whose
+  `stop.max_n` is `true`, which the number rule refuses;
 - integral file problems: a `run` that starts from `x0: 0.5`, and the `run`
   refusals of a `scheme`, a `norm` and each noise key of the `perturbation`
   block, which an integral problem does not take, then a `sweep` of
@@ -92,8 +95,11 @@ CATALOG_OVERRIDES = (
     ("linear-contraction-null-perturbation", {"catalog": "linear-contraction",
                                               "perturbation": None}),
     ("averaged-cos-newton", {"catalog": "averaged-cos", "scheme": "newton"}),
+    # the string "1e-3" is dumped as a plain 1e-3, which YAML 1.1 reads back as a string
+    ("linear-contraction-eps-1e-3", {"catalog": "linear-contraction", "perturbation": {
+        "mode": "additive-deterministic", "eps": {"kind": "constant", "c": "1e-3"}}}),
 )
-CERTIFIED_OVERRIDES = ("damped-root-alpha0.25",)
+CERTIFIED_OVERRIDES = ("damped-root-alpha0.25", "linear-contraction-eps-1e-3")
 
 
 def extra_problems():
@@ -316,6 +322,11 @@ def main(argv) -> int:
         edit(trace)
         call(["certify", "linear-contraction", "--trace", str(trace),
               "--out", str(refusal / name / "h200")])
+    d = refusal / "max-n-boolean"
+    d.mkdir(parents=True)
+    (d / "problem.yaml").write_text(yaml.safe_dump(
+        {"operator": "0.5*x1 + 1", "x0": 0.0, "stop": {"max_n": True}}))
+    call(["run", str(d / "problem.yaml"), "--out", str(d / "trace")])
     d = out / "integral" / "x0-half"
     d.mkdir(parents=True)
     (d / "problem.yaml").write_text(yaml.safe_dump(dict(INTEGRAL, x0=0.5)))

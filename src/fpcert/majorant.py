@@ -52,6 +52,17 @@ def _le(a: float, b: float) -> bool:
     return a <= b + _REL_SLACK * abs(b) + _ABS_SLACK
 
 
+def _mul_down(a: float, b: float) -> float:
+    """a*b rounded down, for a, b >= 0: the product if it is exact, else the double below."""
+    x = a * b
+    if math.isfinite(x):  # and so are a and b
+        (na, da), (nb, db), (nx, dx) = (a.as_integer_ratio(), b.as_integer_ratio(),
+                                        x.as_integer_ratio())
+        if na * nb * dx == nx * da * db:
+            return x
+    return math.nextafter(x, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # problem constants and recurrence parameters
 
@@ -152,9 +163,10 @@ class _Horizon(NamedTuple):
     diverged, its first overflow index.  The rest are premise facts no witness
     changes: the first negative lambda (None if none), the sup of lambda,
     whether a lambda is <= 0, whether a rho is <= 0, theta^(2^j) with
-    theta = eta r0, the products prod_{k<j} lambda_k and r0 times them, for
-    j = 0..N.  r1 is eta r0^2 + lambda_0 r0 + rho_0 in recurrence_step's
-    order, +inf (never OverflowError) past the float range.
+    theta = eta r0, the products prod_{k<j} lambda_k and r0 times them, the
+    last rounded down at every product, for j = 0..N.  r1 is
+    eta r0^2 + lambda_0 r0 + rho_0 in recurrence_step's order, +inf (never
+    OverflowError) past the float range.
     """
 
     lam: Tuple[float, ...]
@@ -189,16 +201,17 @@ def _horizon(p: MajorantParams, N: int) -> _Horizon:
         for _ in range(N + 1):
             theta_pow.append(t)
             t = t * t
-        prefix = [1.0]
+        prefix, r0_prefix = [1.0], [p.r0]
         for k in range(N):
             prefix.append(prefix[-1] * lam[k])
+            r0_prefix.append(_mul_down(r0_prefix[-1], lam[k]))
         # tuples: every certificate of p reads the same horizon
         h = p._horizons[N] = _Horizon(
             lam, rho, tuple(sim), diverged,
             lam_neg=next((v for v in lam if v < 0), None), lam_sup=max(lam),
             lam_nonpos=any(v <= 0.0 for v in lam), rho_nonpos=any(v <= 0.0 for v in rho),
             theta_pow=tuple(theta_pow), prefix=tuple(prefix),
-            r0_prefix=tuple(p.r0 * v for v in prefix),
+            r0_prefix=tuple(r0_prefix),
             r1=p.eta * p.r0 * p.r0 + lam[0] * p.r0 + rho[0])
     return h
 
@@ -559,7 +572,10 @@ def cert_quadratic(p: MajorantParams, N: int, chi: float, mu: float) -> Certific
         lower = [0.0] * (N + 1)
         upper = [math.nan] * (N + 1)
     else:
-        lower = [theta_pow[j] / p.eta for j in range(N + 1)]
+        # theta^(2^j)/eta is s_j of s_{j+1} = eta s_j^2 from s_0 = r0, rounded down here
+        lower = [p.r0]
+        for _ in range(N):
+            lower.append(_mul_down(p.eta, _mul_down(lower[-1], lower[-1])))
         upper = [inflation[j] * theta_pow[j] / p.eta for j in range(N + 1)]
     return _finish("quadratic", h, {"chi": chi, "mu": mu}, log, lower, upper,
                    first=0, broke="printed inflation (1+mu)^n did not hold on the simulation")

@@ -424,6 +424,7 @@ _KINDS = {"zero": (ScalarSequence.zero, ()),
 
 
 def sequence_from_config(cfg) -> ScalarSequence:
+    """The sequence a problem-file value states (see _sequence), named "sequence" in errors."""
     return _sequence(cfg, "sequence")
 
 
@@ -443,15 +444,11 @@ def _sequence(value, path: str) -> ScalarSequence:
         extra = set(value) - {"kind", *keys}
         if extra:
             raise ProblemError("unknown %s keys: %s" % (path, _listed(extra)))
-        args = []
-        for k in keys:
-            key, v = "%s.%s" % (path, k), value.get(k)
-            if k == "entries":
-                _require(isinstance(v, list), key, "a list of numbers", v)
-                v = [_number(e, "%s[%d]" % (key, i)) for i, e in enumerate(v)]
-            else:
-                v = _number(v, key)
-            args.append(v)
+        args = [_number(value.get(k), "%s.%s" % (path, k)) for k in keys if k != "entries"]
+        if kind == "table":
+            entries = value.get("entries")
+            _require(isinstance(entries, list), path + ".entries", "a list of numbers", entries)
+            args = [[_number(v, "%s.entries[%d]" % (path, i)) for i, v in enumerate(entries)]]
     try:
         return make(*args)
     except SequenceError as exc:
@@ -650,8 +647,7 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
         raise ProblemError("x0 must be a number or a list of numbers, got %r" % (x0_cfg,))
     if len(x0_cfg) != dim:
         raise ProblemError("x0 has %d coordinates, dim is %d" % (len(x0_cfg), dim))
-    x0_list = [_number(v, "x0") for v in x0_cfg]
-    x0 = Vector(x0_list)
+    x0 = Vector([_number(v, "x0") for v in x0_cfg])
 
     try:
         # parse_derivative reads the unwrapped expression derivative, which a root wrap hides
@@ -738,14 +734,14 @@ def _resolve(cfg: dict, entry: Optional[CatalogEntry] = None) -> ResolvedProblem
     certs = _parse_certs(cfg.get("certificates"))
 
     gamma_cfg = {"kind": gamma.kind, "alpha": gamma.alpha} if gamma else None
+    identity = {"operator": list(exprs), "x0": x0.coords.tolist(), "norm": norm.value,
+                "scheme": scheme.value}
     if entry is None:
         # a file problem is keyed by its content
-        identity = dict(name=name, kind=kind, operator=list(exprs), derivative=deriv,
-                        x0=x0_list, norm=norm.value, scheme=scheme.value, gamma=gamma_cfg)
+        identity.update(name=name, kind=kind, derivative=deriv, gamma=gamma_cfg)
     else:
         # a catalog problem by its name; gamma only when overridden, so default runs keep theirs
-        identity = {"catalog": name, "scheme": scheme.value, "norm": norm.value,
-                    "x0": x0_list, "operator": list(exprs)}
+        identity["catalog"] = name
         if cfg.get("gamma") != entry.config.get("gamma"):
             identity["gamma"] = gamma_cfg
     return ResolvedProblem(

@@ -4,8 +4,7 @@ Perturbation schedules and majorant coefficients are all sequences of this
 shape.  Closed forms (constant, geometric, power) know their own tail sums
 and summability; a table is constant beyond its last entry, so its tail is
 summable exactly when that entry is zero.  This module is the arithmetic and
-the tail analytics only: `problems` reads a sequence from a problem file and
-writes it back for the problem digest.
+tail analytics only; `problems` reads and writes a sequence's problem-file form.
 """
 from __future__ import annotations
 
