@@ -498,9 +498,11 @@ def _outcome(cfg):
     return r.digest, r.constants_cfg, [c.witnesses for c in r.cert_requests]
 
 
-@pytest.mark.parametrize("key, convert, build",
-                         [case[1:] for case in _number_cases()],
-                         ids=[case[0] for case in _number_cases()])
+_NUMBER_CASES = list(_number_cases())
+
+
+@pytest.mark.parametrize("key, convert, build", [case[1:] for case in _NUMBER_CASES],
+                         ids=[case[0] for case in _NUMBER_CASES])
 def test_every_number_follows_one_rule(key, convert, build):
     # YAML 1.1 reads true/yes/on as a boolean: a number is due, so it is refused
     assert _outcome(build(yaml.safe_load("on"))) == "%s must be %s, got True" % (
