@@ -18,7 +18,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Option
 
 from .regimes import WITNESSES
 from .schemes import SchemeKind
-from .sequences import ScalarSequence, SequenceError
+from .sequences import ScalarSequence
 
 _OVERFLOW_CAP = 1e300
 _REL_SLACK = 1e-12
@@ -852,10 +852,7 @@ def tail_bound(trace_r: Sequence[float], p: MajorantParams, n: int,
         lam_eff = lam_sup + p.eta * cap.witnesses["C"]
     if lam_eff >= 1.0:
         raise NoValidMajorantError("effective lambda %r >= 1: tail not summable this way" % lam_eff)
-    try:
-        rho_tail = p.rho.tail_sum(n - 1)
-    except SequenceError as exc:
-        raise NoValidMajorantError("rho tail unavailable: %s" % exc)
+    rho_tail = p.rho.tail_sum(n - 1)
     if math.isinf(rho_tail):
         return math.inf
     r_prev = trace_r[n - 1]

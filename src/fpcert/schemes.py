@@ -3,7 +3,8 @@
 Index convention used throughout: the step producing x_n (n >= 1) uses the
 operator B_{n-1} built at x_{n-1}; its value-inexactness budget is eps(n-1),
 its derivative budgets sigma(n-1) (at x_{n-1}) and gamma(n-1) (at x_0).
-r_n = ||x_{n+1} - x_n||, r_tilde_n = ||x_n - x_0||.
+r_n = ||x_{n+1} - x_n||, r_tilde_n = ||x_n - x_0||.  A budget term past the
+float range fails its step with a SchemeError that names the budget and term.
 
 How a run ends has two owners, also for greens.run_integral_iteration:
 guard_radius is the divergence radius and StopRule.reached names the
@@ -158,12 +159,20 @@ def _additive_noise(dim: int, amount: float, direction_hint: np.ndarray,
     return amount * _unit(rng.standard_normal(dim), kind)
 
 
+def _budget(seq: ScalarSequence, name: str, n: int) -> float:
+    """Term n of the perturbation budget name; a term past the float range fails the step."""
+    amount = seq(n)
+    if amount == math.inf:
+        raise SchemeError("perturbation.%s term %d is past the float range" % (name, n))
+    return amount
+
+
 def _value_and_noise(A: OperatorSpec, x_prev: Vector, n: int, plan: PerturbationPlan,
                      norm: NormKind, rng: np.random.Generator
                      ) -> Tuple[Vector, np.ndarray, float]:
     """A(x_{n-1}), the additive noise of the step producing x_n, and its norm."""
     fx = A.apply(x_prev)
-    e = _additive_noise(A.dim, plan.eps(n - 1), fx.coords - x_prev.coords,
+    e = _additive_noise(A.dim, _budget(plan.eps, "eps", n - 1), fx.coords - x_prev.coords,
                         plan.mode, norm, rng)
     return fx, e, norm_of(Vector(e), norm)
 
@@ -230,7 +239,8 @@ def step_newton(A: OperatorSpec, x_prev: Vector, n: int, plan: PerturbationPlan,
                 norm: NormKind, inner_tol: float,
                 rng: np.random.Generator) -> Tuple[Vector, float, float]:
     """Affine step with D = A'(x_{n-1}) plus the sigma perturbation."""
-    D = A.jacobian(x_prev) + _rank_one(A.dim, plan.sigma(n - 1), plan.mode, rng)
+    D = A.jacobian(x_prev) + _rank_one(A.dim, _budget(plan.sigma, "sigma", n - 1),
+                                       plan.mode, rng)
     return _affine_step(A, x_prev, n, D, plan, norm, inner_tol, rng)
 
 
@@ -238,7 +248,7 @@ def step_modified_newton(A: OperatorSpec, x_prev: Vector, n: int, D0: np.ndarray
                          plan: PerturbationPlan, norm: NormKind, inner_tol: float,
                          rng: np.random.Generator) -> Tuple[Vector, float, float]:
     """Affine step with the derivative D0 frozen at x_0 plus the gamma perturbation."""
-    D = D0 + _rank_one(D0.shape[0], plan.gamma(n - 1), plan.mode, rng)
+    D = D0 + _rank_one(D0.shape[0], _budget(plan.gamma, "gamma", n - 1), plan.mode, rng)
     return _affine_step(A, x_prev, n, D, plan, norm, inner_tol, rng)
 
 

@@ -1,10 +1,14 @@
 """Nonnegative scalar sequences n -> value with closed-form tail sums.
 
 Perturbation schedules and majorant coefficients are all sequences of this
-shape.  Closed forms (constant, geometric, power) know their own tail sums
-and summability; a table is constant beyond its last entry, so its tail is
-summable exactly when that entry is zero.  This module is the arithmetic and
-tail analytics only; `problems` reads and writes a sequence's problem-file form.
+shape.  Every reader takes its terms from one rule, `ScalarSequence.__call__`:
+a geometric or power term with coefficient 0 is 0 at every index, and a term
+past the float range reads +inf.  Closed forms (constant, geometric, power)
+know their own tail sums; a table is constant beyond its last entry, so its
+tail is summable exactly when that entry is zero; a sequence is summable when
+its closed-form tail sum is finite.  The kind is checked once, when a sequence
+is built.  This module is the arithmetic and tail analytics only; `problems`
+reads and writes a sequence's problem-file form.
 """
 from __future__ import annotations
 
@@ -16,6 +20,9 @@ from .core import Frozen
 
 class SequenceError(ValueError):
     pass
+
+
+_KINDS = frozenset(("zero", "constant", "geometric", "power", "table", "affine", "pairsum"))
 
 
 class ScalarSequence(Frozen):
@@ -30,6 +37,8 @@ class ScalarSequence(Frozen):
     def __init__(self, kind: str, c: float = 0.0, ratio: float = 0.0, p: float = 0.0,
                  entries: tuple = (), base: Optional["ScalarSequence"] = None,
                  scale: float = 1.0, offset: float = 0.0):
+        if kind not in _KINDS:
+            raise SequenceError("unknown sequence kind %r" % (kind,))
         self._fill(kind, c, ratio, p, entries, base, scale, offset)
 
     # -- constructors -------------------------------------------------
@@ -85,6 +94,8 @@ class ScalarSequence(Frozen):
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, n: int) -> float:
+        """Term n.  A geometric or power term with coefficient 0 is 0 at every
+        index, and a term whose power is past the float range reads +inf."""
         if n < 0:
             raise SequenceError("sequence index must be >= 0, got %d" % n)
         k = self.kind
@@ -92,28 +103,25 @@ class ScalarSequence(Frozen):
             return 0.0
         if k == "constant":
             return self.c
-        if k == "geometric":
-            return self.c * self.ratio ** n
-        if k == "power":
-            return self.c if n == 0 else self.c * float(n) ** (-self.p)
+        if k == "geometric" or k == "power":
+            if self.c == 0.0:
+                return 0.0
+            try:
+                if k == "geometric":
+                    return self.c * self.ratio ** n
+                return self.c if n == 0 else self.c * float(n) ** (-self.p)
+            except OverflowError:
+                return math.inf
         if k == "table":
             # constant extension beyond the table end
             return self.entries[min(n, len(self.entries) - 1)]
         if k == "affine":
             return self.scale * self.base(n) + self.offset
-        if k == "pairsum":
-            return self.scale * (self.base(n) + self.base(n + 1))
-        raise SequenceError("unknown sequence kind %r" % k)
+        return self.scale * (self.base(n) + self.base(n + 1))
 
     def values(self, n0: int, n1: int) -> list:
-        """Terms n0..n1; a term past the float range reads +inf, as IEEE overflow does."""
-        out = []
-        for n in range(n0, n1 + 1):
-            try:
-                out.append(self(n))
-            except OverflowError:
-                out.append(math.inf)
-        return out
+        """Terms n0..n1."""
+        return [self(n) for n in range(n0, n1 + 1)]
 
     # -- tail analytics -----------------------------------------------
 
@@ -125,22 +133,14 @@ class ScalarSequence(Frozen):
         if k == "constant":
             return self.c
         if k == "geometric":
-            if self.c == 0.0:
-                return 0.0
-            return self.c * self.ratio ** n0 if self.ratio <= 1.0 else math.inf
+            return math.inf if self.ratio > 1.0 and self.c > 0.0 else self(n0)
         if k == "power":
-            if self.c == 0.0:
-                return 0.0
-            if self.p < 0.0:
-                return math.inf
-            return self.c if n0 == 0 else self.c * float(n0) ** (-self.p)
+            return math.inf if self.p < 0.0 and self.c > 0.0 else self(n0)
         if k == "table":
             return max(self.entries[min(n0, len(self.entries) - 1):])
         if k == "affine":
             return self.scale * self.base.sup_tail(n0) + self.offset
-        if k == "pairsum":
-            return self.scale * (self.base.sup_tail(n0) + self.base.sup_tail(n0 + 1))
-        raise SequenceError("tail sup unavailable for sequence kind %r" % k)
+        return self.scale * (self.base.sup_tail(n0) + self.base.sup_tail(n0 + 1))
 
     def tail_sum(self, n0: int) -> float:
         """Upper bound for sum_{k >= n0} of the sequence; math.inf if divergent."""
@@ -174,27 +174,8 @@ class ScalarSequence(Frozen):
             if self.offset > 0.0:
                 return math.inf
             return self.scale * self.base.tail_sum(n0)
-        if k == "pairsum":
-            return self.scale * (self.base.tail_sum(n0) + self.base.tail_sum(n0 + 1))
-        raise SequenceError("tail sum unavailable for sequence kind %r" % k)
+        return self.scale * (self.base.tail_sum(n0) + self.base.tail_sum(n0 + 1))
 
     def is_summable(self) -> bool:
-        """Whether the series converges, decided from the closed form."""
-        k = self.kind
-        if k == "zero":
-            return True
-        if k == "constant":
-            return self.c == 0.0
-        if k == "geometric":
-            return self.c == 0.0 or self.ratio < 1.0
-        if k == "power":
-            return self.c == 0.0 or self.p > 1.0
-        if k == "table":
-            return self.entries[-1] == 0.0
-        if k == "affine":
-            if self.offset > 0.0:
-                return False
-            return self.base.is_summable()
-        if k == "pairsum":
-            return self.base.is_summable()
-        raise SequenceError("summability unavailable for sequence kind %r" % k)
+        """Whether the closed-form tail sum from index 0 is finite."""
+        return self.tail_sum(0) < math.inf

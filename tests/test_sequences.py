@@ -35,10 +35,14 @@ def test_geometric_ratio_one_or_more_diverges():
 
 
 def test_values_read_a_term_past_the_float_range_as_inf():
+    # the term rule of __call__, which values reads too
     g = ScalarSequence.geometric(1.0, 2.0)
-    with pytest.raises(OverflowError):
-        g(1024)
+    assert g(1024) == math.inf
     assert g.values(1022, 1024) == [2.0 ** 1022, 2.0 ** 1023, math.inf]
+    assert ScalarSequence.power(1.0, -400.0).values(5, 6) == [5.0 ** 400, math.inf]
+    # a zero coefficient is 0 at every index, past the float range of its ratio too
+    assert ScalarSequence.geometric(0.0, 2.0).values(1022, 1025) == [0.0] * 4
+    assert ScalarSequence.power(0.0, -400.0).values(5, 6) == [0.0, 0.0]
 
 
 def test_power_sequence():
@@ -65,11 +69,9 @@ def test_table_sequence_extends_with_last_entry():
 
 
 def test_unknown_kind_cannot_decide_tail():
-    # every kind the constructors build has a closed form; anything else refuses
-    f = ScalarSequence("bogus")
-    for ask in (lambda: f(3), lambda: f.sup_tail(0), lambda: f.tail_sum(0), f.is_summable):
-        with pytest.raises(SequenceError, match="bogus"):
-            ask()
+    # every kind the constructors build has a closed form; any other is refused when built
+    with pytest.raises(SequenceError, match="unknown sequence kind 'bogus'"):
+        ScalarSequence("bogus")
 
 
 def test_affine_and_pair_sum():
