@@ -15,7 +15,9 @@ lines.  The pipelines are:
   seed, stop and mode overrides of the perturbed entries, a name plus scheme
   override, a null perturbation block, a newton run of averaged-cos, and an
   eps override of linear-contraction written `c: 1e-3`, which YAML 1.1 reads
-  as a string and the number rule as 0.001 (also `certify`);
+  as a string and the number rule as 0.001 (also `certify`), and a zero
+  geometric eps of perturbed-linear with ratio 2, run for 1100 steps, past
+  the index where 2^n leaves the float range (also `certify`);
 - the paths the catalog defaults miss, each `run` then `certify` with all five
   regimes at horizon 200: newton and modified_newton overrides with eps, sigma
   and gamma budgets in both injection modes, file problems with an `estimate`
@@ -48,7 +50,8 @@ lines.  The pipelines are:
   one whose `run.json` has an infinite `inner_tol`, one with every `r_n`
   of `trace.csv` halved, and one whose x_0 = -1e308 and x_1 = 1e308 differ
   by more than the float range, with r_0 = inf; then a `run` whose
-  `stop.max_n` is `true`, which the number rule refuses;
+  `stop.max_n` is `true`, which the number rule refuses, and a newton `run`
+  whose sigma term 2 is past the float range, which fails at step 3;
 - integral file problems: a `run` that starts from `x0: 0.5`, and the `run`
   refusals of a `scheme`, a `norm` and each noise key of the `perturbation`
   block, which an integral problem does not take, then a `sweep` of
@@ -98,8 +101,12 @@ CATALOG_OVERRIDES = (
     # the string "1e-3" is dumped as a plain 1e-3, which YAML 1.1 reads back as a string
     ("linear-contraction-eps-1e-3", {"catalog": "linear-contraction", "perturbation": {
         "mode": "additive-deterministic", "eps": {"kind": "constant", "c": "1e-3"}}}),
+    # 0 * 2^n is 0 at every step, also past n = 1023, where 2^n leaves the float range
+    ("perturbed-linear-zero-eps", {"catalog": "perturbed-linear", "perturbation": {
+        "eps": {"kind": "geometric", "c": 0.0, "ratio": 2.0}}, "stop": {"max_n": 1100}}),
 )
-CERTIFIED_OVERRIDES = ("damped-root-alpha0.25", "linear-contraction-eps-1e-3")
+CERTIFIED_OVERRIDES = ("damped-root-alpha0.25", "linear-contraction-eps-1e-3",
+                       "perturbed-linear-zero-eps")
 
 
 def extra_problems():
@@ -191,6 +198,15 @@ REFUSED_CERTIFY = (
     ("no-majorant", {"operator": "cos(x1)", "x0": 0.5, "scheme": "newton",
                      "constants": {"M": 1.5, "K": 1.0}}),
 )
+
+
+# sigma term 2 = 1e-3 * (1e300)^2 is past the float range, so step 3 fails naming it
+SIGMA_PAST_FLOAT_RANGE = {
+    "operator": ["0.5*x1 + 1", "0.25*x2"], "derivative": [["0.5", "0"], ["0", "0.25"]],
+    "x0": [0.0, 0.0], "scheme": "newton", "constants": {"M": 0.5},
+    "perturbation": {"mode": "additive-seeded-random", "seed": 3,
+                     "sigma": {"kind": "geometric", "c": 1.0e-3, "ratio": 1.0e300}},
+    "stop": {"max_n": 5}}
 
 
 INTEGRAL = {"kind": "integral", "operator": "x1 + 1", "x0": 0.0,
@@ -326,6 +342,10 @@ def main(argv) -> int:
     d.mkdir(parents=True)
     (d / "problem.yaml").write_text(yaml.safe_dump(
         {"operator": "0.5*x1 + 1", "x0": 0.0, "stop": {"max_n": True}}))
+    call(["run", str(d / "problem.yaml"), "--out", str(d / "trace")])
+    d = refusal / "sigma-past-float-range"
+    d.mkdir(parents=True)
+    (d / "problem.yaml").write_text(yaml.safe_dump(SIGMA_PAST_FLOAT_RANGE))
     call(["run", str(d / "problem.yaml"), "--out", str(d / "trace")])
     d = out / "integral" / "x0-half"
     d.mkdir(parents=True)

@@ -608,6 +608,23 @@ def test_sandwich_search_finds_the_witness_the_grid_misses():
     assert certify(NOISY, "sandwich", 500).valid
 
 
+def noisy_geometric(N):
+    # z = C_mu = 1.0001 rho 2^(N-1)/lambda, mu = 1: the bound doubles each step, so it
+    # holds at every N checked from 5 to 500, but says next to nothing
+    return cert_geometric(NOISY, N, 0.5, 1.0, 1.0, 1.0001 * 0.02 * 2.0 ** (N - 1) / 0.5)
+
+
+@pytest.mark.parametrize("N, upper", [(10, 20.48), (500, 6.547e148)])
+def test_the_grid_misses_a_valid_geometric_witness(N, upper):
+    cert = noisy_geometric(N)
+    assert cert.valid and cert.upper[N] == pytest.approx(upper, rel=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="the geometric grid stops at 8x the anchored scale")
+def test_geometric_search_finds_the_witness_the_grid_misses():
+    assert certify(NOISY, "geometric", 10).valid
+
+
 # -- asserted bounds against the exact recurrence ----------------------------
 # tests/oracle.py recomputes the recurrence of a certificate's declared doubles
 # at 50 digits; a valid certificate's bounds must hold for that value itself.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,26 @@ def test_gamma_perturbs_frozen_derivative():
     rate = g / (0.5 - g)
     for k in range(1, 6):
         assert trace.r[k + 1] / trace.r[k] == pytest.approx(rate, rel=1e-9)
+
+
+# term 2 is past the float range: 2^1100 raises in the power, 2 * 2^1023 overflows in the product
+PAST_FLOAT_RANGE = {"power": ScalarSequence.power(1e-3, -1100.0),
+                    "product": ScalarSequence.power(2.0, -1023.0)}
+
+
+@pytest.mark.parametrize("overflow", sorted(PAST_FLOAT_RANGE))
+@pytest.mark.parametrize("scheme, budget", [(SchemeKind.CONTRACTION, "eps"),
+                                            (SchemeKind.NEWTON, "sigma"),
+                                            (SchemeKind.MODIFIED_NEWTON, "gamma")])
+def test_a_budget_term_past_the_float_range_fails_its_step(scheme, budget, overflow):
+    plan = PerturbationPlan(mode=InjectionMode.RANDOM, seed=3,
+                            **{budget: PAST_FLOAT_RANGE[overflow]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # no numpy warning before the failure
+        with pytest.raises(StepFailure) as exc:
+            run_outer(linear_half(), scheme, Vector([0.0]), plan=plan, stop=StopRule(max_n=5))
+    assert str(exc.value) == "step 3 failed: perturbation.%s term 2 is past the float range" \
+        % budget
 
 
 # -- injected noise -------------------------------------------------------

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracle import exact_sum
 
 from fpcert.sequences import ScalarSequence, SequenceError
 
@@ -126,3 +128,76 @@ def test_non_finite_parameters_rejected(bad):
         with pytest.raises(SequenceError):
             build()
 
+
+
+# -- the term rule: every reader gets the terms __call__ gives ----------------
+
+_COEFFICIENT = st.just(0.0) | st.floats(0.0, 1e300)
+_HUGE = st.floats(0.0, 1e300)
+FILE_KINDS = st.one_of(
+    st.just(ScalarSequence.zero()),
+    st.builds(ScalarSequence.constant, _COEFFICIENT),
+    st.builds(ScalarSequence.geometric, _COEFFICIENT, st.sampled_from([1.0, 2.0]) | _HUGE),
+    st.builds(ScalarSequence.power, _COEFFICIENT, st.floats(-400.0, 400.0)),
+    st.builds(ScalarSequence.from_table, st.lists(_COEFFICIENT, min_size=1, max_size=6)))
+_SCALE = st.floats(0.0, 1e300, exclude_min=True)
+
+
+def combined(bases):
+    """bases, and affine and pair sums of them with scale > 0."""
+    return bases | st.builds(lambda b, s, o: b.affine(s, o), bases, _SCALE, _COEFFICIENT) \
+        | st.builds(ScalarSequence.pair_sum, bases, _SCALE)
+
+
+def zero_everywhere(seq) -> bool:
+    """Whether seq's parameters make every term 0."""
+    if seq.kind == "table":
+        return not any(seq.entries)
+    if seq.kind in ("affine", "pairsum"):
+        return seq.offset == 0.0 and zero_everywhere(seq.base)
+    return seq.c == 0.0
+
+
+K = 40
+
+
+@settings(max_examples=400, deadline=None)
+@given(seq=combined(FILE_KINDS), n0=st.integers(0, 1100))
+def test_every_reader_gets_the_terms_of_the_term_rule(seq, n0):
+    terms = [seq(n) for n in range(n0, n0 + K + 1)]
+    assert seq.values(n0, n0 + K) == terms
+    assert all(v >= 0.0 for v in terms)
+    if zero_everywhere(seq):
+        assert terms == [0.0] * (K + 1)
+    assert seq.sup_tail(n0) >= max(terms)
+
+
+# -- tail sums against the exact sum of their terms (tests/oracle.py) --------
+
+CLOSED_TAILS = combined(st.one_of(
+    st.just(ScalarSequence.zero()), st.builds(ScalarSequence.constant, _COEFFICIENT),
+    st.builds(ScalarSequence.power, _COEFFICIENT, st.floats(-400.0, 400.0))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(seq=CLOSED_TAILS, n0=st.integers(0, 60))
+def test_tail_sum_is_at_least_the_exact_sum_of_its_terms(seq, n0):
+    tail = seq.tail_sum(n0)
+    assert tail == math.inf or exact_sum(seq, n0, n0 + K) <= tail
+
+
+# tail_sum rounds its closed form to nearest, so for these kinds it can fall
+# about an ulp below the exact sum of the very terms it bounds
+TAIL_BELOW_EXACT = {
+    # 1/(1 - 0.2) rounds to 1.25, 1.7e-17 relative below the exact sum of the doubles
+    "geometric": ScalarSequence.geometric(1.0, 0.2),
+    # 0.1 + 0.7 rounds to 0.7999999999999999
+    "table": ScalarSequence.from_table([0.1, 0.7, 0.0]),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="tail sums are not rounded up")
+@pytest.mark.parametrize("case", sorted(TAIL_BELOW_EXACT))
+def test_tail_sums_are_at_least_the_exact_sum_of_their_terms(case):
+    seq = TAIL_BELOW_EXACT[case]
+    assert exact_sum(seq, 0, 200) <= seq.tail_sum(0)
