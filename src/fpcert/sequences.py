@@ -117,7 +117,7 @@ class ScalarSequence(Frozen):
             return self.entries[min(n, len(self.entries) - 1)]
         if k == "affine":
             return self.scale * self.base(n) + self.offset
-        return self.scale * (self.base(n) + self.base(n + 1))
+        return self.scale * (self.base(n) + self.base(n + 1))  # pairsum
 
     def values(self, n0: int, n1: int) -> list:
         """Terms n0..n1."""
@@ -140,7 +140,7 @@ class ScalarSequence(Frozen):
             return max(self.entries[min(n0, len(self.entries) - 1):])
         if k == "affine":
             return self.scale * self.base.sup_tail(n0) + self.offset
-        return self.scale * (self.base.sup_tail(n0) + self.base.sup_tail(n0 + 1))
+        return self.scale * (self.base.sup_tail(n0) + self.base.sup_tail(n0 + 1))  # pairsum
 
     def tail_sum(self, n0: int) -> float:
         """Upper bound for sum_{k >= n0} of the sequence; math.inf if divergent."""
@@ -174,7 +174,7 @@ class ScalarSequence(Frozen):
             if self.offset > 0.0:
                 return math.inf
             return self.scale * self.base.tail_sum(n0)
-        return self.scale * (self.base.tail_sum(n0) + self.base.tail_sum(n0 + 1))
+        return self.scale * (self.base.tail_sum(n0) + self.base.tail_sum(n0 + 1))  # pairsum
 
     def is_summable(self) -> bool:
         """Whether the closed-form tail sum from index 0 is finite."""

@@ -608,15 +608,11 @@ def test_sandwich_search_finds_the_witness_the_grid_misses():
     assert certify(NOISY, "sandwich", 500).valid
 
 
-def noisy_geometric(N):
-    # z = C_mu = 1.0001 rho 2^(N-1)/lambda, mu = 1: the bound doubles each step, so it
-    # holds at every N checked from 5 to 500, but says next to nothing
-    return cert_geometric(NOISY, N, 0.5, 1.0, 1.0, 1.0001 * 0.02 * 2.0 ** (N - 1) / 0.5)
-
-
 @pytest.mark.parametrize("N, upper", [(10, 20.48), (500, 6.547e148)])
 def test_the_grid_misses_a_valid_geometric_witness(N, upper):
-    cert = noisy_geometric(N)
+    # mu = 1 and C_mu = 1.0001 rho 2^(N-1)/lambda, past the grid's 8x the anchored
+    # scale: valid at every N checked from 5 to 500, but the bound says next to nothing
+    cert = cert_geometric(NOISY, N, 0.5, 1.0, 1.0, 1.0001 * 0.02 * 2.0 ** (N - 1) / 0.5)
     assert cert.valid and cert.upper[N] == pytest.approx(upper, rel=1e-3)
 
 

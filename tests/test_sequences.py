@@ -129,7 +129,6 @@ def test_non_finite_parameters_rejected(bad):
             build()
 
 
-
 # -- the term rule: every reader gets the terms __call__ gives ----------------
 
 _COEFFICIENT = st.just(0.0) | st.floats(0.0, 1e300)
