@@ -9,6 +9,11 @@ step failure, 2 divergence/non-contraction guard.
 
 Every failure is an exception that main reports in one `error:` line with
 exit 1; cmd_sweep alone catches one, a failing job's, for its summary row.
+
+main(argv) may be called any number of times in one process.  It builds its
+parser on the first call and keeps it, and it runs the cmd_<command> function
+it finds in this module at call time, so a wrapper put in place of cmd_run,
+say, after a first call still sees every later one.
 """
 from __future__ import annotations
 
@@ -389,15 +394,19 @@ def cmd_sweep(args) -> int:
         raise CliError("sweep needs a nonempty values list")
     # resolve everything up front so validation failures abort before any run
     jobs = [(v, _resolve_for_run(override_param(cfg, args.param, v))) for v in values]
+    # labelled only once resolved: an m or seed that is no whole number has no label
+    labels = [_value_label(args.param, v) for v in values]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise CliError("sweep values write %s/ twice" % label)
     out_root = Path(args.out) if args.out else Path("fpcert-out") / ("sweep-" + jobs[0][1].name)
     _make_dir(out_root)
     # one after another, in value order: each run is mostly Python code, which
     # holds the interpreter lock, so threads could not overlap them
     results = []
-    for v, resolved in jobs:
+    for label, (v, resolved) in zip(labels, jobs):
         try:
-            results.append(_execute_run(resolved, out_root / _value_label(args.param, v),
-                                        args.inner_tol))
+            results.append(_execute_run(resolved, out_root / label, args.inner_tol))
         except _RUN_FAILURES as exc:
             results.append((EXIT_VALIDATION, {"error": str(exc)}))
 
@@ -443,6 +452,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The fpcert parser; args.command is the subcommand's name, which main
+    maps to its cmd_ function."""
     parser = _Parser(prog="fpcert",
                      description="Inexact fixed-point iteration runner with "
                                  "convergence-rate certificates.")
@@ -454,7 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override the perturbation seed")
     run_p.add_argument("--inner-tol", type=_inner_tol, default=1e-12,
                        help="inner solve tolerance (default 1e-12)")
-    run_p.set_defaults(func=cmd_run)
 
     cert_p = sub.add_parser("certify", help="check certificates against a recorded trace")
     cert_p.add_argument("problem")
@@ -463,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cert_p.add_argument("--horizon", type=int, default=200,
                         help="side-condition horizon (default 200)")
     cert_p.add_argument("--seed", type=int, help="seed used for the run, if overridden")
-    cert_p.set_defaults(func=cmd_certify)
 
     sweep_p = sub.add_parser("sweep", help="run a problem across one scalar parameter")
     sweep_p.add_argument("problem")
@@ -472,18 +481,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--out")
     sweep_p.add_argument("--seed", type=int)
     sweep_p.add_argument("--inner-tol", type=_inner_tol, default=1e-12)
-    sweep_p.set_defaults(func=cmd_sweep)
 
-    cat_p = sub.add_parser("catalog", help="list built-in problems")
-    cat_p.set_defaults(func=cmd_catalog)
+    sub.add_parser("catalog", help="list built-in problems")
     return parser
 
 
+# the parser of every main call, built by the first one rather than at import
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser.parse_args(argv)
+        # looked up now, not bound into the cached parser, so that a function
+        # put in place of cmd_<command> (the benchmark tracer's) is the one called
+        return globals()["cmd_" + args.command](args)
     except (CliError, ProblemError, MajorantError) + _RUN_FAILURES as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION

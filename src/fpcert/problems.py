@@ -539,8 +539,11 @@ def _block(cfg: dict, path: str) -> dict:
     extra = set(block) - set(keys)
     if extra:
         raise ProblemError("unknown %s keys: %s" % (path, _listed(extra)))
-    return {k: v if keys[k] is None else _number(v, "%s.%s" % (path, k), keys[k])
-            for k, v in block.items()}
+    out = {k: v if keys[k] is None else _number(v, "%s.%s" % (path, k), keys[k])
+           for k, v in block.items()}
+    if "seed" in out:  # perturbation and constants.estimate: numpy takes no negative seed
+        _require(out["seed"] >= 0, path + ".seed", "at least 0", out["seed"])
+    return out
 
 
 def _require(ok: bool, key: str, what: str, value):
