@@ -50,8 +50,10 @@ lines.  The pipelines are:
   one whose `run.json` has an infinite `inner_tol`, one with every `r_n`
   of `trace.csv` halved, and one whose x_0 = -1e308 and x_1 = 1e308 differ
   by more than the float range, with r_0 = inf; then a `run` whose
-  `stop.max_n` is `true`, which the number rule refuses, and a newton `run`
-  whose sigma term 2 is past the float range, which fails at step 3;
+  `stop.max_n` is `true`, which the number rule refuses, a newton `run`
+  whose sigma term 2 is past the float range, which fails at step 3, a `run`
+  whose perturbation seed is -3, and an m `sweep` of volterra-exp whose
+  values 50 and 50.0 would both write `m=50/`;
 - integral file problems: a `run` that starts from `x0: 0.5`, and the `run`
   refusals of a `scheme`, a `norm` and each noise key of the `perturbation`
   block, which an integral problem does not take, then a `sweep` of
@@ -347,6 +349,13 @@ def main(argv) -> int:
     d.mkdir(parents=True)
     (d / "problem.yaml").write_text(yaml.safe_dump(SIGMA_PAST_FLOAT_RANGE))
     call(["run", str(d / "problem.yaml"), "--out", str(d / "trace")])
+    d = refusal / "seed-negative"
+    d.mkdir(parents=True)
+    (d / "problem.yaml").write_text(yaml.safe_dump(
+        {"catalog": "perturbed-linear-random", "perturbation": {"seed": -3}}))
+    call(["run", str(d / "problem.yaml"), "--out", str(d / "trace")])
+    call(["sweep", "volterra-exp", "--param", "m", "--values", "50,50.0",
+          "--out", str(refusal / "sweep-repeated-value")])
     d = out / "integral" / "x0-half"
     d.mkdir(parents=True)
     (d / "problem.yaml").write_text(yaml.safe_dump(dict(INTEGRAL, x0=0.5)))

@@ -33,10 +33,15 @@ time, so with its compilation), the fredholm-sweep operator at the 801 nodes
 of an m = 800 grid (`greens._pointwise`: 801 `apply` calls, each building two
 Vectors), noisy-certify's `certify` at horizon 1000, newton-dense's `certify`
 at the benchmark's horizon 200 (`certify-newton-dense`, the very call whose
-`certify_p50_s` the benchmark measures), the set-up of newton-dense and of
+`certify_p50_s` the benchmark measures), fredholm-sweep's three `certify`
+calls (`certify-fredholm-sweep`), the set-up of newton-dense and of
 fredholm-sweep, and `import fpcert.cli`.  Each timed call of a certify
 workload is one `fpcert.cli.main` call, after an untimed `run`, and its
-output is the bytes of the `certify.json` the last call wrote.
+output is the bytes of the `certify.json` the last call wrote.  Each timed
+call of `certify-fredholm-sweep` is the benchmark's three `certify` calls of
+an integral trace, m = 50, 100 and 200, each one `fpcert.cli.main` call that
+refuses the trace with exit 1, after an untimed `sweep`; its output is their
+exit codes and stderr lines.
 Every workload runs in a fresh process per side and round, on one CPU, as
 `bench/run.py` does.  That process imports its side's `src/fpcert` and
 `bench/workloads.py`, makes the untimed setup, then times the number of calls
@@ -103,7 +108,7 @@ LAYERS = ("exprparse.parse_calls", "exprparse.parse_s",
 LAYER_WORKLOADS = {"parse-newton-dense": 5, "compile-newton-dense": 5,
                    "jacobian-newton-dense": 5, "kernel-matrix-800": 5,
                    "pointwise-fredholm-800": 20, "noisy-certify-1000": 3,
-                   "certify-newton-dense": 21,
+                   "certify-newton-dense": 21, "certify-fredholm-sweep": 21,
                    "setup-newton-dense": 21, "setup-fredholm-sweep": 21, "import-cli": 21}
 LAYER_ROUNDS = 5
 
@@ -228,6 +233,21 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
 
         def encode(_):
             return report.read_bytes()
+    elif name == "certify-fredholm-sweep":
+        solve, *certifies = workloads.make_instance("fredholm-sweep", 1, 0, tmp).calls
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(solve.argv) == solve.expected_exit
+
+        def call():
+            outcomes = []
+            for c in certifies:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    outcomes.append("exit %d: %s" % (cli.main(c.argv), err.getvalue()))
+            return outcomes
+
+        def encode(outcomes):
+            return "".join(outcomes).encode()
     else:
         raise ValueError("unknown layer workload %r" % name)
     times = []

@@ -40,18 +40,26 @@ def test_every_traced_target_exists_and_uninstalls():
 
 # bench/run.py imports only fpcert.cli before it installs the tracer, and
 # problems imports greens, rootfind, estimate and majorant lazily, so the
-# tracer must find every traced module through cli alone.  While it is installed, each
+# tracer must find every traced module through cli alone.  A main call before
+# install() builds the parser, which main keeps; the next call must still go
+# through the wrapped cli.cmd_run.  While the tracer is installed, each
 # lazy module loads (a root, an integral and an estimate-block problem); after
 # uninstall() no fpcert module may still hold a wrapper.
 _CONTRACT = """
-import sys
+import contextlib, io, shutil, sys, tempfile
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import fpcert.cli
 import tracer
 assert "fpcert.greens" in sys.modules and "fpcert.majorant" in sys.modules
+out = tempfile.mkdtemp()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fpcert.cli.main(["run", "linear-contraction", "--out", out + "/a"]) == 0
 tr = tracer.Tracer()
 tr.install()
 try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fpcert.cli.main(["run", "linear-contraction", "--out", out + "/b"]) == 0
+    assert tr.take()[0]["cli.cmd_run"][0] == 1
     from fpcert.problems import resolve_config
     resolve_config({"kind": "root", "operator": "x1^2 - 2", "derivative": [["2*x1"]],
                     "x0": 1.5})
@@ -69,6 +77,7 @@ assert "core.norm_of" not in tr.take()[1]
 held = [(name, attr) for name, mod in sys.modules.items() if name.startswith("fpcert")
         for attr, value in vars(mod).items() if hasattr(value, "__wrapped__")]
 assert not held, held
+shutil.rmtree(out)
 print("ok")
 """
 

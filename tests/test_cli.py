@@ -279,6 +279,29 @@ def test_run_math_domain_error_is_one_error_line(tmp_path, capsys, text, message
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["run", "linear-contraction", "--seed", "-1"], "perturbation.seed", -1),
+    (["certify", "linear-contraction", "--seed", "-1", "--trace", "t"], "perturbation.seed", -1),
+    (["sweep", "linear-contraction", "--seed", "-1", "--param", "eps", "--values", "0.1"],
+     "perturbation.seed", -1),
+    (["sweep", "perturbed-linear-random", "--param", "seed", "--values", "2,-1"],
+     "perturbation.seed", -1),
+    (["run", "SEED_FILE"], "perturbation.seed", -3),
+    (["run", "ESTIMATE_FILE"], "constants.estimate.seed", -2),
+    (["certify", "ESTIMATE_FILE", "--trace", "t"], "constants.estimate.seed", -2),
+], ids=["run", "certify", "sweep", "sweep-param", "file", "estimate-run", "estimate-certify"])
+def test_negative_seed_is_one_error_line(tmp_path, capsys, argv, key, value):
+    # numpy refuses a negative seed; it used to end the run (or certify) in a traceback
+    files = {"SEED_FILE": "catalog: perturbed-linear-random\nperturbation: {seed: -3}\n",
+             "ESTIMATE_FILE": "operator: \"0.5*x1 + 1\"\nx0: 0.0\n"
+                              "constants: {estimate: {seed: -2}}\n"}
+    argv = [write_yaml(tmp_path, a.lower() + ".yaml", files[a]) if a in files else a
+            for a in argv] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert_one_error_line(capsys, "error: %s must be at least 0, got %d" % (key, value))
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_with_table_perturbation(tmp_path):
     src = write_yaml(tmp_path, "tab.yaml", (
         "catalog: perturbed-linear\n"
@@ -812,6 +835,19 @@ def test_sweep_aborts_on_bad_param(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("param, values, label", [
+    ("m", "50,50", "m=50"), ("m", "100,50,50.0", "m=50"), ("eps", "1e-2,0.01", "eps=0.01"),
+])
+def test_sweep_refuses_values_that_write_one_directory_twice(tmp_path, capsys, param, values,
+                                                             label):
+    problem = "volterra-exp" if param == "m" else "linear-contraction"
+    out = tmp_path / "sw"
+    assert run_cli("sweep", problem, "--param", param, "--values", values,
+                   "--out", str(out)) == 1
+    assert_one_error_line(capsys, "error: sweep values write %s/ twice" % label)
+    assert not out.exists()
+
+
 def test_sweep_alpha_on_catalog_root_problem(tmp_path):
     out = tmp_path / "swa"
     assert run_cli("sweep", "damped-root", "--param", "alpha",
@@ -1001,3 +1037,63 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli() == 1
     assert run_cli("certify", "linear-contraction") == 1  # --trace required
     capsys.readouterr()
+
+
+# -- main across calls in one process ----------------------------------------------
+# the benchmark, the tests and scripts call main many times in one process
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    assert run_cli("catalog") == 0
+    assert run_cli("run", "linear-contraction", "--out", str(tmp_path / "lin")) == 0
+    assert run_cli("frobnicate") == 1
+    assert run_cli("certify", "linear-contraction", "--trace", str(tmp_path / "lin")) == 0
+    assert built == [1]
+
+
+def test_a_usage_error_leaves_the_next_call_alone(tmp_path, capsys):
+    trace = tmp_path / "lin"
+    assert run_cli("run", "linear-contraction", "--out", str(trace)) == 0
+    capsys.readouterr()
+    assert run_cli("certify", "linear-contraction", "--trace", str(trace),
+                   "--out", str(tmp_path / "alone")) == 0
+    alone = capsys.readouterr()
+    assert run_cli("certify", "linear-contraction") == 1
+    assert_one_error_line(capsys, "the following arguments are required: --trace")
+    assert run_cli("certify", "linear-contraction", "--trace", str(trace),
+                   "--out", str(tmp_path / "after")) == 0
+    assert capsys.readouterr() == alone
+    assert ((tmp_path / "after" / "certify.json").read_bytes()
+            == (tmp_path / "alone" / "certify.json").read_bytes())
+
+
+def test_a_seed_override_leaves_the_next_call_alone(tmp_path):
+    src = write_yaml(tmp_path, "p.yaml",
+                     "catalog: perturbed-linear-random\nperturbation: {seed: 11}\n")
+    for name, extra in (("before", ()), ("seeded", ("--seed", "5")), ("after", ())):
+        assert run_cli("run", src, "--out", str(tmp_path / name), *extra) == 0
+    assert [read_json(tmp_path / name / "run.json")["seed"]
+            for name in ("before", "seeded", "after")] == [11, 5, 11]
+    for fname in ("trace.csv", "iterates.csv", "run.json"):
+        assert ((tmp_path / "after" / fname).read_bytes()
+                == (tmp_path / "before" / fname).read_bytes())
+
+
+def test_main_finds_each_command_by_name_at_call_time(tmp_path, monkeypatch):
+    # bench/tracer.py puts wrappers in place of cli.cmd_run and friends after
+    # a first main call; the cached parser must not keep calling the originals
+    trace = tmp_path / "lin"
+    assert run_cli("run", "linear-contraction", "--out", str(trace)) == 0
+    seen = []
+    original = cli.cmd_certify
+
+    def counting(args):
+        seen.append(args.command)
+        return original(args)
+    monkeypatch.setattr(cli, "cmd_certify", counting)
+    assert run_cli("certify", "linear-contraction", "--trace", str(trace)) == 0
+    assert seen == ["certify"]

@@ -109,6 +109,16 @@ def test_import_fpcert_loads_no_submodule():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_fpcert_cli_builds_no_parser():
+    # the first main call builds it, so an import alone (the import-cli layer) does not pay
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); import fpcert.cli; "
+         "print(fpcert.cli._parser)", str(SRC)],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "None"
+
+
 def test_every_public_name_is_its_defining_modules_object():
     for name in fpcert.__all__:
         if name == "__version__":

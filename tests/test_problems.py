@@ -241,6 +241,28 @@ def test_catalog_perturbation_override_merges_with_base():
     assert r.plan.eps(0) == 0.01
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"catalog": "perturbed-linear-random", "perturbation": {"seed": -3}},
+     "perturbation.seed must be at least 0, got -3"),
+    (minimal_cfg(perturbation={"seed": -1}), "perturbation.seed must be at least 0, got -1"),
+    (minimal_cfg(perturbation={"seed": "-1e3"}),
+     "perturbation.seed must be at least 0, got -1000"),
+    (minimal_cfg(constants={"estimate": {"seed": -2}}),
+     "constants.estimate.seed must be at least 0, got -2"),
+], ids=["catalog-override", "file", "file-string", "estimate"])
+def test_negative_seed_refused_where_the_problem_resolves(cfg, message):
+    # numpy's generators refuse a negative seed; at the first step or sample, not here
+    with pytest.raises(ProblemError) as info:
+        resolve_config(cfg)
+    assert str(info.value) == message
+
+
+def test_seed_0_resolves():
+    assert resolve_config(minimal_cfg(perturbation={"seed": 0})).plan.seed == 0
+    est = resolve_config(minimal_cfg(constants={"estimate": {"seed": 0}}))
+    assert est.constants_cfg["estimate"]["seed"] == 0
+
+
 def test_catalog_integral_mesh_override():
     r = resolve_config({"catalog": "volterra-exp", "integral": {"m": 100}})
     assert r.integral.m == 100
