@@ -65,7 +65,9 @@ sides was bit-equal; the exit code is 1 if one was not.  LAYER_ROUNDS = 5
 rounds of the six in-process workloads before `certify-newton-dense` took
 23 s on the host above, where the pinned rounds of one side spread by up to
 about 10%; `certify-newton-dense` adds about 10 s (a process of about 1 s per
-side and round: its untimed `run`, then 21 calls of about 17 ms); set-up
+side and round: its untimed `run`, then 21 calls of about 17 ms);
+`certify-fredholm-sweep` adds a process per side and round whose untimed
+`sweep` takes most of it (21 calls of about 1 to 3 ms each); set-up
 adds about 27 s (2.7 s per side and round on a 2-vCPU Intel Xeon host with
 Python 3.11) per set-up workload, and its rounds of one side spread by under
 2%.
