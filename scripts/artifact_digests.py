@@ -57,7 +57,13 @@ lines.  The pipelines are:
 - integral file problems: a `run` that starts from `x0: 0.5`, and the `run`
   refusals of a `scheme`, a `norm` and each noise key of the `perturbation`
   block, which an integral problem does not take, then a `sweep` of
-  volterra-exp over `eps`, refused before it writes anything.
+  volterra-exp over `eps`, refused before it writes anything;
+- two sweeps whose value list starts with a negative number that is no plain
+  decimal, which must be read as the list and refused for its value:
+  damped-root over alpha `-1,0,2` and linear-contraction over eps `-1e-3`;
+- a dim-12 linear contraction in the `one` norm and in the `euclidean` norm,
+  each `run` then `certify` with all five regimes at horizon 200, so that
+  the r_n certify recomputes from `iterates.csv` are pinned in every norm.
 
 Exit codes are printed too, with the last line a call wrote to stderr (the
 error a failing `run` reports), or the exception a call raised; paths are
@@ -224,6 +230,14 @@ REFUSED_INTEGRAL = (
 )
 
 
+def linear_dim12(norm: str) -> dict:
+    """x_i -> 0.5 x_i + 0.1 x_{i+1} + i/10, indices mod 12: a contraction by 0.6
+    in the sup, one and euclidean norms."""
+    return {"operator": ["0.5*x%d + 0.1*x%d + %r" % (i + 1, (i + 1) % 12 + 1, 0.1 * i)
+                         for i in range(12)],
+            "x0": [0.0] * 12, "norm": norm, "constants": {"M": 0.6}}
+
+
 def edit_inner_tol(trace: Path) -> None:
     """Set run.json's inner_tol to infinity, which JSON writes as Infinity."""
     info = json.loads((trace / "run.json").read_text())
@@ -367,6 +381,12 @@ def main(argv) -> int:
         call(["run", str(d / "problem.yaml"), "--out", str(d / "trace")])
     call(["sweep", "volterra-exp", "--param", "eps", "--values", "0.1,0.5",
           "--out", str(refusal / "integral-sweep-eps")])
+    call(["sweep", "damped-root", "--param", "alpha", "--values", "-1,0,2",
+          "--out", str(refusal / "sweep-negative-alpha")])
+    call(["sweep", "linear-contraction", "--param", "eps", "--values", "-1e-3",
+          "--out", str(refusal / "sweep-negative-eps")])
+    for norm in ("one", "euclidean"):
+        run_and_certify(out / "norm" / ("linear-dim12-" + norm), linear_dim12(norm), (200,))
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print("%s  %s" % (hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out)))
     return 0

@@ -21,13 +21,15 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import CoreError, OperatorEvaluationError, Vector, norm_of
+from .core import OperatorEvaluationError, row_norms
 from .greens import GreensError, GridFunction, IntegralTrace, run_integral_iteration
 from .majorant import (MajorantError, certify as run_certificate, majorant_from_constants,
                        precheck, tail_bound)
@@ -147,13 +149,16 @@ def _read_run(trace_dir: Path, resolved: ResolvedProblem) -> Tuple[List[float], 
     path = trace_dir / "trace.csv"
     rows = _read_artifact(path)
     r = []
-    for line, row in enumerate(rows[1:], 2):
-        cell = dict(zip(rows[0], row)).get("r_n")
-        if cell:
-            try:
-                r.append(float(cell))
-            except ValueError:
-                raise CliError("%s, line %d: r_n %r is not a number" % (path, line, cell))
+    if rows and "r_n" in rows[0]:
+        # the last r_n column, as a mapping of header to fields would keep
+        col = len(rows[0]) - 1 - rows[0][::-1].index("r_n")
+        for line, row in enumerate(rows[1:], 2):
+            cell = row[col] if col < len(row) else None
+            if cell:
+                try:
+                    r.append(float(cell))
+                except ValueError:
+                    raise CliError("%s, line %d: r_n %r is not a number" % (path, line, cell))
     if not r:
         raise CliError("trace has no completed steps to certify")
     try:
@@ -171,30 +176,22 @@ def _read_run(trace_dir: Path, resolved: ResolvedProblem) -> Tuple[List[float], 
     header = ["n"] + var_names(resolved.x0.dim)
     if not rows or rows[0] != header:
         raise CliError("%s, line 1: the header is not %s" % (path, ",".join(header)))
-    xs = []
-    for line, row in enumerate(rows[1:], 2):
-        try:
-            if len(row) != len(header):
-                raise ValueError("%d fields where the header has %d" % (len(row), len(header)))
-            x = list(map(float, row[1:]))
-            if not all(map(math.isfinite, x)):  # Vector's message, without building one
-                raise ValueError("vector entries must be finite, got %r" % (np.array(x),))
-        except ValueError as exc:
-            raise CliError("%s, line %d: %s" % (path, line, exc))
-        xs.append(x)
-    xs = np.array(xs).reshape(-1, len(header) - 1)
-    with np.errstate(over="ignore"):  # Vector refuses an overflowed difference the loop reaches
+    xs = _iterates(path, rows, len(header))
+    with np.errstate(over="ignore"):  # an overflowed difference is refused below
         steps = xs[1:] - xs[:-1]
-    # one Vector per difference: norm_of then reads a fresh array, as in `run`
-    for n, (r_n, step) in enumerate(zip(r, steps)):
-        try:
-            recomputed = norm_of(Vector(step), resolved.norm)
-        except CoreError:  # every iterate is finite, so their difference overflowed
+        # the r_n `run` wrote, bit for bit, for every step whose difference is finite
+        recomputed = row_norms(steps, resolved.norm)
+    finite = np.isfinite(steps).all(axis=1)
+    checked = min(len(r), len(steps))
+    # != is True for a NaN r_n, as the recomputed norm never is
+    bad = np.flatnonzero(~finite[:checked] | (recomputed[:checked] != r[:checked]))
+    if bad.size:
+        n = int(bad[0])
+        if not finite[n]:  # every iterate is finite, so their difference overflowed
             raise CliError("step %d: x_%d - x_%d of %s is past the float range"
                            % (n, n + 1, n, path))
-        if recomputed != r_n:
-            raise CliError("step %d: trace.csv has r_%d = %s, but iterates.csv gives %s"
-                           % (n, n, _fmt(r_n), _fmt(recomputed)))
+        raise CliError("step %d: trace.csv has r_%d = %s, but iterates.csv gives %s"
+                       % (n, n, _fmt(r[n]), _fmt(recomputed[n])))
     n = len(steps)
     if n < len(r):
         raise CliError("step %d: %s has no x_%d to check r_%d against" % (n, path, n + 1, n))
@@ -202,6 +199,36 @@ def _read_run(trace_dir: Path, resolved: ResolvedProblem) -> Tuple[List[float], 
         raise CliError("step %d: %s has x_%d, but trace.csv has no r_%d"
                        % (len(r), path, len(r) + 1, len(r)))
     return r, inner_tol
+
+
+def _iterates(path: Path, rows: List[List[str]], width: int) -> np.ndarray:
+    """The coordinates of iterates.csv, one row per iterate, from its rows of
+    `width` fields, the header first.
+
+    All fields are read with Python's float in one pass.  Only a file that
+    pass refuses is walked line by line, to name its first bad line; the walk
+    reads no n field, so it returns the coordinates of a file whose only
+    fault is an n that is no number."""
+    body = rows[1:]
+    if set(map(len, body)) <= {width}:
+        try:
+            xs = np.array(list(map(float, chain.from_iterable(body)))).reshape(-1, width)[:, 1:]
+        except ValueError:
+            xs = None
+        if xs is not None and np.isfinite(xs).all():
+            return xs
+    walked = []
+    for line, row in enumerate(body, 2):
+        try:
+            if len(row) != width:
+                raise ValueError("%d fields where the header has %d" % (len(row), width))
+            x = list(map(float, row[1:]))
+            if not all(map(math.isfinite, x)):  # Vector's message, without building one
+                raise ValueError("vector entries must be finite, got %r" % (np.array(x),))
+        except ValueError as exc:
+            raise CliError("%s, line %d: %s" % (path, line, exc))
+        walked.append(x)
+    return np.array(walked).reshape(-1, width - 1)
 
 
 def _make_dir(path: Path) -> None:
@@ -445,6 +472,14 @@ def _inner_tol(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that starts with '-' as an option unless it
+        # is a plain decimal, so `--values -1,0,2` or `--values -1e-3` lost
+        # its value.  No fpcert flag starts with -<digit> or -.<digit>, so
+        # every such token is a value.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with status 2 on usage errors, which collides with the
     # divergence-guard exit code; route usage errors through CliError instead
     def error(self, message):

@@ -115,14 +115,16 @@ class MajorantParams:
     lam: ScalarSequence
     rho: ScalarSequence
     r0: float
-    # horizons built so far, and the uniform-cap certificates tail_bound
-    # checked, by N.  They live on the instance and go with it; a cache keyed
-    # by params equality would hold every params object it saw for the life
-    # of the process.
+    # horizons built so far, by N, and the certificates of the witness-free
+    # regimes (bounded, uniform_max), by (regime, N).  Each is built once, by
+    # its first reader, and every later reader gets that one: certify's
+    # bounded entry and tail_bound's cap are one certificate.  They live on
+    # the instance and go with it; a cache keyed by params equality would
+    # hold every params object it saw for the life of the process.
     _horizons: Dict[int, "_Horizon"] = field(default_factory=dict, init=False, repr=False,
                                              compare=False)
-    _caps: Dict[int, "Certificate"] = field(default_factory=dict, init=False, repr=False,
-                                            compare=False)
+    _certs: Dict[Tuple[str, int], "Certificate"] = field(default_factory=dict, init=False,
+                                                         repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.eta) or self.eta < 0:
@@ -648,7 +650,9 @@ def _no_witnesses(p: MajorantParams, N: int, grid: int) -> Iterable[Dict[str, fl
 # evaluated with the float expression cert_<regime> evaluates it with, so no
 # rounding margin is needed: a candidate a screen drops fails that premise in
 # cert_<regime> too.  A horizon-wide premise is tested at one index, the one
-# that asks the most of the witnesses (_binding).
+# that asks the most of the witnesses (_binding).  When the premise at that
+# index has a zero (underflowed) scale, no witness meets it (_unmet), and the
+# screen is None before any candidate is drawn.
 
 _Screen = Callable[[Dict[str, float]], bool]
 
@@ -673,6 +677,14 @@ def _binding(lhs: Sequence[float], scale: Sequence[float]) -> Optional[int]:
     return best
 
 
+def _unmet(k: Optional[int], scale: Sequence[float]) -> bool:
+    """Whether the premise lhs[k] <= c * scale[k] at a binding index k of
+    _binding has a scale that is not > 0.  Then c * scale[k] is 0, or NaN for
+    an infinite c, and the lhs _binding kept is above _ABS_SLACK, so no
+    witness c meets the premise."""
+    return k is not None and not scale[k] > 0.0
+
+
 def _sandwich_screen(p: MajorantParams, N: int) -> Optional[_Screen]:
     """The lambda blanket and rho positivity, which no witness changes, then the
     witness ranges, the lambda-ratio premise at its binding index and the start
@@ -683,6 +695,8 @@ def _sandwich_screen(p: MajorantParams, N: int) -> Optional[_Screen]:
     lam, rho = h.lam, h.rho
     ratios = [rho[k + 1] / rho[k] for k in range(N)]
     k = _binding(lam[1:], ratios)
+    if _unmet(k, ratios):
+        return None
 
     def keep(w: Dict[str, float]) -> bool:
         C1, C2 = w["C1"], w["C2"]
@@ -707,6 +721,8 @@ def _geometric_screen(p: MajorantParams, N: int) -> Optional[_Screen]:
         prod *= lam[n]
         prods.append(prod)
     k = _binding(rho[1:N], prods)
+    if _unmet(k, prods):
+        return None
 
     def keep(w: Dict[str, float]) -> bool:
         chi, mu = w["chi"], w["mu"]
@@ -727,6 +743,8 @@ def _quadratic_screen(p: MajorantParams, N: int) -> Optional[_Screen]:
     eta_rho = [p.eta * v for v in h.rho[:N]]
     k = _binding(lam[:N], theta_pow)
     j = _binding(eta_rho, theta_pow[1:])
+    if _unmet(k, theta_pow) or _unmet(j, theta_pow[1:]):
+        return None
 
     def keep(w: Dict[str, float]) -> bool:
         chi, mu = w["chi"], w["mu"]
@@ -775,9 +793,17 @@ def _run(regime: str, p: MajorantParams, N: int,
          witnesses: Optional[Dict[str, float]]) -> Certificate:
     """cert_<regime> on a witness mapping.  The function is looked up at call
     time, so wrappers installed on the module names (tracing, mocking) see
-    every call."""
+    every certificate built.  A witness-free regime's certificate of (p, N) is
+    built by the first call and returned by every later one (see
+    MajorantParams), so callers must not change it."""
+    names = REGIMES[regime].witnesses
+    if not names:
+        cert = p._certs.get((regime, N))
+        if cert is None:
+            cert = p._certs[regime, N] = globals()["cert_" + regime](p, N)
+        return cert
     args = []
-    for name in REGIMES[regime].witnesses:
+    for name in names:
         if name not in witnesses:
             raise MajorantError("regime %r missing witness %r" % (regime, name))
         args.append(witnesses[name])
@@ -803,11 +829,13 @@ def search_witnesses(p: MajorantParams, regime: str, N: int,
 
     The regime's screen skips, before their O(N) premise scans, the grid
     candidates that fail a premise of cert_<regime> it can test in O(1), and
-    the whole grid when a premise no witness changes fails.  cert_<regime>
-    still judges every candidate the screen keeps.  A skipped candidate is one
-    cert_<regime> rejects, and rejected candidates are never reported, so the
-    certificate found, and the fallback certify reports when none is, are the
-    ones a search without the screen gives.
+    the whole grid, before drawing a candidate, when a premise no witness
+    changes fails or a horizon-wide premise has a zero (underflowed) scale at
+    its binding index, which no witness meets.  cert_<regime> still judges
+    every candidate the screen keeps.  A skipped candidate is one cert_<regime>
+    rejects, and rejected candidates are never reported, so the certificate
+    found, and the fallback certify reports when none is, are the ones a
+    search without the screen gives.
     """
     spec = _regime(regime)
     keep = spec.screen(p, N)
@@ -842,10 +870,9 @@ def tail_bound(trace_r: Sequence[float], p: MajorantParams, n: int,
     lam_sup = p.lam.sup_tail(n - 1)
     lam_eff = lam_sup
     if p.eta > 0.0:
-        # one cap per params and horizon: every step of a trace reads the same one
-        cap = p._caps.get(horizon)
-        if cap is None:
-            cap = p._caps[horizon] = cert_bounded(p, horizon)
+        # the bounded certificate of (p, horizon), built once: every step of a
+        # trace, and certify's bounded entry, read the same one
+        cap = _run("bounded", p, horizon, {})
         if not cap.valid:
             raise NoValidMajorantError(
                 "eta > 0 and no uniform cap certificate: %s" % "; ".join(cap.detail))

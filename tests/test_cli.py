@@ -1,13 +1,18 @@
 import csv
+import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fpcert import cli
+from fpcert import cli, majorant
 from fpcert.cli import main
-from fpcert.problems import load_config
+from fpcert.core import Vector, norm_of
+from fpcert.majorant import cert_bounded
+from fpcert.problems import load_config, resolve_config, var_names
 from fpcert.schemes import StepFailure
 
 
@@ -1097,3 +1102,71 @@ def test_main_finds_each_command_by_name_at_call_time(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cmd_certify", counting)
     assert run_cli("certify", "linear-contraction", "--trace", str(trace)) == 0
     assert seen == ["certify"]
+
+
+# a list whose first value is a negative number other than a plain decimal
+# used to be read by argparse as an option, which left --values without one
+@pytest.mark.parametrize("problem, param, values, message", [
+    ("damped-root", "alpha", "-1,0,2", "damped gamma needs alpha > 0, got -1.0"),
+    ("linear-contraction", "eps", "-1e-3",
+     "perturbation.eps: constant sequence must be finite and nonnegative, got -0.001"),
+])
+def test_sweep_reads_a_leading_negative_number_as_its_values(tmp_path, capsys, problem, param,
+                                                             values, message):
+    out = tmp_path / "sw"
+    assert run_cli("sweep", problem, "--param", param, "--values", values,
+                   "--out", str(out)) == 1
+    assert_one_error_line(capsys, "error: " + message)
+    assert not out.exists()
+
+
+@functools.lru_cache(maxsize=None)
+def linear_problem(tmp_dir, dim, norm):
+    """The resolved problem of a dim-`dim` linear contraction in `norm`."""
+    path = Path(tmp_dir) / ("linear-%d-%s.yaml" % (dim, norm))
+    path.write_text("operator: [%s]\nx0: %r\nnorm: %s\n" % (
+        ", ".join('"0.5*x%d"' % (i + 1) for i in range(dim)), [0.0] * dim, norm))
+    return resolve_config(load_config(str(path)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(norm=st.sampled_from(["sup", "one", "euclidean"]), dim=st.integers(1, 20),
+       data=st.data())
+def test_read_run_gives_the_r_n_of_norm_of_bit_for_bit(tmp_path_factory, norm, dim, data):
+    resolved = linear_problem(str(tmp_path_factory.getbasetemp()), dim, norm)
+    coords = st.floats(-1e300, 1e300) | st.floats(-1.0, 1.0)
+    xs = data.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=2,
+                            max_size=30))
+    r = [norm_of(Vector(np.array(b) - np.array(a)), resolved.norm) for a, b in zip(xs, xs[1:])]
+    trace = tmp_path_factory.mktemp("trace")
+    (trace / "run.json").write_text(json.dumps({"digest": resolved.digest}))
+    cli._write_csv(trace / "iterates.csv", ["n"] + var_names(dim),
+                   ([n] + x for n, x in enumerate(xs)))
+    cli._write_csv(trace / "trace.csv", ["n", "r_n"], enumerate(r + [None]))
+    assert cli._read_run(trace, resolved) == (r, 1e-12)
+    # one ulp off at any step is refused, naming that step
+    n = data.draw(st.integers(0, len(r) - 1))
+    edited = list(r)
+    edited[n] = math.nextafter(r[n], math.inf if r[n] < math.inf else 0.0)
+    cli._write_csv(trace / "trace.csv", ["n", "r_n"], enumerate(edited + [None]))
+    with pytest.raises(cli.CliError, match="^step %d: trace.csv has r_%d = " % (n, n)):
+        cli._read_run(trace, resolved)
+
+
+def test_one_certify_builds_the_bounded_certificate_once(tmp_path, monkeypatch):
+    src = write_yaml(tmp_path, "p.yaml", _DIM3)
+    out = tmp_path / "t"
+    assert run_cli("run", src, "--out", str(out)) == 0
+    built = []
+
+    def counting(p, N):
+        built.append(N)
+        return cert_bounded(p, N)
+
+    monkeypatch.setattr(majorant, "cert_bounded", counting)
+    assert run_cli("certify", src, "--trace", str(out), "--horizon", "50") == 0
+    report = read_json(out / "certify.json")
+    # eta > 0: every tail bound reads the cap that the bounded entry reports
+    assert report["majorant"]["eta"] > 0 and len(report["tail_bounds"]) > 1
+    assert [c["regime"] for c in report["certificates"]] == ["bounded"]
+    assert built == [50]

@@ -503,7 +503,7 @@ UNIT = st.floats(0.0, 1.0)
 def screened_params(draw):
     """Majorant shapes that put the screens' premises near their edges."""
     shape = draw(st.sampled_from(["newton-dense", "eta-zero", "tiny-lambda", "near-1e-300",
-                                  "table"]))
+                                  "table", "theta-underflow", "underflowed-product"]))
     eta = draw(st.just(0.0) | st.floats(0.0, 2.0))
     r0 = draw(st.floats(0.0, 3.0))
     if shape == "newton-dense":
@@ -525,6 +525,19 @@ def screened_params(draw):
         rho = ScalarSequence.geometric(draw(NEAR_SLACK), draw(st.floats(0.0, 2.0)))
         r0 = draw(NEAR_SLACK | st.floats(0.0, 3.0))
         eta = draw(st.just(0.0) | NEAR_SLACK | st.floats(0.0, 2.0))
+    elif shape == "theta-underflow":
+        # theta^(2^n) underflows to 0 within a few indices, lambda and rho stay positive
+        eta = draw(st.floats(1e-3, 2.0))
+        r0 = draw(st.floats(1e-3, 0.9)) / eta
+        lam = ScalarSequence.constant(draw(st.just(0.0) | NEAR_SLACK | st.floats(0.0, 1e-3)))
+        rho = ScalarSequence.geometric(draw(st.floats(1e-12, 0.1)), draw(UNIT))
+    elif shape == "underflowed-product":
+        # products of lambda, and ratios of rho, that underflow to 0
+        lam = ScalarSequence.from_table(draw(st.lists(
+            st.floats(1e-200, 1e-100) | st.floats(0.0, 0.9), min_size=1, max_size=8)))
+        rho = ScalarSequence.from_table(draw(st.lists(
+            st.sampled_from([1e200, 1e-200, 1e-300]) | st.floats(0.0, 0.1), min_size=1,
+            max_size=8)))
     else:
         lam = ScalarSequence.from_table(draw(st.lists(st.floats(0.0, 1.0), min_size=1,
                                                       max_size=8)))
@@ -579,8 +592,10 @@ def grid_size(p, regime, N):
 
 def test_newton_dense_quadratic_search_runs_no_candidate(monkeypatch):
     # theta^(2^n) underflows to 0 while rho_n > 0, so every candidate fails
-    # the rho budget; certify runs only the fallback
+    # the rho budget: the screen rules out the grid before drawing from it,
+    # and certify runs only the fallback
     assert grid_size(NEWTON_DENSE, "quadratic", 200) == 257
+    assert majorant.REGIMES["quadratic"].screen(NEWTON_DENSE, 200) is None
     calls = count_cert_calls(monkeypatch)
     cert = certify(NEWTON_DENSE, "quadratic", 200)
     assert not cert.valid and cert.detail == ["rho budget fails at index 0"]

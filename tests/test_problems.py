@@ -744,6 +744,96 @@ def test_load_config_reads_what_the_pure_python_loader_reads(tmp_path_factory, c
     assert_same_values(load_config(str(path)), pure_python_load(path))
 
 
+# documents for problems._Loader, whose sequences of str scalars skip
+# construct_object: plain, quoted and !!str strings, plain words that resolve
+# to other types, numbers, booleans and nulls, in nested block and flow
+# sequences, with anchors and aliases on scalars and flow sequences
+PLAIN_WORDS = ["x1", "0.3*cos(x2)", "x1^2 - 2", "-0.5*sin(x3)", "abc def", "yes", "No", "on",
+               "null", "~", "true", "1", "-2", "0x1f", "1.5", "1e3", "1.0e+3", ".inf", "-.nan",
+               "1_000", "2001-12-14", "<<"]
+PRINTABLE = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+YAML_LEAVES = (st.tuples(st.sampled_from(["plain", "str"]), st.sampled_from(PLAIN_WORDS))
+               | st.tuples(st.sampled_from(["single", "double"]), PRINTABLE)
+               | st.tuples(st.just("number"), st.integers() | YAML_FLOATS)
+               | st.tuples(st.just("bool"), st.booleans()) | st.just(("null", None)))
+YAML_TREES = st.recursive(YAML_LEAVES, lambda inner: st.lists(inner, max_size=5), max_leaves=30)
+
+
+class _Render:
+    """YAML text of a tree of YAML_LEAVES, with anchors and aliases drawn from rnd."""
+
+    def __init__(self, rnd):
+        self.rnd, self.anchors = rnd, []
+
+    def anchored(self, text):
+        if self.anchors and self.rnd.random() < 0.15:
+            return "*" + self.rnd.choice(self.anchors)
+        if self.rnd.random() < 0.2:
+            self.anchors.append("a%d" % len(self.anchors))
+            return "&%s %s" % (self.anchors[-1], text)
+        return text
+
+    def flow(self, node):
+        if isinstance(node, list):
+            return self.anchored("[%s]" % ", ".join(self.flow(child) for child in node))
+        kind, value = node
+        text = {"plain": lambda: value, "str": lambda: "!!str " + value,
+                "single": lambda: "'%s'" % value.replace("'", "''"),
+                "double": lambda: json.dumps(value), "number": lambda: repr(value),
+                "bool": lambda: "true" if value else "false", "null": lambda: "null"}[kind]()
+        return self.anchored(text)
+
+    def block(self, node, indent):
+        """The lines of node as a block sequence at indent."""
+        lines = []
+        for child in node:
+            if isinstance(child, list) and child and self.rnd.random() < 0.5:
+                sub = self.block(child, indent + 2)
+                lines.append(" " * indent + "- " + sub[0][indent + 2:])
+                lines.extend(sub[1:])
+            else:
+                lines.append(" " * indent + "- " + self.flow(child))
+        return lines
+
+    def document(self, values):
+        lines = []
+        for i, value in enumerate(values):
+            if isinstance(value, list) and value and self.rnd.random() < 0.5:
+                lines.append("k%d:" % i)
+                lines.extend(self.block(value, 0))
+            else:
+                lines.append("k%d: %s" % (i, self.flow(value)))
+        return "\n".join(lines) + "\n"
+
+
+def load_outcome(text, loader):
+    """repr of what loader reads from text, with the lists it shares marked, or
+    the error it raises."""
+    try:
+        data = yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    seen = []
+
+    def lists(obj):   # each list as the index of its first occurrence, in document order
+        if isinstance(obj, dict):
+            return [lists(v) for v in obj.values()]
+        if isinstance(obj, list):
+            first = next((i for i, o in enumerate(seen) if o is obj), None)
+            seen.append(obj)
+            return [first, [lists(v) for v in obj]]
+        return None
+    return repr(data), lists(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(YAML_TREES, min_size=1, max_size=4), rnd=st.randoms())
+def test_the_loader_reads_what_the_stock_loader_reads(values, rnd):
+    text = _Render(rnd).document(values)
+    stock = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert load_outcome(text, problems._Loader) == load_outcome(text, stock), text
+
+
 @pytest.mark.parametrize("workload", ["newton-dense", "fredholm-sweep", "noisy-certify"])
 def test_load_config_reads_benchmark_problems_like_the_pure_python_loader(tmp_path, workload):
     inst = bench_workloads().make_instance(workload, 1, 0, tmp_path)
