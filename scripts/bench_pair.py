@@ -34,8 +34,13 @@ of an m = 800 grid (`greens._pointwise`: 801 `apply` calls, each building two
 Vectors), noisy-certify's `certify` at horizon 1000, newton-dense's `certify`
 at the benchmark's horizon 200 (`certify-newton-dense`, the very call whose
 `certify_p50_s` the benchmark measures), fredholm-sweep's three `certify`
-calls (`certify-fredholm-sweep`), the set-up of newton-dense and of
-fredholm-sweep, and `import fpcert.cli`.  Each timed call of a certify
+calls (`certify-fredholm-sweep`), the problem read of newton-dense's
+`certify` (`load-newton-dense`: `problems.load_config` then `resolve_config`
+of instance 0's problem file; its output is the digest), the trace read of
+noisy-certify's `certify` (`read-run-noisy`: `cli._read_run` of the
+2000-step trace its untimed `run` writes; its output is the repr of the r_n
+list), the set-up of newton-dense and of fredholm-sweep, and `import
+fpcert.cli`.  Each timed call of a certify
 workload is one `fpcert.cli.main` call, after an untimed `run`, and its
 output is the bytes of the `certify.json` the last call wrote.  Each timed
 call of `certify-fredholm-sweep` is the benchmark's three `certify` calls of
@@ -111,6 +116,7 @@ LAYER_WORKLOADS = {"parse-newton-dense": 5, "compile-newton-dense": 5,
                    "jacobian-newton-dense": 5, "kernel-matrix-800": 5,
                    "pointwise-fredholm-800": 20, "noisy-certify-1000": 3,
                    "certify-newton-dense": 21, "certify-fredholm-sweep": 21,
+                   "load-newton-dense": 21, "read-run-noisy": 21,
                    "setup-newton-dense": 21, "setup-fredholm-sweep": 21, "import-cli": 21}
 LAYER_ROUNDS = 5
 
@@ -235,6 +241,30 @@ def layer_worker(name: str, side: Path, tmp: Path) -> dict:
 
         def encode(_):
             return report.read_bytes()
+    elif name == "load-newton-dense":
+        # certify's problem read, on its own: the YAML load and the resolve
+        path = workloads.make_instance("newton-dense", 1, 0, tmp).calls[0].argv[1]
+
+        def call():
+            return problems.resolve_config(problems.load_config(path))
+
+        def encode(resolved):
+            return resolved.digest.encode()
+    elif name == "read-run-noisy":
+        # certify's trace read, on its own, of a 2000-step run: run.json,
+        # trace.csv, iterates.csv and the r_n recheck
+        solve, certify = workloads.make_instance("noisy-certify", 1, 0, tmp).calls
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(solve.argv) == solve.expected_exit
+        argv = certify.argv
+        resolved = problems.resolve_config(cli._load(argv[1], int(argv[argv.index("--seed") + 1])))
+        trace = Path(argv[argv.index("--trace") + 1])
+
+        def call():
+            return cli._read_run(trace, resolved)[0]
+
+        def encode(r):
+            return repr(r).encode()
     elif name == "certify-fredholm-sweep":
         solve, *certifies = workloads.make_instance("fredholm-sweep", 1, 0, tmp).calls
         with contextlib.redirect_stdout(io.StringIO()):

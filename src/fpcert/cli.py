@@ -150,7 +150,7 @@ def _read_run(trace_dir: Path, resolved: ResolvedProblem) -> Tuple[List[float], 
     rows = _read_artifact(path)
     r = []
     if rows and "r_n" in rows[0]:
-        # the last r_n column, as a mapping of header to fields would keep
+        # a header that repeats r_n gives its last column
         col = len(rows[0]) - 1 - rows[0][::-1].index("r_n")
         for line, row in enumerate(rows[1:], 2):
             cell = row[col] if col < len(row) else None
@@ -183,7 +183,7 @@ def _read_run(trace_dir: Path, resolved: ResolvedProblem) -> Tuple[List[float], 
         recomputed = row_norms(steps, resolved.norm)
     finite = np.isfinite(steps).all(axis=1)
     checked = min(len(r), len(steps))
-    # != is True for a NaN r_n, as the recomputed norm never is
+    # != holds for a NaN r_n: no recomputed norm is NaN
     bad = np.flatnonzero(~finite[:checked] | (recomputed[:checked] != r[:checked]))
     if bad.size:
         n = int(bad[0])
@@ -214,9 +214,10 @@ def _iterates(path: Path, rows: List[List[str]], width: int) -> np.ndarray:
         try:
             xs = np.array(list(map(float, chain.from_iterable(body)))).reshape(-1, width)[:, 1:]
         except ValueError:
-            xs = None
-        if xs is not None and np.isfinite(xs).all():
-            return xs
+            pass
+        else:
+            if np.isfinite(xs).all():
+                return xs
     walked = []
     for line, row in enumerate(body, 2):
         try:
@@ -474,10 +475,9 @@ def _inner_tol(text: str) -> float:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads a token that starts with '-' as an option unless it
-        # is a plain decimal, so `--values -1,0,2` or `--values -1e-3` lost
-        # its value.  No fpcert flag starts with -<digit> or -.<digit>, so
-        # every such token is a value.
+        # argparse takes a token that starts with '-' for an option unless it
+        # is a plain decimal.  No fpcert flag starts with -<digit> or
+        # -.<digit>, so such a token is a value, as in `--values -1,0,2`.
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     # argparse exits with status 2 on usage errors, which collides with the

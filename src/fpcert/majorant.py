@@ -812,7 +812,11 @@ def _run(regime: str, p: MajorantParams, N: int,
 
 def certify(p: MajorantParams, regime: str, N: int,
             witnesses: Optional[Dict[str, float]] = None) -> Certificate:
-    """Dispatch by regime name; witnesses=None triggers the grid search."""
+    """Dispatch by regime name; witnesses=None triggers the grid search.
+
+    A witness-free regime (bounded, uniform_max) returns the one certificate
+    of (p, N) that its first call built, which tail_bound reads too; treat it
+    as read-only."""
     spec = _regime(regime)
     if witnesses is None and spec.fallback is not None:
         found = search_witnesses(p, regime, N)
